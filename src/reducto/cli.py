@@ -36,7 +36,6 @@ from .learner import (
     store_loss,
     train,
 )
-from .sat import _lit_key
 from .search import SearchConfig
 
 PARAMS_ENV = "REDUCTO_PARAMS"
@@ -163,7 +162,7 @@ def _cmd_solve(args) -> int:
         print(f"c diagnostic {diag}", file=sys.stderr)
     if answer.kind == "solution":
         print("s SATISFIABLE")
-        lits = " ".join(str(l) for l in sorted(answer.value, key=_lit_key))
+        lits = " ".join(str(l) for l in sorted(answer.value, key=abs))
         print(f"v {lits} 0" if lits else "v 0")
         return EXIT_SAT
     if answer.kind == "no_solution":

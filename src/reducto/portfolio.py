@@ -12,7 +12,6 @@ no move.
 from __future__ import annotations
 
 import subprocess
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,13 +22,13 @@ from .sat import (
     BOTTOM,
     Formula,
     TOP,
-    _clause_key,
-    _lit_key,
+    add_clauses,
     assignment,
     easy_combined,
     new_resolvents,
     pure_literal_fixpoint,
     satisfies,
+    subsumption_move,
 )
 
 DEFAULT_EXTERNAL_TIMEOUT = 10.0
@@ -48,10 +47,12 @@ def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
     while True:
         if any(c == () for c in cur):
             break
-        units = sorted({c[0] for c in cur if len(c) == 1}, key=_lit_key)
+        units = {c[0] for c in cur if len(c) == 1}
         if not units:
             break
-        lit = units[0]
+        # Smallest variable first; when both of its literals are units, the
+        # positive one.
+        lit = min(units, key=lambda l: (abs(l), l < 0))
         forced.append(lit)
         nxt = []
         for c in cur:
@@ -84,16 +85,8 @@ def _bounded_resolution_transform(phi: Formula, iterations: int, resolvent_cap: 
     for _ in range(iterations):
         resolvents = new_resolvents(cur)[:resolvent_cap]
         if resolvents:
-            cls = list(cur.clauses)
-            for rc in resolvents:
-                insort(cls, rc, key=_clause_key)
-            cur = Formula._make(tuple(cls))
-        sets = [frozenset(c) for c in cur.clauses]
-        keep = tuple(
-            c for i, c in enumerate(cur.clauses)
-            if not any(j != i and sets[j] < sets[i] for j in range(len(cur.clauses)))
-        )
-        nxt = Formula._make(keep)
+            cur = add_clauses(cur, resolvents)
+        nxt = (subsumption_move(cur) or [cur])[0]
         if nxt == cur and not resolvents:
             break
         cur = nxt

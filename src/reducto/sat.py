@@ -5,12 +5,18 @@ literal of variable ``v >= 1`` and ``-v`` its complement.  A clause is a
 complement-free tuple of literals, a formula a set of clauses, and an
 assignment a complement-free frozenset of literals.  Everything is kept in a
 canonical sorted form so formulas compare, hash, and serialize stably.
+
+Canonical order sorts literals by variable, the positive literal first, and
+clauses lexicographically by their literals.  Internally a literal ``v`` is
+coded as ``2v`` and ``-v`` as ``2v+1``; plain tuple order of the coded clauses
+is then the canonical clause order, so ordering and insertion compare ints
+(``_clause_code``).
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left
 from hashlib import blake2b
 from typing import Iterable, Iterator
 
@@ -28,17 +34,16 @@ class OracleLimitError(RuntimeError):
     """The brute-force oracle refused an instance above its variable limit."""
 
 
-def _lit_key(lit: int) -> tuple[int, int]:
-    return (abs(lit), 0 if lit > 0 else 1)
-
-
-def _clause_key(c: Clause) -> tuple:
-    return tuple(_lit_key(l) for l in c)
+def _clause_code(c: Clause) -> tuple[int, ...]:
+    """Sort key of a canonical clause: each literal ``v`` as ``2v``, ``-v`` as ``2v+1``."""
+    return tuple([l << 1 if l > 0 else 1 - (l << 1) for l in c])
 
 
 def clause(literals: Iterable[int]) -> Clause:
     """Canonical clause: unique literals sorted by variable, no complements."""
-    lits = sorted(set(literals), key=_lit_key)
+    # In a complement-free clause each variable occurs once, so ordering by
+    # abs is the canonical order; a complementary pair is rejected below.
+    lits = sorted(set(literals), key=abs)
     s = set()
     for l in lits:
         if not isinstance(l, int) or l == 0:
@@ -71,7 +76,7 @@ class Formula:
     __slots__ = ("clauses", "_hash", "_vars", "_digest")
 
     def __init__(self, clauses: Iterable[Iterable[int]] = ()):
-        canon = tuple(sorted({clause(c) for c in clauses}, key=_clause_key))
+        canon = tuple(sorted({clause(c) for c in clauses}, key=_clause_code))
         object.__setattr__(self, "clauses", canon)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_vars", None)
@@ -163,43 +168,96 @@ def resolvent(c1: Clause, c2: Clause, pivot: int) -> Clause | None:
     merged = (set(c1) | set(c2)) - {pivot, -pivot}
     if any(-l in merged for l in merged):
         return None
-    return tuple(sorted(merged, key=_lit_key))
+    return tuple(sorted(merged, key=abs))
 
 
 def new_resolvents(phi: Formula) -> list[Clause]:
-    """All resolvents of clause pairs of ``phi`` that are not already clauses of it."""
-    cls = phi.clauses
-    existing = set(cls)
-    csets = {c: set(c) for c in cls}
-    pos: dict[int, list[Clause]] = {}
-    neg: dict[int, list[Clause]] = {}
-    for c in cls:
+    """All resolvents of clause pairs of ``phi`` that are not already clauses of it.
+
+    The result is in canonical order.
+    """
+    # Each clause is a bitmask over the dense ranks of phi's variables: bit 2r
+    # for the positive literal of the r-th variable, bit 2r+1 for the negative
+    # one.  Masks stay short whatever the variable ids, a resolvent is one OR,
+    # and it is tautological iff some variable has both of its bits set.
+    lits: list[int] = []
+    bits: dict[int, int] = {}
+    for v in phi.variables:
+        bits[v] = 1 << len(lits)
+        bits[-v] = 2 << len(lits)
+        lits += (v, -v)
+    even = ((1 << len(lits)) - 1) // 3  # bit 2r for every rank r
+    masks = []
+    occ: dict[int, list[int]] = {}
+    for c in phi.clauses:
+        m = 0
         for l in c:
-            (pos if l > 0 else neg).setdefault(abs(l), []).append(c)
-    out = set()
-    for v, with_pos in pos.items():
-        with_neg = neg.get(v)
-        if not with_neg:
+            m |= bits[l]
+        masks.append(m)
+        for l in c:
+            occ.setdefault(l, []).append(m)
+    out: set[int] = set()
+    for v in phi.variables:
+        with_neg = occ.get(-v)
+        if not with_neg or v not in occ:
             continue
-        for c1 in with_pos:
-            s1 = csets[c1]
-            for c2 in with_neg:
-                merged = (s1 | csets[c2]) - {v, -v}
-                if any(-l in merged for l in merged):
-                    continue
-                rc = tuple(sorted(merged, key=_lit_key))
-                if rc not in existing:
-                    out.add(rc)
-    return sorted(out, key=_clause_key)
+        rest = ~(bits[v] | bits[-v])
+        negs = [m & rest for m in with_neg]
+        for m1 in occ[v]:
+            m1 &= rest
+            out.update([m for m2 in negs if not (m := m1 | m2) & (m >> 1) & even])
+    out.difference_update(masks)
+    # Ascending bit positions are the canonical literal order, so sorting the
+    # position tuples sorts the resolvents canonically.
+    ranked = []
+    for m in out:
+        pos = []
+        while m:
+            low = m & -m
+            pos.append(low.bit_length() - 1)
+            m ^= low
+        ranked.append(pos)
+    ranked.sort()
+    return [tuple([lits[i] for i in pos]) for pos in ranked]
+
+
+def _insert_clause(
+    cls: tuple[Clause, ...], codes: list[tuple[int, ...]], c: Clause, code: tuple[int, ...]
+) -> tuple[Clause, ...]:
+    """``cls`` with the clause ``c``, which it lacks, at its canonical place.
+
+    ``codes`` holds the ``_clause_code`` of each clause of ``cls`` and ``code``
+    that of ``c``.
+    """
+    i = bisect_left(codes, code)
+    return cls[:i] + (c,) + cls[i:]
+
+
+def _insert_clauses(
+    cls: tuple[Clause, ...], codes: list[tuple[int, ...]], new: Iterable[Clause]
+) -> tuple[Clause, ...]:
+    """``cls`` with the distinct canonical clauses ``new``, none of which it holds."""
+    # Last first: each insertion point, found in the codes of cls, then still
+    # indexes the partly extended tuple correctly.
+    for code, c in sorted([(_clause_code(c), c) for c in new], reverse=True):
+        cls = _insert_clause(cls, codes, c, code)
+    return cls
+
+
+def add_clauses(phi: Formula, new: Iterable[Clause]) -> Formula:
+    """``phi`` plus those canonical clauses of ``new`` that it lacks."""
+    codes = [_clause_code(c) for c in phi.clauses]
+    return Formula._make(_insert_clauses(phi.clauses, codes, set(new).difference(phi.clauses)))
 
 
 def resolution_moves(phi: Formula) -> list[Formula]:
     """Each move adds one new resolvent to ``phi``."""
-    moves = []
-    for rc in new_resolvents(phi):
-        cls = list(phi.clauses)
-        insort(cls, rc, key=_clause_key)
-        moves.append(Formula._make(tuple(cls)))
+    cls = phi.clauses
+    codes = [_clause_code(c) for c in cls]
+    moves = [
+        Formula._make(_insert_clause(cls, codes, rc, _clause_code(rc)))
+        for rc in new_resolvents(phi)
+    ]
     moves.sort(key=lambda f: f.clauses)
     return moves
 
@@ -228,7 +286,7 @@ def pure_literal_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
     eliminated: list[int] = []
     while True:
         occurring = set(itertools.chain.from_iterable(cur))
-        pures = sorted((l for l in occurring if -l not in occurring), key=_lit_key)
+        pures = sorted((l for l in occurring if -l not in occurring), key=abs)
         if not pures:
             break
         eliminated.extend(pures)
@@ -332,6 +390,7 @@ def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Form
     while fresh in var_set:
         fresh += 1
     lits = [s * v for v in vars_ for s in (1, -1)]
+    codes = [_clause_code(c) for c in phi.clauses]
     moves = []
     taken = 0
     for i in range(len(lits)):
@@ -341,11 +400,9 @@ def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Form
             a, b = lits[i], lits[j]
             if abs(a) == abs(b):
                 continue
-            cls = list(phi.clauses)
-            for c in (clause((a, -fresh)), clause((b, -fresh)), clause((-a, -b, fresh))):
-                if c not in cls:
-                    insort(cls, c, key=_clause_key)
-            moves.append(Formula._make(tuple(cls)))
+            # Every new clause holds the fresh variable, so none is in phi yet.
+            new = (clause((a, -fresh)), clause((b, -fresh)), clause((-a, -b, fresh)))
+            moves.append(Formula._make(_insert_clauses(phi.clauses, codes, new)))
             taken += 1
             if taken >= pair_cap:
                 break
@@ -462,7 +519,7 @@ class OracleVerdict:
 
     def __repr__(self) -> str:
         if self.satisfiable:
-            return f"Sat({sorted(self.witness, key=_lit_key)})"
+            return f"Sat({sorted(self.witness, key=abs)})"
         return "Unsat"
 
     def __eq__(self, other) -> bool:
@@ -500,7 +557,7 @@ def oracle_solve(phi: Formula, var_limit: int = ORACLE_VAR_LIMIT) -> OracleVerdi
         while True:
             if not clauses:
                 return trail
-            clauses = sorted(set(clauses), key=_clause_key)
+            clauses = sorted(set(clauses), key=_clause_code)
             if clauses[0] == ():
                 return None
             unit = next((c[0] for c in clauses if len(c) == 1), None)

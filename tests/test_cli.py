@@ -39,6 +39,13 @@ class TestSolveCommand:
         lits = [int(t) for t in vline[2:].split() if t != "0"]
         assert satisfies(frozenset(lits), parse_dimacs(SAT_TEXT))
 
+    def test_v_line_lists_literals_by_variable(self, workdir, capsys):
+        cnf = write(workdir / "f.cnf", "p cnf 10 4\n-10 0\n2 0\n-3 0\n1 -2 0\n")
+        code, out, _ = run(capsys, "solve", cnf, "--setup", "portfolio", "--no-train",
+                           "--params", "p.json")
+        assert code == 10
+        assert "v 1 2 -3 -10 0" in out.splitlines()
+
     def test_unsat_instance(self, workdir, capsys):
         cnf = write(workdir / "f.cnf", UNSAT_TEXT)
         code, out, _ = run(capsys, "solve", cnf, "--setup", "resolution", "--params", "p.json")

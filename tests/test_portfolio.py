@@ -51,6 +51,9 @@ class TestUnitPropagation:
     def test_conflicting_units_leave_empty_clause(self):
         fix, _ = unit_propagate_fixpoint(Formula([[1], [-1]]))
         assert fix.has_empty_clause
+        # Of two complementary units, the positive one propagates.
+        phi = Formula([[5], [-5], [-5, 2]])
+        assert unit_propagate_fixpoint(phi) == (Formula([[], [2]]), (5,))
 
     def test_no_units_no_move(self):
         phi = Formula([[1, 2], [-1, -2]])

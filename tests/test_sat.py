@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from reducto.sat import (
     RESOLUTION,
     SUBSUMPTION,
     TOP,
+    add_clauses,
     assignment,
     blocked_clause_fixpoint,
     blocked_clause_move,
@@ -26,6 +28,7 @@ from reducto.sat import (
     flip_moves,
     flip_variable,
     flippable_variables,
+    new_resolvents,
     oracle_solve,
     pure_literal_fixpoint,
     pure_literal_move,
@@ -47,15 +50,32 @@ def brute_force(phi):
     return None
 
 
+# Variable ids for sparse formulas: small ones, ids above 64 (past one machine
+# word of two bits per id), and ids near 10**6.
+SPARSE_IDS = st.one_of(
+    st.integers(1, 8), st.integers(60, 130), st.integers(10**6 - 40, 10**6 + 40)
+)
+
+
 @st.composite
-def formulas(draw, max_vars=4, max_clauses=5):
+def clause_lists(draw, max_vars=4, max_clauses=5, sparse=False):
+    """Raw clause lists, empty and unit clauses included; ``sparse`` draws the
+    variable ids from ``SPARSE_IDS`` instead of 1..n."""
     n = draw(st.integers(1, max_vars))
+    ids = list(range(1, n + 1))
+    if sparse:
+        ids = draw(st.lists(SPARSE_IDS, min_size=n, max_size=n, unique=True))
     out = []
     for _ in range(draw(st.integers(0, max_clauses))):
         width = draw(st.integers(0, min(3, n)))
-        vs = draw(st.lists(st.integers(1, n), min_size=width, max_size=width, unique=True))
+        vs = draw(st.lists(st.sampled_from(ids), min_size=width, max_size=width, unique=True))
         out.append([v if draw(st.booleans()) else -v for v in vs])
-    return Formula(out)
+    return out
+
+
+@st.composite
+def formulas(draw, max_vars=4, max_clauses=5, sparse=False):
+    return Formula(draw(clause_lists(max_vars, max_clauses, sparse)))
 
 
 class TestDataModel:
@@ -385,3 +405,128 @@ def test_flippable_variables_come_from_all_negative_clauses(phi):
     vs = flippable_variables(phi)
     for v in vs:
         assert any(c and all(l < 0 for l in c) and -v in c for c in phi.clauses)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the key-function move generators that the integer
+# clause codes and bitmask resolvents replaced, kept to pin their output.
+# ---------------------------------------------------------------------------
+
+
+def _lit_key(lit: int) -> tuple[int, int]:
+    return (abs(lit), 0 if lit > 0 else 1)
+
+
+def _clause_key(c) -> tuple:
+    return tuple(_lit_key(l) for l in c)
+
+
+def ref_new_resolvents(phi: Formula) -> list:
+    """All resolvents of clause pairs of ``phi`` that are not already clauses of it."""
+    cls = phi.clauses
+    existing = set(cls)
+    csets = {c: set(c) for c in cls}
+    pos: dict[int, list] = {}
+    neg: dict[int, list] = {}
+    for c in cls:
+        for l in c:
+            (pos if l > 0 else neg).setdefault(abs(l), []).append(c)
+    out = set()
+    for v, with_pos in pos.items():
+        with_neg = neg.get(v)
+        if not with_neg:
+            continue
+        for c1 in with_pos:
+            s1 = csets[c1]
+            for c2 in with_neg:
+                merged = (s1 | csets[c2]) - {v, -v}
+                if any(-l in merged for l in merged):
+                    continue
+                rc = tuple(sorted(merged, key=_lit_key))
+                if rc not in existing:
+                    out.add(rc)
+    return sorted(out, key=_clause_key)
+
+
+def ref_resolution_moves(phi: Formula) -> list[Formula]:
+    """Each move adds one new resolvent to ``phi``."""
+    moves = []
+    for rc in ref_new_resolvents(phi):
+        cls = list(phi.clauses)
+        insort(cls, rc, key=_clause_key)
+        moves.append(Formula._make(tuple(cls)))
+    moves.sort(key=lambda f: f.clauses)
+    return moves
+
+
+def ref_extension_moves(phi: Formula, pair_cap: int = 16) -> list[Formula]:
+    vars_ = phi.variables
+    if not vars_:
+        return []
+    var_set = set(vars_)
+    fresh = 1
+    while fresh in var_set:
+        fresh += 1
+    lits = [s * v for v in vars_ for s in (1, -1)]
+    moves = []
+    taken = 0
+    for i in range(len(lits)):
+        if taken >= pair_cap:
+            break
+        for j in range(i + 1, len(lits)):
+            a, b = lits[i], lits[j]
+            if abs(a) == abs(b):
+                continue
+            cls = list(phi.clauses)
+            for c in (clause((a, -fresh)), clause((b, -fresh)), clause((-a, -b, fresh))):
+                if c not in cls:
+                    insort(cls, c, key=_clause_key)
+            moves.append(Formula._make(tuple(cls)))
+            taken += 1
+            if taken >= pair_cap:
+                break
+    moves.sort(key=lambda f: f.clauses)
+    return moves
+
+
+def _exact(moves: list[Formula]) -> list[tuple]:
+    # Formula equality is clause-tuple equality; compare the tuples themselves
+    # so a failure shows them.
+    return [m.clauses for m in moves]
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(formulas(6, 9), formulas(6, 9, sparse=True)))
+    def test_new_resolvents_match_reference(self, phi):
+        assert new_resolvents(phi) == ref_new_resolvents(phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(formulas(6, 9), formulas(6, 9, sparse=True)))
+    def test_resolution_moves_match_reference(self, phi):
+        assert _exact(resolution_moves(phi)) == _exact(ref_resolution_moves(phi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)), st.integers(0, 40))
+    def test_extension_moves_match_reference(self, phi, cap):
+        assert _exact(extension_moves(phi, cap)) == _exact(ref_extension_moves(phi, cap))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(clause_lists(6, 9), clause_lists(6, 9, sparse=True)))
+    def test_clause_and_formula_order_match_reference(self, raw):
+        for lits in raw:
+            shuffled = list(reversed(lits)) + lits
+            assert clause(shuffled) == tuple(sorted(set(lits), key=_lit_key))
+        expected = tuple(sorted({clause(c) for c in raw}, key=_clause_key))
+        assert Formula(raw).clauses == expected
+        assert Formula(reversed(raw)).clauses == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(6, 6, sparse=True), clause_lists(6, 6, sparse=True))
+    def test_add_clauses_matches_the_constructor(self, phi, raw):
+        new = [clause(c) for c in raw]
+        assert add_clauses(phi, new).clauses == Formula(list(phi.clauses) + new).clauses
+
+    def test_sparse_ids(self):
+        phi = Formula([[1, 10**6], [-(10**6), 70], [-1, -70]])
+        assert new_resolvents(phi) == [(1, 70), (-1, -(10**6)), (-70, 10**6)]
