@@ -21,7 +21,6 @@ from .learner import (
     ParamStore,
     ParamVersionError,
     TrainDivergedError,
-    evaluate,
     featurize,
     init_params,
     load_params,
@@ -35,7 +34,6 @@ from .portfolio import (
     MemberFailure,
     Portfolio,
     builtin_members,
-    portfolio_moves,
     portfolio_setup,
 )
 from .sat import (

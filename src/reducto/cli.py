@@ -18,11 +18,11 @@ from .dimacs import DimacsError, parse_dimacs
 from .driver import (
     BENCH_HEADER,
     SETUP_NAMES,
-    _solve_full,
     bench_row_text,
     make_setup,
     run_bench,
     run_selfcheck,
+    solve,
 )
 from .learner import (
     DeltaStore,
@@ -90,7 +90,6 @@ def _search_config(args) -> SearchConfig:
         budget=args.budget,
         exploration=args.exploration,
         discount=args.discount,
-        seed=args.seed,
         move_cap=args.move_cap,
     )
 
@@ -98,7 +97,6 @@ def _search_config(args) -> SearchConfig:
 def _add_search_flags(p: argparse.ArgumentParser, budget: int, horizon: int) -> None:
     p.add_argument("--budget", type=int, default=budget, help="sampling budget per node")
     p.add_argument("--horizon", type=int, default=horizon, help="maximum path length")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exploration", type=float, default=1.4)
     p.add_argument("--discount", type=float, default=0.95)
     p.add_argument("--move-cap", type=int, default=256)
@@ -136,7 +134,7 @@ def _cmd_solve(args) -> int:
             if skipped:
                 print(f"c skipped {skipped} corrupt quality records", file=sys.stderr)
         try:
-            answer, theta_after, report, result = _solve_full(
+            answer, theta_after, report = solve(
                 phi,
                 args.setup,
                 theta,
@@ -150,7 +148,7 @@ def _cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         if not args.no_train:
-            append_quality_log(delta_path, result.quality)
+            append_quality_log(delta_path, report.quality)
             save_params(theta_after, params_path)
 
     print("c reducto solve")
@@ -298,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-vars", type=int, default=6)
     p_check.add_argument("--setup", choices=SETUP_NAMES, default="resolution")
     p_check.add_argument("--ratio", type=float, default=3.0)
+    p_check.add_argument("--seed", type=int, default=0, help="instance generator seed")
     _add_search_flags(p_check, budget=12, horizon=8)
     p_check.set_defaults(func=_cmd_selfcheck)
 
@@ -307,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-vars", type=int, default=6)
     p_bench.add_argument("--params", default=None)
     p_bench.add_argument("--ratio", type=float, default=3.0)
+    p_bench.add_argument("--seed", type=int, default=0, help="instance generator seed")
     _add_search_flags(p_bench, budget=12, horizon=8)
     p_bench.set_defaults(func=_cmd_bench)
 

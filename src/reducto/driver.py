@@ -45,7 +45,7 @@ from .sat import (
     oracle_solve,
     satisfies,
 )
-from .search import SearchConfig, SearchResult, ams_search
+from .search import QualityData, SearchConfig, SearchResult, ams_search
 
 SETUP_NAMES = ("resolution", "resolution-ext", "flip", "portfolio")
 
@@ -81,7 +81,7 @@ class RunReport:
     wall_time_s: float
     params_before: str
     params_after: str
-    delta_records: int
+    quality: QualityData
     diagnostics: tuple[str, ...] = ()
 
 
@@ -108,7 +108,7 @@ def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[Solve
     return SolveAnswer.solution(lifted), []
 
 
-def _solve_full(
+def solve(
     x: Formula,
     setup_name: str,
     theta: ParamStore,
@@ -118,7 +118,13 @@ def _solve_full(
     epochs: int | None = None,
     learning_rate: float | None = None,
     curriculum: bool = False,
-) -> tuple[SolveAnswer, ParamStore, RunReport, SearchResult]:
+) -> tuple[SolveAnswer, ParamStore, RunReport]:
+    """Solve ``x`` with the named setup: search, answer, then merge and train.
+
+    ``history`` is the quality store of previous runs; it is merged with this
+    run's quality data in place and used as the training set.  With
+    ``train_after`` false the parameters are returned unchanged.
+    """
     setup = make_setup(setup_name)
     evaluator = LinearEvaluator(theta)
     result = ams_search(x, setup, evaluator, cfg)
@@ -145,39 +151,8 @@ def _solve_full(
         wall_time_s=result.stats.wall_time_s,
         params_before=params_digest(theta),
         params_after=params_digest(theta_after),
-        delta_records=result.quality.record_count,
+        quality=result.quality,
         diagnostics=tuple(diagnostics),
-    )
-    return answer, theta_after, report, result
-
-
-def solve(
-    x: Formula,
-    setup_name: str,
-    theta: ParamStore,
-    cfg: SearchConfig,
-    history: DeltaStore | None = None,
-    train_after: bool = True,
-    epochs: int | None = None,
-    learning_rate: float | None = None,
-    curriculum: bool = False,
-) -> tuple[SolveAnswer, ParamStore, RunReport]:
-    """Solve ``x`` with the named setup: search, answer, then merge and train.
-
-    ``history`` is the quality store of previous runs; it is merged with this
-    run's quality data in place and used as the training set.  With
-    ``train_after`` false the parameters are returned unchanged.
-    """
-    answer, theta_after, report, _ = _solve_full(
-        x,
-        setup_name,
-        theta,
-        cfg,
-        history=history,
-        train_after=train_after,
-        epochs=epochs,
-        learning_rate=learning_rate,
-        curriculum=curriculum,
     )
     return answer, theta_after, report
 
@@ -224,7 +199,7 @@ def random_formula(rng: random.Random, max_vars: int, max_clauses: int) -> Formu
 # ---------------------------------------------------------------------------
 
 
-def check_quality_data(result: SearchResult, setup: Setup) -> list[str]:
+def check_quality_data(quality: QualityData, setup: Setup) -> list[str]:
     """Integrity check of one run's quality data against the move rules.
 
     Verifies that every positively-counted move is a genuine move of its
@@ -233,7 +208,7 @@ def check_quality_data(result: SearchResult, setup: Setup) -> list[str]:
     """
     violations: list[str] = []
     routed: dict = {}
-    for (inst, rid), dist in result.quality.distributions.items():
+    for (inst, rid), dist in quality.distributions.items():
         legal = None
         for move, count in dist.items():
             if count < 0:
@@ -245,7 +220,7 @@ def check_quality_data(result: SearchResult, setup: Setup) -> list[str]:
                     violations.append(f"counted non-move for {rid} at {inst.digest}")
         routed[inst] = routed.get(inst, 0) + sum(dist.values())
     for inst, total in routed.items():
-        _, visits = result.quality.values[inst]
+        _, visits = quality.values[inst]
         if total != visits:
             violations.append(
                 f"counts at {inst.digest} sum to {total} but {visits} samples were spent"
@@ -296,7 +271,7 @@ def run_selfcheck(
         n = rng.randint(min(3, max_vars), max_vars)
         m = max(1, round(ratio * n))
         phi = random_ksat(rng, n, m)
-        answer, theta, _, result = _solve_full(
+        answer, theta, run = solve(
             phi,
             setup_name,
             theta,
@@ -306,7 +281,7 @@ def run_selfcheck(
             epochs=2 if train_between else None,
         )
         if verify_quality:
-            report.quality_violations.extend(check_quality_data(result, setup))
+            report.quality_violations.extend(check_quality_data(run.quality, setup))
         verdict = oracle_solve(phi)
         if answer.kind == "solution":
             report.solutions += 1

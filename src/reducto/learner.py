@@ -108,13 +108,8 @@ class ParamStore:
         return len(self.feature_spec)
 
 
-def init_params(seed: int = 0) -> ParamStore:
-    """Fresh parameters: all weights zero, so value is 0.5 and priors are uniform.
-
-    ``seed`` is accepted for interface stability; the zero initialization does
-    not consume randomness.
-    """
-    del seed
+def init_params() -> ParamStore:
+    """Fresh parameters: all weights zero, so value is 0.5 and priors are uniform."""
     return ParamStore()
 
 
@@ -248,18 +243,6 @@ class LinearEvaluator:
         return _softmax([_dot(weights, self._featurize(m)) for m in moves])
 
 
-def evaluate(
-    theta: ParamStore,
-    x: Formula,
-    moves_by_reduction: dict[str, list[Formula]],
-) -> tuple[float, dict[str, list[float]]]:
-    """Value of ``x`` and prior vectors for each reduction's candidate moves."""
-    ev = LinearEvaluator(theta)
-    return ev.value(x), {
-        rid: ev.priors(x, rid, moves) for rid, moves in moves_by_reduction.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Quality-data store and merging
 # ---------------------------------------------------------------------------
@@ -323,17 +306,17 @@ class DeltaStore:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _merge_value_record(store: DeltaStore, rec: ValueRecord) -> None:
-    old = store.values.get(rec.digest)
-    if old is None:
-        store.values[rec.digest] = rec
+def _merge_record(store: DeltaStore, rec: ValueRecord | DistRecord) -> None:
+    """Add one record to ``store``, combining it with a record of the same key."""
+    if isinstance(rec, ValueRecord):
+        old = store.values.get(rec.digest)
+        if old is None:
+            store.values[rec.digest] = rec
+            return
+        visits = old.visits + rec.visits
+        value = (old.value * old.visits + rec.value * rec.visits) / visits
+        store.values[rec.digest] = ValueRecord(rec.digest, rec.n_vars, rec.features, value, visits)
         return
-    visits = old.visits + rec.visits
-    value = (old.value * old.visits + rec.value * rec.visits) / visits
-    store.values[rec.digest] = ValueRecord(rec.digest, rec.n_vars, rec.features, value, visits)
-
-
-def _merge_dist_record(store: DeltaStore, rec: DistRecord) -> None:
     key = (rec.digest, rec.reduction)
     old = store.dists.get(key)
     if old is None:
@@ -349,36 +332,37 @@ def _merge_dist_record(store: DeltaStore, rec: DistRecord) -> None:
     store.dists[key] = DistRecord(rec.digest, rec.reduction, rec.n_vars, moves)
 
 
+def _quality_records(delta: QualityData) -> list[ValueRecord | DistRecord]:
+    """One search's quality data as records: value records, then distributions.
+
+    Each distinct formula is featurized once per call.
+    """
+    features: dict[Formula, tuple[float, ...]] = {}
+
+    def features_of(phi: Formula) -> tuple[float, ...]:
+        f = features.get(phi)
+        if f is None:
+            f = features[phi] = featurize(phi)
+        return f
+
+    records: list[ValueRecord | DistRecord] = [
+        ValueRecord(inst.digest, len(inst.variables), features_of(inst), value, visits)
+        for inst, (value, visits) in delta.values.items()
+    ]
+    for (inst, rid), dist in delta.distributions.items():
+        moves = {m.digest: MoveStat(m.digest, features_of(m), count) for m, count in dist.items()}
+        records.append(DistRecord(inst.digest, rid, len(inst.variables), moves))
+    return records
+
+
 def merge_quality(store: DeltaStore, delta: QualityData) -> DeltaStore:
     """Merge one search's quality data into ``store`` (mutates and returns it).
 
     Matching value records combine as visit-weighted means; matching
     distributions sum their visit counts.  Merging an empty delta is a no-op.
     """
-    for inst, (value, visits) in delta.values.items():
-        _merge_value_record(
-            store,
-            ValueRecord(inst.digest, len(inst.variables), featurize(inst), value, visits),
-        )
-    for (inst, rid), dist in delta.distributions.items():
-        moves = {
-            m.digest: MoveStat(m.digest, featurize(m), count) for m, count in dist.items()
-        }
-        _merge_dist_record(
-            store, DistRecord(inst.digest, rid, len(inst.variables), moves)
-        )
-    return store
-
-
-def merge_stores(store: DeltaStore, other: DeltaStore) -> DeltaStore:
-    """Merge a whole store into ``store`` (mutates and returns it)."""
-    for rec in other.values.values():
-        _merge_value_record(store, rec)
-    for rec in other.dists.values():
-        _merge_dist_record(
-            store,
-            DistRecord(rec.digest, rec.reduction, rec.n_vars, dict(rec.moves)),
-        )
+    for rec in _quality_records(delta):
+        _merge_record(store, rec)
     return store
 
 
@@ -387,37 +371,36 @@ def merge_stores(store: DeltaStore, other: DeltaStore) -> DeltaStore:
 # ---------------------------------------------------------------------------
 
 
-def _delta_records(delta: QualityData) -> Iterable[dict]:
-    for inst, (value, visits) in delta.values.items():
-        yield {
+def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
+    """The log document of a record; ``_record_from_json`` reads it back."""
+    if isinstance(rec, ValueRecord):
+        return {
             "kind": "value",
-            "digest": inst.digest,
-            "n_vars": len(inst.variables),
-            "features": list(featurize(inst)),
-            "value": value,
-            "visits": visits,
+            "digest": rec.digest,
+            "n_vars": rec.n_vars,
+            "features": list(rec.features),
+            "value": rec.value,
+            "visits": rec.visits,
         }
-    for (inst, rid), dist in delta.distributions.items():
-        yield {
-            "kind": "dist",
-            "digest": inst.digest,
-            "reduction": rid,
-            "n_vars": len(inst.variables),
-            "moves": [
-                {"digest": m.digest, "features": list(featurize(m)), "count": count}
-                for m, count in dist.items()
-            ],
-        }
+    return {
+        "kind": "dist",
+        "digest": rec.digest,
+        "reduction": rec.reduction,
+        "n_vars": rec.n_vars,
+        "moves": [
+            {"digest": m.digest, "features": list(m.features), "count": m.count}
+            for m in rec.moves.values()
+        ],
+    }
 
 
 def append_quality_log(path: str, delta: QualityData) -> int:
     """Append one search's quality data to the log; returns records written."""
-    count = 0
+    records = _quality_records(delta)
     with open(path, "a") as handle:
-        for rec in _delta_records(delta):
-            handle.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-            count += 1
-    return count
+        for rec in records:
+            handle.write(json.dumps(_record_to_json(rec), sort_keys=True, separators=(",", ":")) + "\n")
+    return len(records)
 
 
 def _finite(values: Iterable[float]) -> bool:
@@ -459,10 +442,7 @@ def load_quality_log(path: str) -> tuple[DeltaStore, int]:
             except (ValueError, KeyError, TypeError):
                 skipped += 1
                 continue
-            if isinstance(rec, ValueRecord):
-                _merge_value_record(store, rec)
-            else:
-                _merge_dist_record(store, rec)
+            _merge_record(store, rec)
     return store, skipped
 
 
@@ -490,25 +470,56 @@ def _dist_targets(rec: DistRecord) -> list[tuple[MoveStat, float]]:
     return [(m, m.count / total) for m in stats]
 
 
+def _record_terms(
+    theta: ParamStore, rec: ValueRecord | DistRecord, total: float
+) -> tuple[float, list[float], list[tuple[tuple[float, ...], float]]]:
+    """The forward pass of one record: its loss, the head it trains, its logit derivatives.
+
+    Returns ``total`` with the record's loss terms added one at a time, so
+    that a running sum over records rounds the same however the records are
+    split; the weight vector of the record's head (a fresh zero vector for a
+    reduction ``theta`` has no head for); and, for each feature vector of the
+    record, the derivative of the record's loss with respect to that logit.
+    """
+    if isinstance(rec, ValueRecord):
+        weights = theta.value_weights
+        v = _sigmoid(_dot(weights, rec.features))
+        dz = 2.0 * (v - rec.value) * v * (1.0 - v)
+        return total + (v - rec.value) ** 2, weights, [(rec.features, dz)]
+    weights = theta.prior_weights.get(rec.reduction)
+    if weights is None:
+        weights = [0.0] * (theta.dim + 1)
+    targets = _dist_targets(rec)
+    probs = _softmax([_dot(weights, m.features) for m, _ in targets])
+    dlogits = []
+    for (m, target), q in zip(targets, probs):
+        if target > 0.0:
+            total -= target * math.log(q) if q > 0.0 else -math.inf
+        dlogits.append((m.features, q - target))
+    return total, weights, dlogits
+
+
+def _add_scaled(weights: list[float], dlogits: list, step: float) -> None:
+    """weights += step * d(logit)/d(weights) * d(loss)/d(logit), summed over logits."""
+    for features, dz in dlogits:
+        dz = step * dz
+        for j, f in enumerate(features):
+            weights[j] += dz * f
+        weights[-1] += dz
+
+
 def store_loss(theta: ParamStore, store: DeltaStore) -> float:
     """Mean squared value error plus mean cross-entropy of the prior heads."""
     loss = 0.0
     if store.values:
         sq = 0.0
         for rec in store.values.values():
-            v = _sigmoid(_dot(theta.value_weights, rec.features))
-            sq += (v - rec.value) ** 2
+            sq = _record_terms(theta, rec, sq)[0]
         loss += sq / len(store.values)
     if store.dists:
-        zeros = [0.0] * (theta.dim + 1)
         ce = 0.0
         for rec in store.dists.values():
-            weights = theta.prior_weights.get(rec.reduction, zeros)
-            targets = _dist_targets(rec)
-            probs = _softmax([_dot(weights, m.features) for m, _ in targets])
-            for (_, target), q in zip(targets, probs):
-                if target > 0.0:
-                    ce -= target * math.log(q) if q > 0.0 else -math.inf
+            ce = _record_terms(theta, rec, ce)[0]
         loss += ce / len(store.dists)
     return loss
 
@@ -525,29 +536,15 @@ def loss_gradients(
         scale = 1.0 / len(store.values)
         sq = 0.0
         for rec in store.values.values():
-            v = _sigmoid(_dot(theta.value_weights, rec.features))
-            sq += (v - rec.value) ** 2
-            dz = 2.0 * (v - rec.value) * v * (1.0 - v) * scale
-            for j, f in enumerate(rec.features):
-                value_grad[j] += dz * f
-            value_grad[dim] += dz
+            sq, _, dlogits = _record_terms(theta, rec, sq)
+            _add_scaled(value_grad, dlogits, scale)
         loss += sq * scale
     if store.dists:
-        zeros = [0.0] * (dim + 1)
         scale = 1.0 / len(store.dists)
         ce = 0.0
         for rec in store.dists.values():
-            weights = theta.prior_weights.get(rec.reduction, zeros)
-            grad = prior_grads.setdefault(rec.reduction, [0.0] * (dim + 1))
-            targets = _dist_targets(rec)
-            probs = _softmax([_dot(weights, m.features) for m, _ in targets])
-            for (m, target), q in zip(targets, probs):
-                if target > 0.0:
-                    ce -= target * math.log(q) if q > 0.0 else -math.inf
-                dz = (q - target) * scale
-                for j, f in enumerate(m.features):
-                    grad[j] += dz * f
-                grad[dim] += dz
+            ce, _, dlogits = _record_terms(theta, rec, ce)
+            _add_scaled(prior_grads.setdefault(rec.reduction, [0.0] * (dim + 1)), dlogits, scale)
         loss += ce * scale
     return loss, value_grad, prior_grads
 
@@ -569,24 +566,12 @@ def _ordered_examples(store: DeltaStore, curriculum: bool) -> list[ValueRecord |
 
 
 def _sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
-    dim = theta.dim
     for rec in examples:
-        if isinstance(rec, ValueRecord):
-            w = theta.value_weights
-            v = _sigmoid(_dot(w, rec.features))
-            dz = 2.0 * (v - rec.value) * v * (1.0 - v)
-            for j, f in enumerate(rec.features):
-                w[j] -= learning_rate * dz * f
-            w[dim] -= learning_rate * dz
-        else:
-            w = theta.prior_weights.setdefault(rec.reduction, [0.0] * (dim + 1))
-            targets = _dist_targets(rec)
-            probs = _softmax([_dot(w, m.features) for m, _ in targets])
-            for (m, target), q in zip(targets, probs):
-                dz = q - target
-                for j, f in enumerate(m.features):
-                    w[j] -= learning_rate * dz * f
-                w[dim] -= learning_rate * dz
+        _, weights, dlogits = _record_terms(theta, rec, 0.0)
+        if isinstance(rec, DistRecord):
+            # A reduction without a head gets the fresh zero head it was scored with.
+            theta.prior_weights.setdefault(rec.reduction, weights)
+        _add_scaled(weights, dlogits, -learning_rate)
 
 
 def train(
@@ -625,12 +610,11 @@ def train(
         candidate = theta.copy()
         for epoch in range(epochs):
             _sgd_epoch(candidate, examples, lr)
-            epoch_loss = store_loss(candidate, store)
-            if not math.isfinite(epoch_loss):
+            candidate_loss = store_loss(candidate, store)
+            if not math.isfinite(candidate_loss):
                 raise TrainDivergedError(
                     f"loss became non-finite in epoch {epoch + 1} at learning rate {lr}"
                 )
-        candidate_loss = store_loss(candidate, store)
         if candidate_loss <= loss_before:
             result = candidate
             final_loss = candidate_loss

@@ -24,6 +24,7 @@ from .sat import (
     TOP,
     add_clauses,
     assignment,
+    condition,
     easy_combined,
     new_resolvents,
     pure_literal_fixpoint,
@@ -54,15 +55,7 @@ def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
         # positive one.
         lit = min(units, key=lambda l: (abs(l), l < 0))
         forced.append(lit)
-        nxt = []
-        for c in cur:
-            if lit in c:
-                continue
-            if -lit in c:
-                nxt.append(tuple(l for l in c if l != -lit))
-            else:
-                nxt.append(c)
-        cur = nxt
+        cur = condition(cur, lit)
     return Formula(cur), tuple(forced)
 
 
@@ -215,10 +208,6 @@ class Portfolio:
 
     def as_reduction(self) -> SelfReduction:
         return SelfReduction("portfolio", self.moves, self.lift)
-
-
-def portfolio_moves(p: Portfolio, phi: Formula) -> list[Formula]:
-    return p.moves(phi)
 
 
 def builtin_members(

@@ -530,7 +530,8 @@ class OracleVerdict:
         )
 
 
-def _assign(clauses: list[Clause], lit: int) -> list[Clause]:
+def condition(clauses: list[Clause], lit: int) -> list[Clause]:
+    """The clauses under ``lit`` made true: satisfied clauses go, ``-lit`` is struck out."""
     out = []
     for c in clauses:
         if lit in c:
@@ -564,10 +565,10 @@ def oracle_solve(phi: Formula, var_limit: int = ORACLE_VAR_LIMIT) -> OracleVerdi
             if unit is None:
                 break
             trail = trail + [unit]
-            clauses = _assign(clauses, unit)
+            clauses = condition(clauses, unit)
         v = min(abs(l) for c in clauses for l in c)
         for lit in (v, -v):
-            found = search(_assign(clauses, lit), trail + [lit])
+            found = search(condition(clauses, lit), trail + [lit])
             if found is not None:
                 return found
         return None

@@ -45,8 +45,6 @@ class SearchConfig:
     budget      sampling count per node
     exploration UCB exploration coefficient
     discount    per-move reward discount in (0, 1]
-    seed        reserved for stochastic modes; the default search is
-                deterministic and does not consume randomness
     move_cap    per-reduction cap passed to move enumeration
     """
 
@@ -54,7 +52,6 @@ class SearchConfig:
     budget: int = 64
     exploration: float = 1.4
     discount: float = 0.95
-    seed: int = 0
     move_cap: int = 256
 
     def __post_init__(self) -> None:

@@ -95,8 +95,11 @@ class TestSolve:
     def test_history_store_grows(self):
         history = DeltaStore()
         theta = init_params()
-        _, theta, _ = solve(Formula([[1], [-1]]), "resolution", theta, CFG, history=history)
+        _, theta, report = solve(Formula([[1], [-1]]), "resolution", theta, CFG, history=history)
         first = history.record_count
+        # The report carries the run's quality data, which is what was merged.
+        assert report.quality.record_count == first
+        assert check_quality_data(report.quality, make_setup("resolution")) == []
         _, theta, _ = solve(Formula([[-1], [1]]), "resolution", theta, CFG, history=history)
         assert history.record_count >= first > 0
 
@@ -175,20 +178,14 @@ class TestSelfcheckEngine:
         assert report.passed and report.instances == 0
 
     def test_quality_violation_detection_is_wired(self):
-        # A fabricated result with a counted non-move must be flagged.
+        # Fabricated quality data with a counted non-move must be flagged.
         setup = make_setup("flip")
         phi = Formula([[-1]])
         bogus = QualityData(
             values={phi: (1.0, 3)},
             distributions={(phi, "flip"): {Formula([[1], [5]]): 3}},
         )
-        fake = SearchResult(
-            path=Path(phi),
-            terminal=EasyOutcome.not_easy(),
-            quality=bogus,
-            stats=SearchStats(1, 0, 0.0),
-        )
-        violations = check_quality_data(fake, setup)
+        violations = check_quality_data(bogus, setup)
         assert any("non-move" in v for v in violations)
 
     def test_count_sum_mismatch_detected(self):
@@ -198,13 +195,7 @@ class TestSelfcheckEngine:
             values={phi: (1.0, 5)},
             distributions={(phi, "flip"): {Formula([[1]]): 3}},
         )
-        fake = SearchResult(
-            path=Path(phi),
-            terminal=EasyOutcome.not_easy(),
-            quality=bogus,
-            stats=SearchStats(1, 0, 0.0),
-        )
-        violations = check_quality_data(fake, setup)
+        violations = check_quality_data(bogus, setup)
         assert any("sum" in v for v in violations)
 
 

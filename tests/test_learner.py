@@ -2,11 +2,14 @@ import json
 import math
 import os
 import random
+from typing import Iterable
 
 import pytest
 
 from reducto.driver import random_formula
 from reducto.learner import (
+    DEFAULT_EPOCHS,
+    DEFAULT_LEARNING_RATE,
     DeltaStore,
     DistRecord,
     FEATURE_NAMES,
@@ -17,20 +20,24 @@ from reducto.learner import (
     TrainDivergedError,
     ValueRecord,
     append_quality_log,
-    evaluate,
     featurize,
     init_params,
     load_params,
     load_quality_log,
     loss_gradients,
     merge_quality,
-    merge_stores,
     params_text,
     parse_params,
     save_params,
     store_loss,
     train,
+    _check_dims,
+    _dist_targets,
+    _dot,
     _ordered_examples,
+    _sgd_epoch,
+    _sigmoid,
+    _softmax,
 )
 from reducto.sat import BOTTOM, Formula, TOP
 from reducto.search import QualityData
@@ -144,11 +151,6 @@ class TestEvaluator:
         ev = LinearEvaluator(theta)
         assert ev.priors(TOP, "mystery", [TOP, BOTTOM]) == [0.5, 0.5]
 
-    def test_evaluate_operation(self):
-        value, priors = evaluate(init_params(), Formula([[1]]), {"flip": [Formula([[2]])]})
-        assert value == 0.5
-        assert priors == {"flip": [1.0]}
-
     def test_dimension_mismatch_is_a_version_error(self):
         theta = init_params()
         theta.value_weights = [0.0, 0.0]
@@ -158,7 +160,8 @@ class TestEvaluator:
 
 class TestInitAndSerialization:
     def test_init_is_deterministic(self):
-        assert params_text(init_params(1)) == params_text(init_params(2))
+        assert init_params() == ParamStore()
+        assert params_text(init_params()) == params_text(ParamStore())
 
     def test_round_trip_is_bit_exact(self):
         rng = random.Random(19)
@@ -249,12 +252,6 @@ class TestMerge:
         merge_quality(store, QualityData())
         assert store.canonical_text() == before
 
-    def test_merge_stores(self):
-        a = merge_quality(DeltaStore(), self.delta)
-        b = merge_quality(DeltaStore(), self.delta)
-        merged = merge_stores(a, b)
-        assert merged.values[self.phi.digest].visits == 8
-
 
 class TestQualityLog:
     def test_append_and_load_round_trip(self, tmp_path):
@@ -269,6 +266,18 @@ class TestQualityLog:
         store, skipped = load_quality_log(path)
         assert skipped == 0
         expected = merge_quality(DeltaStore(), delta)
+        assert store.canonical_text() == expected.canonical_text()
+
+    def test_repeated_records_merge_on_load(self, tmp_path):
+        path = str(tmp_path / "quality.jsonl")
+        phi, move = Formula([[1, -2], [2]]), Formula([[1]])
+        delta = quality_from({phi: (0.8, 4)}, {(phi, "flip"): {move: 4}})
+        append_quality_log(path, delta)
+        append_quality_log(path, delta)
+        store, _ = load_quality_log(path)
+        assert store.values[phi.digest].visits == 8
+        assert store.dists[(phi.digest, "flip")].moves[move.digest].count == 8
+        expected = merge_quality(merge_quality(DeltaStore(), delta), delta)
         assert store.canonical_text() == expected.canonical_text()
 
     def test_corrupt_records_skipped_and_counted(self, tmp_path):
@@ -339,6 +348,30 @@ class TestLossAndGradients:
             for rid, grad in prior_grads.items():
                 for a, b in zip(grad, numeric["prior"][rid]):
                     assert self.close(a, b)
+
+    def test_one_sgd_step_is_a_gradient_step(self):
+        # On a one-record store the batch gradient is that record's gradient,
+        # so one SGD epoch moves every head by -lr times loss_gradients.
+        rng = random.Random(59)
+        lr = 0.1
+        for i in range(20):
+            theta = random_params(rng)
+            if i % 2:
+                del theta.prior_weights["flip"]
+            for store in (
+                random_store(rng, n_values=1, n_dists=0),
+                random_store(rng, n_values=0, n_dists=1),
+            ):
+                _, value_grad, prior_grads = loss_gradients(theta, store)
+                stepped = theta.copy()
+                _sgd_epoch(stepped, _ordered_examples(store, curriculum=False), lr)
+                zeros = [0.0] * (theta.dim + 1)
+                heads = [(theta.value_weights, stepped.value_weights, value_grad)]
+                for rid, grad in prior_grads.items():
+                    heads.append((theta.prior_weights.get(rid, zeros), stepped.prior_weights[rid], grad))
+                for before, after, grad in heads:
+                    for w, w2, g in zip(before, after, grad):
+                        assert abs(w2 - (w - lr * g)) <= 1e-12
 
     def test_loss_on_three_example_store(self):
         rng = random.Random(31)
@@ -433,3 +466,308 @@ class TestTrain:
         store = random_store(rng, dim=3)
         with pytest.raises(ParamVersionError):
             train(init_params(), store)
+
+
+# ---------------------------------------------------------------------------
+# Reference equivalence: the learner before its forward pass was shared by
+# store_loss, loss_gradients and SGD, and before merging and logging shared
+# one record path.  The current code must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def varied_store(rng):
+    """A random store that may lack value records, hold a distribution whose
+    counts are all zero, and use a reduction id ``random_params`` has no head for."""
+    dim = len(FEATURE_NAMES)
+    store = random_store(rng, n_values=rng.randint(0, 5), n_dists=0)
+    for i in range(rng.randint(0 if store.values else 1, 4)):
+        all_zero = rng.random() < 0.25
+        moves = {
+            f"m{i}_{j}": MoveStat(
+                f"m{i}_{j}",
+                tuple(rng.random() for _ in range(dim)),
+                0 if all_zero else rng.randint(0, 6),
+            )
+            for j in range(rng.randint(1, 4))
+        }
+        rid = rng.choice(["resolution", "flip", "pure-literal", "extension"])
+        store.dists[(f"d{i}", rid)] = DistRecord(f"d{i}", rid, rng.randint(1, 10), moves)
+    return store
+
+
+def random_delta(rng, pool):
+    """Quality data over formulas drawn from ``pool``, so that deltas share
+    instances and a formula can be both an instance and a move."""
+    q = QualityData()
+    for phi in rng.sample(pool, rng.randint(0, 4)):
+        q.values[phi] = (rng.random(), rng.randint(1, 6))
+    for phi in rng.sample(pool, rng.randint(0, 3)):
+        rid = rng.choice(["resolution", "flip"])
+        q.distributions[(phi, rid)] = {m: rng.randint(0, 4) for m in rng.sample(pool, rng.randint(1, 4))}
+    return q
+
+
+def train_outcome(train_fn, theta, store, **kwargs):
+    try:
+        return params_text(train_fn(theta, store, **kwargs))
+    except TrainDivergedError as exc:
+        return f"diverged: {exc}"
+
+
+class TestReferenceEquivalence:
+    def test_loss_gradients_and_training_match_reference(self):
+        rng = random.Random(61)
+        kinds = {"no values": 0, "all-zero counts": 0, "missing head": 0, "diverged": 0}
+        for _ in range(150):
+            store = varied_store(rng)
+            theta = random_params(rng)
+            kinds["no values"] += not store.values
+            kinds["all-zero counts"] += any(
+                all(m.count == 0 for m in r.moves.values()) for r in store.dists.values()
+            )
+            kinds["missing head"] += any(rid == "extension" for _, rid in store.dists)
+            assert store_loss(theta, store) == ref_store_loss(theta, store)
+            assert loss_gradients(theta, store) == ref_loss_gradients(theta, store)
+            examples = _ordered_examples(store, curriculum=False)
+            a, b = theta.copy(), theta.copy()
+            _sgd_epoch(a, examples, 0.3)
+            ref_sgd_epoch(b, examples, 0.3)
+            assert params_text(a) == params_text(b)
+            learning_rate = rng.choice([0.05, 0.5, 5.0, 1e18])
+            for curriculum in (False, True):
+                kwargs = dict(epochs=3, learning_rate=learning_rate, curriculum=curriculum)
+                outcome = train_outcome(train, theta, store, **kwargs)
+                assert outcome == train_outcome(ref_train, theta, store, **kwargs)
+                kinds["diverged"] += outcome.startswith("diverged")
+        assert all(kinds.values()), kinds
+
+    def test_merging_and_logging_match_reference(self, tmp_path):
+        rng = random.Random(67)
+        pool = [random_formula(rng, 5, 6) for _ in range(12)]
+        for i in range(40):
+            deltas = [random_delta(rng, pool) for _ in range(rng.randint(1, 3))]
+            store, ref_store = DeltaStore(), DeltaStore()
+            path = str(tmp_path / f"{i}.jsonl")
+            ref_lines = []
+            for delta in deltas:
+                merge_quality(store, delta)
+                ref_merge_quality(ref_store, delta)
+                assert append_quality_log(path, delta) == delta.record_count
+                ref_lines.extend(
+                    json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                    for rec in ref_delta_records(delta)
+                )
+            assert store.canonical_text() == ref_store.canonical_text()
+            with open(path) as handle:
+                assert handle.read() == "".join(ref_lines)
+            loaded, skipped = load_quality_log(path)
+            assert skipped == 0
+            assert loaded.canonical_text() == ref_store.canonical_text()
+
+
+def ref_merge_value_record(store: DeltaStore, rec: ValueRecord) -> None:
+    old = store.values.get(rec.digest)
+    if old is None:
+        store.values[rec.digest] = rec
+        return
+    visits = old.visits + rec.visits
+    value = (old.value * old.visits + rec.value * rec.visits) / visits
+    store.values[rec.digest] = ValueRecord(rec.digest, rec.n_vars, rec.features, value, visits)
+
+
+def ref_merge_dist_record(store: DeltaStore, rec: DistRecord) -> None:
+    key = (rec.digest, rec.reduction)
+    old = store.dists.get(key)
+    if old is None:
+        store.dists[key] = rec
+        return
+    moves = dict(old.moves)
+    for d, stat in rec.moves.items():
+        prev = moves.get(d)
+        if prev is None:
+            moves[d] = stat
+        else:
+            moves[d] = MoveStat(d, stat.features, prev.count + stat.count)
+    store.dists[key] = DistRecord(rec.digest, rec.reduction, rec.n_vars, moves)
+
+
+def ref_merge_quality(store: DeltaStore, delta: QualityData) -> DeltaStore:
+    """Merge one search's quality data into ``store`` (mutates and returns it).
+
+    Matching value records combine as visit-weighted means; matching
+    distributions sum their visit counts.  Merging an empty delta is a no-op.
+    """
+    for inst, (value, visits) in delta.values.items():
+        ref_merge_value_record(
+            store,
+            ValueRecord(inst.digest, len(inst.variables), featurize(inst), value, visits),
+        )
+    for (inst, rid), dist in delta.distributions.items():
+        moves = {
+            m.digest: MoveStat(m.digest, featurize(m), count) for m, count in dist.items()
+        }
+        ref_merge_dist_record(
+            store, DistRecord(inst.digest, rid, len(inst.variables), moves)
+        )
+    return store
+
+
+def ref_delta_records(delta: QualityData) -> Iterable[dict]:
+    for inst, (value, visits) in delta.values.items():
+        yield {
+            "kind": "value",
+            "digest": inst.digest,
+            "n_vars": len(inst.variables),
+            "features": list(featurize(inst)),
+            "value": value,
+            "visits": visits,
+        }
+    for (inst, rid), dist in delta.distributions.items():
+        yield {
+            "kind": "dist",
+            "digest": inst.digest,
+            "reduction": rid,
+            "n_vars": len(inst.variables),
+            "moves": [
+                {"digest": m.digest, "features": list(featurize(m)), "count": count}
+                for m, count in dist.items()
+            ],
+        }
+
+
+def ref_store_loss(theta: ParamStore, store: DeltaStore) -> float:
+    """Mean squared value error plus mean cross-entropy of the prior heads."""
+    loss = 0.0
+    if store.values:
+        sq = 0.0
+        for rec in store.values.values():
+            v = _sigmoid(_dot(theta.value_weights, rec.features))
+            sq += (v - rec.value) ** 2
+        loss += sq / len(store.values)
+    if store.dists:
+        zeros = [0.0] * (theta.dim + 1)
+        ce = 0.0
+        for rec in store.dists.values():
+            weights = theta.prior_weights.get(rec.reduction, zeros)
+            targets = _dist_targets(rec)
+            probs = _softmax([_dot(weights, m.features) for m, _ in targets])
+            for (_, target), q in zip(targets, probs):
+                if target > 0.0:
+                    ce -= target * math.log(q) if q > 0.0 else -math.inf
+        loss += ce / len(store.dists)
+    return loss
+
+
+def ref_loss_gradients(
+    theta: ParamStore, store: DeltaStore
+) -> tuple[float, list[float], dict[str, list[float]]]:
+    """Batch loss and its analytic gradients for the value and prior heads."""
+    dim = theta.dim
+    value_grad = [0.0] * (dim + 1)
+    prior_grads: dict[str, list[float]] = {}
+    loss = 0.0
+    if store.values:
+        scale = 1.0 / len(store.values)
+        sq = 0.0
+        for rec in store.values.values():
+            v = _sigmoid(_dot(theta.value_weights, rec.features))
+            sq += (v - rec.value) ** 2
+            dz = 2.0 * (v - rec.value) * v * (1.0 - v) * scale
+            for j, f in enumerate(rec.features):
+                value_grad[j] += dz * f
+            value_grad[dim] += dz
+        loss += sq * scale
+    if store.dists:
+        zeros = [0.0] * (dim + 1)
+        scale = 1.0 / len(store.dists)
+        ce = 0.0
+        for rec in store.dists.values():
+            weights = theta.prior_weights.get(rec.reduction, zeros)
+            grad = prior_grads.setdefault(rec.reduction, [0.0] * (dim + 1))
+            targets = _dist_targets(rec)
+            probs = _softmax([_dot(weights, m.features) for m, _ in targets])
+            for (m, target), q in zip(targets, probs):
+                if target > 0.0:
+                    ce -= target * math.log(q) if q > 0.0 else -math.inf
+                dz = (q - target) * scale
+                for j, f in enumerate(m.features):
+                    grad[j] += dz * f
+                grad[dim] += dz
+        loss += ce * scale
+    return loss, value_grad, prior_grads
+
+
+def ref_sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
+    dim = theta.dim
+    for rec in examples:
+        if isinstance(rec, ValueRecord):
+            w = theta.value_weights
+            v = _sigmoid(_dot(w, rec.features))
+            dz = 2.0 * (v - rec.value) * v * (1.0 - v)
+            for j, f in enumerate(rec.features):
+                w[j] -= learning_rate * dz * f
+            w[dim] -= learning_rate * dz
+        else:
+            w = theta.prior_weights.setdefault(rec.reduction, [0.0] * (dim + 1))
+            targets = _dist_targets(rec)
+            probs = _softmax([_dot(w, m.features) for m, _ in targets])
+            for (m, target), q in zip(targets, probs):
+                dz = q - target
+                for j, f in enumerate(m.features):
+                    w[j] -= learning_rate * dz * f
+                w[dim] -= learning_rate * dz
+
+
+def ref_train(
+    theta: ParamStore,
+    store: DeltaStore,
+    epochs: int = DEFAULT_EPOCHS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
+    curriculum: bool = False,
+) -> ParamStore:
+    """Gradient descent on the value and prior losses over a quality store.
+
+    Runs per-example SGD for ``epochs`` passes; with ``curriculum`` the
+    examples are ordered by ascending variable count.  The returned
+    parameters never have higher training loss than the input ones: if a
+    learning rate overshoots, it is halved and the epochs rerun, falling back
+    to the unchanged weights as a last resort.  A non-finite loss aborts with
+    TrainDivergedError and leaves ``theta`` untouched.
+    """
+    if store.is_empty:
+        raise ValueError("quality store is empty")
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
+    _check_dims(theta, store)
+    if epochs == 0:
+        return theta.copy()
+
+    examples = _ordered_examples(store, curriculum)
+    loss_before = ref_store_loss(theta, store)
+    if not math.isfinite(loss_before):
+        raise TrainDivergedError(f"initial loss is not finite: {loss_before}")
+
+    lr = learning_rate
+    result: ParamStore | None = None
+    final_loss = loss_before
+    for _ in range(4):
+        candidate = theta.copy()
+        for epoch in range(epochs):
+            ref_sgd_epoch(candidate, examples, lr)
+            epoch_loss = ref_store_loss(candidate, store)
+            if not math.isfinite(epoch_loss):
+                raise TrainDivergedError(
+                    f"loss became non-finite in epoch {epoch + 1} at learning rate {lr}"
+                )
+        candidate_loss = ref_store_loss(candidate, store)
+        if candidate_loss <= loss_before:
+            result = candidate
+            final_loss = candidate_loss
+            break
+        lr *= 0.5
+    if result is None:
+        result = theta.copy()
+
+    result.examples_seen = theta.examples_seen + len(examples) * epochs
+    result.last_loss = final_loss
+    return result

@@ -13,7 +13,6 @@ from reducto.portfolio import (
     MemberFailure,
     Portfolio,
     builtin_members,
-    portfolio_moves,
     portfolio_setup,
     unit_propagate_fixpoint,
 )
@@ -100,16 +99,16 @@ class TestPortfolioMoves:
         p = Portfolio(
             (member_by_id(full, "pure-literal"), member_by_id(full, "unit-propagation"))
         )
-        assert portfolio_moves(p, Formula([[1], [1, 2]])) == [TOP]
+        assert p.moves(Formula([[1], [1, 2]])) == [TOP]
 
     def test_unit_propagation_reaches_empty_clause(self):
         p = builtin_members()
-        moves = portfolio_moves(p, Formula([[1], [-1]]))
+        moves = p.moves(Formula([[1], [-1]]))
         assert moves and all(m.has_empty_clause for m in moves)
 
     def test_empty_when_no_member_changes_the_instance(self):
         p = builtin_members()
-        assert portfolio_moves(p, Formula([[1, 2], [-1, -2]])) == []
+        assert p.moves(Formula([[1, 2], [-1, -2]])) == []
 
     def test_requires_members(self):
         with pytest.raises(ValueError):
@@ -124,7 +123,7 @@ class TestPortfolioMoves:
         p = builtin_members()
         phi = Formula([[1], [-1, 2], [3, 4]])
         setup = portfolio_setup(p)
-        moves = portfolio_moves(p, phi)
+        moves = p.moves(phi)
         assert moves
         target = moves[0]
         path = Path(phi, (("portfolio", target),))
@@ -215,7 +214,7 @@ class TestExternalMembers:
                 member_by_id(builtin_members(), "unit-propagation"),
             )
         )
-        moves = portfolio_moves(p, phi)
+        moves = p.moves(phi)
         assert moves == [TOP]
         assert {mid for mid, _ in p.failures} == {"crasher", "mumbler"}
 
@@ -226,7 +225,7 @@ class TestExternalMembers:
         )
         # Echoing the instance back is a self-move: no move results.
         p = Portfolio((external(echo, member_id="echo"),))
-        assert portfolio_moves(p, phi) == []
+        assert p.moves(phi) == []
         assert emit_dimacs(phi) == emit_dimacs(Formula(phi.clauses))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 
@@ -110,7 +111,7 @@ class TestDeterminism:
         rng = random.Random(43)
         for _ in range(5):
             phi = random_ksat(rng, rng.randint(3, 5), 9)
-            cfg = SearchConfig(horizon=6, budget=12, seed=7)
+            cfg = SearchConfig(horizon=6, budget=12)
             texts = {
                 ams_search(phi, RES_SETUP, fresh_evaluator(), cfg).canonical_text()
                 for _ in range(3)
@@ -121,9 +122,10 @@ class TestDeterminism:
         phi = Formula([[-1]])
         cfg = SearchConfig(budget=2)
         a = ams_search(phi, FLIP_SETUP, fresh_evaluator(), cfg)
-        b = ams_search(phi, FLIP_SETUP, fresh_evaluator(), cfg)
-        assert a.stats.wall_time_s != b.stats.wall_time_s or True
-        assert a.canonical_text() == b.canonical_text()
+        slow = dataclasses.replace(a, stats=dataclasses.replace(a.stats, wall_time_s=123.25))
+        assert slow.canonical_text() == a.canonical_text()
+        assert "wall_time" not in a.canonical_text()
+        assert "123.25" not in slow.canonical_text()
 
 
 class TestSearchInvariants:
@@ -135,7 +137,7 @@ class TestSearchInvariants:
             result = ams_search(phi, RES_SETUP, fresh_evaluator(), cfg)
             assert verify_path(RES_SETUP, result.path)
             assert len(result.path) <= cfg.horizon
-            assert check_quality_data(result, RES_SETUP) == []
+            assert check_quality_data(result.quality, RES_SETUP) == []
             for value, visits in result.quality.values.values():
                 assert 0.0 <= value <= 1.0
                 assert visits >= 1
