@@ -4,7 +4,8 @@ Solve prints SAT-competition style output (``s ...`` / ``v ...``) and uses
 the matching exit codes: 10 satisfiable, 20 unsatisfiable, 0 unknown, 1 for
 usage or input errors.  Parameters live in a JSON file (default from the
 REDUCTO_PARAMS environment variable) updated atomically under an advisory
-lock; each run appends its quality data to a sibling record log.
+lock; each run appends its quality data to a sibling record log and trains
+on the end of that log (see ``learner.REPLAY_WINDOW``).
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from .driver import (
     solve,
 )
 from .learner import (
+    REPLAY_WINDOW,
     DeltaStore,
     ParamVersionError,
     TrainDivergedError,
     append_quality_log,
+    fit,
     init_params,
     load_params,
     load_quality_log,
     save_params,
-    store_loss,
-    train,
 )
 from .search import SearchConfig
 
@@ -130,7 +131,9 @@ def _cmd_solve(args) -> int:
             return EXIT_ERROR
         history = DeltaStore()
         if not args.no_train and os.path.exists(delta_path):
-            history, skipped = load_quality_log(delta_path)
+            # Training replays at most the newest REPLAY_WINDOW records, so
+            # only the end of the log is read.
+            history, skipped = load_quality_log(delta_path, last_lines=REPLAY_WINDOW)
             if skipped:
                 print(f"c skipped {skipped} corrupt quality records", file=sys.stderr)
         try:
@@ -148,7 +151,7 @@ def _cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         if not args.no_train:
-            append_quality_log(delta_path, report.quality)
+            append_quality_log(delta_path, report.records)
             save_params(theta_after, params_path)
 
     print("c reducto solve")
@@ -187,9 +190,8 @@ def _cmd_train(args) -> int:
         except (ParamVersionError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        first_loss = store_loss(theta, store)
         try:
-            theta_after = train(
+            theta_after, first_loss, last_loss = fit(
                 theta,
                 store,
                 epochs=args.epochs,
@@ -202,7 +204,7 @@ def _cmd_train(args) -> int:
         save_params(theta_after, params_path)
     print(f"c records {store.record_count}")
     print(f"c first-loss {first_loss:.6f}")
-    print(f"c last-loss {store_loss(theta_after, store):.6f}")
+    print(f"c last-loss {last_loss:.6f}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 A solve run follows the four-step loop: search for a path, turn the terminal
 easy outcome into an answer (lifting a solution backwards when one exists),
-merge the run's quality data with history, and train updated parameters.
+merge the run's quality data with history, and train updated parameters on
+the run's data plus a bounded window of the newest history.
 Solution answers are always re-verified before being emitted, and a
 "no solution" answer requires a verified path ending at an easy instance
 whose solver certified unsatisfiability.
@@ -24,10 +25,13 @@ from .core import (
 from .dimacs import emit_dimacs
 from .learner import (
     DeltaStore,
+    DistRecord,
     LinearEvaluator,
     ParamStore,
-    merge_quality,
+    ValueRecord,
+    merge_window,
     params_digest,
+    quality_records,
     train,
 )
 from .portfolio import portfolio_setup
@@ -83,6 +87,8 @@ class RunReport:
     params_after: str
     quality: QualityData
     diagnostics: tuple[str, ...] = ()
+    # The quality data as log records; built only by a run that trains.
+    records: tuple[ValueRecord | DistRecord, ...] = ()
 
 
 def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[SolveAnswer, list[str]]:
@@ -122,8 +128,10 @@ def solve(
     """Solve ``x`` with the named setup: search, answer, then merge and train.
 
     ``history`` is the quality store of previous runs; it is merged with this
-    run's quality data in place and used as the training set.  With
-    ``train_after`` false the parameters are returned unchanged.
+    run's quality data in place.  Training fits the run's records plus the
+    newest ``learner.REPLAY_WINDOW`` records of history (``merge_window``),
+    so its cost does not grow with the history.  With ``train_after`` false
+    the parameters are returned unchanged.
     """
     setup = make_setup(setup_name)
     evaluator = LinearEvaluator(theta)
@@ -131,16 +139,17 @@ def solve(
     answer, diagnostics = derive_answer(setup, x, result)
 
     theta_after = theta
+    records: list[ValueRecord | DistRecord] = []
     if train_after:
-        store = history if history is not None else DeltaStore()
-        merge_quality(store, result.quality)
-        if not store.is_empty:
+        records = quality_records(result.quality, evaluator.features)
+        window = merge_window(history if history is not None else DeltaStore(), records)
+        if not window.is_empty:
             kwargs = {}
             if epochs is not None:
                 kwargs["epochs"] = epochs
             if learning_rate is not None:
                 kwargs["learning_rate"] = learning_rate
-            theta_after = train(theta, store, curriculum=curriculum, **kwargs)
+            theta_after = train(theta, window, curriculum=curriculum, **kwargs)
 
     report = RunReport(
         answer_kind=answer.kind,
@@ -153,6 +162,7 @@ def solve(
         params_after=params_digest(theta_after),
         quality=result.quality,
         diagnostics=tuple(diagnostics),
+        records=tuple(records),
     )
     return answer, theta_after, report
 

@@ -15,7 +15,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Iterable
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .sat import Formula
 from .search import QualityData
@@ -23,6 +24,11 @@ from .search import QualityData
 PARAMS_VERSION = 1
 DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = 0.05
+# A trained solve fits its own records plus at most this many of the newest
+# history records, half value and half distribution records, so its cost
+# does not grow with the history (AlphaZero's window of recent self-play
+# games).  ``reducto train`` still fits the whole log.
+REPLAY_WINDOW = 512
 
 # Squashing scales for unbounded counts: n is mapped to n / (n + scale).
 _VAR_SCALE = 16.0
@@ -222,7 +228,8 @@ class LinearEvaluator:
         self.params = params
         self._features: dict[Formula, tuple[float, ...]] = {}
 
-    def _featurize(self, phi: Formula) -> tuple[float, ...]:
+    def features(self, phi: Formula) -> tuple[float, ...]:
+        """``featurize(phi)``, computed once per formula for this evaluator."""
         f = self._features.get(phi)
         if f is None:
             f = featurize(phi)
@@ -232,7 +239,7 @@ class LinearEvaluator:
         return f
 
     def value(self, phi: Formula) -> float:
-        return _sigmoid(_dot(self.params.value_weights, self._featurize(phi)))
+        return _sigmoid(_dot(self.params.value_weights, self.features(phi)))
 
     def priors(self, phi: Formula, reduction_id: str, moves: list[Formula]) -> list[float]:
         if not moves:
@@ -240,7 +247,7 @@ class LinearEvaluator:
         weights = self.params.prior_weights.get(reduction_id)
         if weights is None:
             return [1.0 / len(moves)] * len(moves)
-        return _softmax([_dot(weights, self._featurize(m)) for m in moves])
+        return _softmax([_dot(weights, self.features(m)) for m in moves])
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +339,30 @@ def _merge_record(store: DeltaStore, rec: ValueRecord | DistRecord) -> None:
     store.dists[key] = DistRecord(rec.digest, rec.reduction, rec.n_vars, moves)
 
 
-def _quality_records(delta: QualityData) -> list[ValueRecord | DistRecord]:
+def quality_records(
+    delta: QualityData, features: Callable[[Formula], tuple[float, ...]] | None = None
+) -> list[ValueRecord | DistRecord]:
     """One search's quality data as records: value records, then distributions.
 
-    Each distinct formula is featurized once per call.
+    ``features`` maps a formula to its feature vector; pass the search
+    evaluator's ``LinearEvaluator.features`` to reuse the vectors it already
+    computed.  By default each distinct formula is featurized once per call.
     """
-    features: dict[Formula, tuple[float, ...]] = {}
+    if features is None:
+        cache: dict[Formula, tuple[float, ...]] = {}
 
-    def features_of(phi: Formula) -> tuple[float, ...]:
-        f = features.get(phi)
-        if f is None:
-            f = features[phi] = featurize(phi)
-        return f
+        def features(phi: Formula) -> tuple[float, ...]:
+            f = cache.get(phi)
+            if f is None:
+                f = cache[phi] = featurize(phi)
+            return f
 
     records: list[ValueRecord | DistRecord] = [
-        ValueRecord(inst.digest, len(inst.variables), features_of(inst), value, visits)
+        ValueRecord(inst.digest, len(inst.variables), features(inst), value, visits)
         for inst, (value, visits) in delta.values.items()
     ]
     for (inst, rid), dist in delta.distributions.items():
-        moves = {m.digest: MoveStat(m.digest, features_of(m), count) for m, count in dist.items()}
+        moves = {m.digest: MoveStat(m.digest, features(m), count) for m, count in dist.items()}
         records.append(DistRecord(inst.digest, rid, len(inst.variables), moves))
     return records
 
@@ -361,14 +373,43 @@ def merge_quality(store: DeltaStore, delta: QualityData) -> DeltaStore:
     Matching value records combine as visit-weighted means; matching
     distributions sum their visit counts.  Merging an empty delta is a no-op.
     """
-    for rec in _quality_records(delta):
+    for rec in quality_records(delta):
         _merge_record(store, rec)
     return store
+
+
+def _newest(records: dict, n: int) -> dict:
+    """The last ``n`` entries of ``records`` in insertion order, read from the end."""
+    return dict(reversed(list(islice(reversed(records.items()), n))))
+
+
+def merge_window(history: DeltaStore, records: Sequence[ValueRecord | DistRecord]) -> DeltaStore:
+    """Merge one run's records into ``history`` and return the store to train on.
+
+    ``history`` is updated in place as by ``merge_quality``.  The returned
+    store holds the ``REPLAY_WINDOW // 2`` newest value records and as many
+    newest distribution records of ``history`` before the merge, plus the
+    merged record of every key the run touched.  Its size is bounded by the
+    window plus the run's own records however long the history is.
+    """
+    half = REPLAY_WINDOW // 2
+    window = DeltaStore(_newest(history.values, half), _newest(history.dists, half))
+    for rec in records:
+        _merge_record(history, rec)
+        if isinstance(rec, ValueRecord):
+            window.values[rec.digest] = history.values[rec.digest]
+        else:
+            key = (rec.digest, rec.reduction)
+            window.dists[key] = history.dists[key]
+    return window
 
 
 # ---------------------------------------------------------------------------
 # Quality log (append-only record stream)
 # ---------------------------------------------------------------------------
+
+# Bytes read per backward step when only the end of a log is wanted.
+_TAIL_BLOCK = 1 << 16
 
 
 def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
@@ -394,9 +435,8 @@ def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
     }
 
 
-def append_quality_log(path: str, delta: QualityData) -> int:
-    """Append one search's quality data to the log; returns records written."""
-    records = _quality_records(delta)
+def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -> int:
+    """Append records (see ``quality_records``) to the log; returns records written."""
     with open(path, "a") as handle:
         for rec in records:
             handle.write(json.dumps(_record_to_json(rec), sort_keys=True, separators=(",", ":")) + "\n")
@@ -428,22 +468,57 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
     raise ValueError(f"unknown record kind {kind!r}")
 
 
-def load_quality_log(path: str) -> tuple[DeltaStore, int]:
-    """Read a quality log into a store; corrupt records are skipped and counted."""
+def _tail_lines(path: str, n: int) -> list[bytes]:
+    """The last ``n`` lines of a file, read backwards from its end.
+
+    A final line without a newline counts as a line.  Reading stops once
+    more than ``n`` newlines have been read, so the line cut by the first
+    read position is never among those returned.
+    """
+    if n < 1:
+        return []
+    blocks = []
+    newlines = 0
+    with open(path, "rb") as handle:
+        pos = handle.seek(0, os.SEEK_END)
+        while pos > 0 and newlines <= n:
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            handle.seek(pos)
+            blocks.append(handle.read(step))
+            newlines += blocks[-1].count(b"\n")
+    data = b"".join(reversed(blocks))
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    return data.split(b"\n")[-n:]
+
+
+def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
     store = DeltaStore()
     skipped = 0
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = _record_from_json(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
-                continue
-            _merge_record(store, rec)
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = _record_from_json(json.loads(line))
+        except (ValueError, KeyError, TypeError):
+            skipped += 1
+            continue
+        _merge_record(store, rec)
     return store, skipped
+
+
+def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaStore, int]:
+    """Read a quality log into a store; corrupt records are skipped and counted.
+
+    With ``last_lines`` only that many lines at the end of the log are read,
+    and the rest of the file is not.
+    """
+    if last_lines is not None:
+        return _read_records(_tail_lines(path, last_lines))
+    with open(path, "rb") as handle:
+        return _read_records(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +665,34 @@ def train(
     to the unchanged weights as a last resort.  A non-finite loss aborts with
     TrainDivergedError and leaves ``theta`` untouched.
     """
+    return fit(theta, store, epochs, learning_rate, curriculum)[0]
+
+
+def fit(
+    theta: ParamStore,
+    store: DeltaStore,
+    epochs: int = DEFAULT_EPOCHS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
+    curriculum: bool = False,
+) -> tuple[ParamStore, float, float]:
+    """``train``, also returning the training loss before and after.
+
+    The losses are the ones training computes anyway, so a caller that
+    reports them needs no extra pass over the store.  With ``epochs`` 0 the
+    parameters come back unchanged and both losses are the loss of ``theta``.
+    """
     if store.is_empty:
         raise ValueError("quality store is empty")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     _check_dims(theta, store)
-    if epochs == 0:
-        return theta.copy()
-
-    examples = _ordered_examples(store, curriculum)
     loss_before = store_loss(theta, store)
+    if epochs == 0:
+        return theta.copy(), loss_before, loss_before
     if not math.isfinite(loss_before):
         raise TrainDivergedError(f"initial loss is not finite: {loss_before}")
 
+    examples = _ordered_examples(store, curriculum)
     lr = learning_rate
     result: ParamStore | None = None
     final_loss = loss_before
@@ -625,4 +715,4 @@ def train(
 
     result.examples_seen = theta.examples_seen + len(examples) * epochs
     result.last_loss = final_loss
-    return result
+    return result, loss_before, final_loss

@@ -312,10 +312,17 @@ def _pure_literal_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
 
 def _blocking_literal(c: Clause, occ: dict[int, set[Clause]]) -> int | None:
     """First literal ``l`` of ``c`` on which every resolvent with ``occ[-l]`` is tautological."""
+    # One set of the clause's negations serves every candidate: while ``l`` is
+    # tried it lacks ``-l``, so it holds the negations of the other literals.
+    negations = {-m for m in c}
     for l in c:
-        others = {-m for m in c if m != l}
-        if all(not others.isdisjoint(d) for d in occ.get(-l, ())):
+        negations.discard(-l)
+        for d in occ.get(-l, ()):
+            if negations.isdisjoint(d):
+                break
+        else:
             return l
+        negations.add(-l)
     return None
 
 

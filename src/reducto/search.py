@@ -231,32 +231,44 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
                 best_i = i
         return best_i
 
-    def sample(f: Any, depth: int) -> float:
-        ez = easy_of(f)
-        if ez.is_easy:
-            ensure_node(f)
-            return 1.0
-        if depth >= cfg.horizon:
-            return eval_value(f)
-        node = ensure_node(f)
-        expand(node)
-        if not node.children:
-            return 0.0
-        if node.samples >= cfg.budget:
-            return node_value(node)
-        i = select(node)
-        v = sample(node.children[i][1], depth + 1)
-        node.counts[i] += 1
-        node.totals[i] += cfg.discount * v
-        node.samples += 1
-        return node_value(node)
+    def sample(f: Any) -> float:
+        # One pass descends from ``f`` choosing a move per node, then backs the
+        # leaf's reward up the descent, deepest node first.  A loop rather than
+        # recursion: a nested function that calls itself is a reference cycle,
+        # which would leave every node table to the cyclic garbage collector.
+        descent: list[tuple[_Node, int]] = []
+        while True:
+            if easy_of(f).is_easy:
+                ensure_node(f)
+                v = 1.0
+                break
+            if len(descent) >= cfg.horizon:
+                v = eval_value(f)
+                break
+            node = ensure_node(f)
+            expand(node)
+            if not node.children:
+                v = 0.0
+                break
+            if node.samples >= cfg.budget:
+                v = node_value(node)
+                break
+            i = select(node)
+            descent.append((node, i))
+            f = node.children[i][1]
+        for node, i in reversed(descent):
+            node.counts[i] += 1
+            node.totals[i] += cfg.discount * v
+            node.samples += 1
+            v = node_value(node)
+        return v
 
     root = ensure_node(x)
     if not root.easy.is_easy:
         expand(root)
         if root.children:
             for _ in range(cfg.budget):
-                sample(x, 0)
+                sample(x)
 
     # Greedy extraction: follow maximum accumulated reward, never revisit an
     # instance, stop at an easy instance, a dead end, or the horizon.

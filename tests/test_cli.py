@@ -4,7 +4,15 @@ import pytest
 
 from reducto.cli import main
 from reducto.dimacs import parse_dimacs
-from reducto.learner import load_params, params_text
+from reducto.learner import (
+    REPLAY_WINDOW,
+    ValueRecord,
+    append_quality_log,
+    load_params,
+    load_quality_log,
+    params_text,
+    store_loss,
+)
 from reducto.sat import satisfies
 
 SAT_TEXT = "p cnf 2 2\n1 -2 0\n2 0\n"
@@ -97,6 +105,26 @@ class TestSolveCommand:
         run(capsys, "solve", cnf, "--setup", "resolution")
         assert os.path.exists(workdir / "env-params.json")
 
+    def test_corrupt_last_record_is_reported(self, workdir, capsys):
+        cnf = write(workdir / "f.cnf", SAT_TEXT)
+        run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
+        with open("p.delta.jsonl", "a") as handle:
+            handle.write('{"kind": "value", "dig')
+        code, _, err = run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
+        assert code == 10
+        assert "c skipped 1 corrupt quality records" in err
+
+    def test_solve_reads_only_the_end_of_the_log(self, workdir, capsys):
+        # A corrupt line older than the replay window is never read.
+        write(workdir / "p.delta.jsonl", "not json\n")
+        filler = [ValueRecord(f"h{i}", 2, (0.5,) * 10, 0.5, 1) for i in range(REPLAY_WINDOW)]
+        append_quality_log("p.delta.jsonl", filler)
+        cnf = write(workdir / "f.cnf", SAT_TEXT)
+        code, _, err = run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
+        assert code == 10
+        assert "skipped" not in err
+        assert load_quality_log("p.delta.jsonl")[1] == 1
+
     def test_output_is_deterministic(self, workdir, capsys):
         cnf = write(workdir / "f.cnf", SAT_TEXT)
         outputs = set()
@@ -133,6 +161,24 @@ class TestTrainCommand:
         )
         assert code == 0
         assert params_text(load_params("p.json")) == before
+
+    @pytest.mark.parametrize("epochs", ["3", "0"])
+    def test_printed_losses_are_the_store_losses(self, workdir, capsys, epochs):
+        for text in (SAT_TEXT, UNSAT_TEXT):
+            cnf = write(workdir / "f.cnf", text)
+            run(capsys, "solve", cnf, "--setup", "resolution", "--params", "p.json")
+        store, _ = load_quality_log("p.delta.jsonl")
+        before = load_params("p.json")
+        code, out, _ = run(
+            capsys, "train", "--delta-log", "p.delta.jsonl", "--params", "p.json",
+            "--epochs", epochs,
+        )
+        assert code == 0
+        lines = dict(l[2:].split(" ", 1) for l in out.splitlines() if l.startswith("c "))
+        assert lines["first-loss"] == f"{store_loss(before, store):.6f}"
+        assert lines["last-loss"] == f"{store_loss(load_params('p.json'), store):.6f}"
+        if epochs == "0":
+            assert lines["last-loss"] == lines["first-loss"]
 
     def test_missing_log_fails(self, workdir, capsys):
         code, _, err = run(capsys, "train", "--delta-log", "missing.jsonl")

@@ -6,7 +6,8 @@ from typing import Iterable
 
 import pytest
 
-from reducto.driver import random_formula
+from reducto import learner
+from reducto.driver import random_formula, random_ksat, solve
 from reducto.learner import (
     DEFAULT_EPOCHS,
     DEFAULT_LEARNING_RATE,
@@ -17,6 +18,7 @@ from reducto.learner import (
     MoveStat,
     ParamStore,
     ParamVersionError,
+    REPLAY_WINDOW,
     TrainDivergedError,
     ValueRecord,
     append_quality_log,
@@ -26,8 +28,10 @@ from reducto.learner import (
     load_quality_log,
     loss_gradients,
     merge_quality,
+    merge_window,
     params_text,
     parse_params,
+    quality_records,
     save_params,
     store_loss,
     train,
@@ -40,7 +44,7 @@ from reducto.learner import (
     _softmax,
 )
 from reducto.sat import BOTTOM, Formula, TOP
-from reducto.search import QualityData
+from reducto.search import QualityData, SearchConfig
 
 
 def random_store(rng, n_values=3, n_dists=2, dim=len(FEATURE_NAMES)):
@@ -261,7 +265,7 @@ class TestQualityLog:
             {phi: (0.75, 2), TOP: (1.0, 1)},
             {(phi, "flip"): {Formula([[1]]): 2}},
         )
-        written = append_quality_log(path, delta)
+        written = append_quality_log(path, quality_records(delta))
         assert written == 3
         store, skipped = load_quality_log(path)
         assert skipped == 0
@@ -272,8 +276,8 @@ class TestQualityLog:
         path = str(tmp_path / "quality.jsonl")
         phi, move = Formula([[1, -2], [2]]), Formula([[1]])
         delta = quality_from({phi: (0.8, 4)}, {(phi, "flip"): {move: 4}})
-        append_quality_log(path, delta)
-        append_quality_log(path, delta)
+        append_quality_log(path, quality_records(delta))
+        append_quality_log(path, quality_records(delta))
         store, _ = load_quality_log(path)
         assert store.values[phi.digest].visits == 8
         assert store.dists[(phi.digest, "flip")].moves[move.digest].count == 8
@@ -283,7 +287,7 @@ class TestQualityLog:
     def test_corrupt_records_skipped_and_counted(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
         phi = Formula([[1]])
-        append_quality_log(path, quality_from({phi: (1.0, 1)}, {}))
+        append_quality_log(path, quality_records(quality_from({phi: (1.0, 1)}, {})))
         with open(path, "a") as handle:
             handle.write("not json\n")
             handle.write(json.dumps({"kind": "value", "digest": "x"}) + "\n")
@@ -303,6 +307,147 @@ class TestQualityLog:
         store, skipped = load_quality_log(path)
         assert skipped == 3
         assert len(store.values) == 1
+
+
+def write_log(path, rng, n_deltas=12):
+    """A log of several runs' records over shared formulas."""
+    pool = [random_formula(rng, 5, 6) for _ in range(10)]
+    for _ in range(n_deltas):
+        append_quality_log(path, quality_records(random_delta(rng, pool)))
+    with open(path) as handle:
+        return handle.read()
+
+
+class TestLogTail:
+    """``load_quality_log(path, last_lines=n)`` against loading a copy of the last n lines."""
+
+    def reference(self, tmp_path, lines):
+        path = str(tmp_path / "reference.jsonl")
+        with open(path, "w") as handle:
+            handle.write("".join(lines))
+        return load_quality_log(path)
+
+    @pytest.mark.parametrize("block", [1, 7, 300, 1 << 16])
+    def test_tail_equals_loading_the_last_lines(self, tmp_path, monkeypatch, block):
+        # Small read blocks put seek boundaries inside lines: a line cut by
+        # one is never read as a corrupt record.
+        monkeypatch.setattr(learner, "_TAIL_BLOCK", block)
+        path = str(tmp_path / "quality.jsonl")
+        lines = write_log(path, random.Random(block)).splitlines(keepends=True)
+        assert len(lines) > 20
+        for n in (1, 2, 5, 17, len(lines) - 1, len(lines), len(lines) + 9):
+            store, skipped = load_quality_log(path, last_lines=n)
+            expected, _ = self.reference(tmp_path, lines[-n:])
+            assert skipped == 0
+            assert store.canonical_text() == expected.canonical_text()
+
+    def test_missing_trailing_newline(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(learner, "_TAIL_BLOCK", 64)
+        path = str(tmp_path / "quality.jsonl")
+        lines = write_log(path, random.Random(3)).splitlines(keepends=True)
+        with open(path, "w") as handle:
+            handle.write("".join(lines).rstrip("\n"))
+        for n in (1, 4, len(lines), len(lines) + 1):
+            store, skipped = load_quality_log(path, last_lines=n)
+            assert skipped == 0
+            assert store.canonical_text() == self.reference(tmp_path, lines[-n:])[0].canonical_text()
+
+    def test_truncated_last_line_is_skipped_and_counted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(learner, "_TAIL_BLOCK", 64)
+        path = str(tmp_path / "quality.jsonl")
+        lines = write_log(path, random.Random(4)).splitlines(keepends=True)
+        cut = lines[-1][: len(lines[-1]) // 2]
+        with open(path, "w") as handle:
+            handle.write("".join(lines[:-1]) + cut)
+        for n in (1, 3, len(lines)):
+            store, skipped = load_quality_log(path, last_lines=n)
+            assert skipped == 1
+            expected = self.reference(tmp_path, (lines[:-1] + [cut])[-n:])
+            assert (store.canonical_text(), skipped) == (expected[0].canonical_text(), expected[1])
+        assert load_quality_log(path)[1] == 1
+
+    def test_corrupt_lines_count_only_inside_the_tail(self, tmp_path):
+        path = str(tmp_path / "quality.jsonl")
+        with open(path, "w") as handle:
+            handle.write("not json\n")
+        lines = write_log(path, random.Random(5)).splitlines(keepends=True)
+        assert load_quality_log(path)[1] == 1
+        assert load_quality_log(path, last_lines=len(lines) - 1)[1] == 0
+        assert load_quality_log(path, last_lines=len(lines))[1] == 1
+
+    def test_short_and_empty_logs(self, tmp_path):
+        path = str(tmp_path / "quality.jsonl")
+        open(path, "w").close()
+        assert load_quality_log(path, last_lines=REPLAY_WINDOW)[0].is_empty
+        lines = write_log(path, random.Random(6), n_deltas=2).splitlines(keepends=True)
+        assert len(lines) < REPLAY_WINDOW
+        store, skipped = load_quality_log(path, last_lines=REPLAY_WINDOW)
+        assert (store.canonical_text(), skipped) == (load_quality_log(path)[0].canonical_text(), 0)
+
+
+def history_store(n_values, n_dists, dim=len(FEATURE_NAMES)):
+    """Distinct synthetic records, in insertion order h0, h1, ..."""
+    rng = random.Random(n_values)
+    store = DeltaStore()
+    for i in range(n_values):
+        store.values[f"h{i}"] = ValueRecord(
+            f"h{i}", 4, tuple(rng.random() for _ in range(dim)), rng.random(), 1
+        )
+    for i in range(n_dists):
+        moves = {
+            f"hm{i}_{j}": MoveStat(f"hm{i}_{j}", tuple(rng.random() for _ in range(dim)), j)
+            for j in range(2)
+        }
+        store.dists[(f"h{i}", "flip")] = DistRecord(f"h{i}", "flip", 4, moves)
+    return store
+
+
+class TestReplayWindow:
+    def test_window_is_newest_history_plus_the_run(self):
+        rng = random.Random(71)
+        pool = [random_formula(rng, 5, 6) for _ in range(8)]
+        half = REPLAY_WINDOW // 2
+        for size in (0, 3, half, 10 * REPLAY_WINDOW):
+            # The oldest history records share formulas with the run.
+            old, delta = random_delta(rng, pool), random_delta(rng, pool)
+
+            def make_history():
+                store = merge_quality(DeltaStore(), old)
+                synthetic = history_store(size, size)
+                store.values.update(synthetic.values)
+                store.dists.update(synthetic.dists)
+                return store
+
+            history = make_history()
+            newest_values = list(history.values)[-half:]
+            newest_dists = list(history.dists)[-half:]
+            records = quality_records(delta)
+            window = merge_window(history, records)
+            assert history.canonical_text() == merge_quality(make_history(), delta).canonical_text()
+            run_values = {r.digest for r in records if isinstance(r, ValueRecord)}
+            run_dists = {(r.digest, r.reduction) for r in records if isinstance(r, DistRecord)}
+            assert set(window.values) == set(newest_values) | run_values
+            assert set(window.dists) == set(newest_dists) | run_dists
+            assert window.record_count <= REPLAY_WINDOW + len(records)
+            for key, rec in window.values.items():
+                assert rec == history.values[key]
+            for key, rec in window.dists.items():
+                assert rec == history.dists[key]
+
+    def test_solve_trains_on_as_many_records_after_ten_times_the_history(self):
+        phi = random_ksat(random.Random(3), 6, 18)
+        cfg = SearchConfig(horizon=12, budget=16)
+        theta = init_params()
+        epochs = 2
+        grown = []
+        for size in (REPLAY_WINDOW // 2, 10 * REPLAY_WINDOW // 2):
+            history = history_store(size, size)
+            assert history.record_count == 2 * size
+            _, theta_after, report = solve(phi, "flip", theta, cfg, history=history, epochs=epochs)
+            assert report.records
+            grown.append(theta_after.examples_seen - theta.examples_seen)
+            assert grown[-1] <= (REPLAY_WINDOW + len(report.records)) * epochs
+        assert grown[0] == grown[1]
 
 
 class TestLossAndGradients:
@@ -552,7 +697,14 @@ class TestReferenceEquivalence:
             for delta in deltas:
                 merge_quality(store, delta)
                 ref_merge_quality(ref_store, delta)
-                assert append_quality_log(path, delta) == delta.record_count
+                records = quality_records(delta)
+                # A search's evaluator has featurized some of the formulas
+                # already; its vectors give the same records and log bytes.
+                evaluator = LinearEvaluator(init_params())
+                for phi in rng.sample(pool, 4):
+                    evaluator.value(phi)
+                assert quality_records(delta, evaluator.features) == records
+                assert append_quality_log(path, records) == delta.record_count
                 ref_lines.extend(
                     json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                     for rec in ref_delta_records(delta)

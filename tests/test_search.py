@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 from collections import deque
 
@@ -224,3 +225,21 @@ def _bfs_easy(setup, phi, depth):
                 seen.add(nxt)
                 frontier.append((nxt, d + 1))
     return False, branching
+
+
+class TestMemory:
+    def test_finished_search_is_freed_by_reference_counting(self):
+        # A search leaves no reference cycles, so its node table and every
+        # formula it built go as soon as the result is dropped, without
+        # waiting for the cyclic garbage collector.
+        rng = random.Random(17)
+        phis = [random_ksat(rng, n, 3 * n) for n in (4, 6, 8)]
+        gc.collect()
+        gc.disable()
+        try:
+            for setup in (RES_SETUP, FLIP_SETUP):
+                for phi in phis:
+                    ams_search(phi, setup, fresh_evaluator(), SearchConfig(horizon=8, budget=12))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
