@@ -3,7 +3,6 @@
 from .core import (
     EasyOutcome,
     LiftIntegrityError,
-    MoveCapExceeded,
     Path,
     SelfReduction,
     Setup,
@@ -28,14 +27,7 @@ from .learner import (
     save_params,
     train,
 )
-from .portfolio import (
-    BuiltinMember,
-    ExternalMember,
-    MemberFailure,
-    Portfolio,
-    builtin_members,
-    portfolio_setup,
-)
+from .portfolio import ExternalMember, MemberFailure, portfolio_setup
 from .sat import (
     Assignment,
     BOTTOM,
@@ -49,7 +41,6 @@ from .sat import (
     easy_combined,
     easy_trivial,
     oracle_solve,
-    resolvent,
     satisfies,
 )
 from .search import QualityData, SearchConfig, SearchResult, ams_search

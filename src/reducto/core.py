@@ -15,7 +15,7 @@ this; other domains can plug in the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 Instance = Any
 Solution = Any
@@ -25,20 +25,6 @@ DEFAULT_MOVE_CAP = 256
 
 class UnknownReductionError(KeyError):
     """A path or caller referenced a reduction id the setup does not define."""
-
-
-class MoveCapExceeded(RuntimeError):
-    """A reduction produced more moves than the configured cap allows.
-
-    Carries the truncated (lexicographically-first) partial enumeration so
-    callers can still inspect what was found.
-    """
-
-    def __init__(self, reduction_id: str, partial: list[tuple[str, Instance]], cap: int):
-        super().__init__(f"reduction {reduction_id!r} exceeded move cap {cap}")
-        self.reduction_id = reduction_id
-        self.partial = partial
-        self.cap = cap
 
 
 class LiftIntegrityError(RuntimeError):
@@ -180,11 +166,6 @@ class Path:
     def end(self) -> Instance:
         return self.steps[-1][1] if self.steps else self.start
 
-    def instances(self) -> Iterator[Instance]:
-        yield self.start
-        for _, inst in self.steps:
-            yield inst
-
 
 def verify_path(setup: Setup, path: Path) -> bool:
     """Check that every step of ``path`` is a genuine move of its reduction.
@@ -237,15 +218,13 @@ def enumerate_moves(
     setup: Setup,
     x: Instance,
     move_cap: int = DEFAULT_MOVE_CAP,
-    strict_cap: bool = False,
 ) -> list[tuple[str, Instance]]:
     """All moves from ``x``, as (reduction id, instance) pairs in setup order.
 
     Within each reduction the moves are canonically ordered and deduplicated,
     and self-moves (successor equal to ``x``) are dropped.  A reduction
     offering more than ``move_cap`` moves is truncated to the
-    lexicographically-first ``move_cap`` of them; with ``strict_cap`` the
-    truncation raises MoveCapExceeded carrying the partial enumeration.
+    lexicographically-first ``move_cap`` of them.
     """
     out: list[tuple[str, Instance]] = []
     for reduction in setup.reductions:
@@ -257,10 +236,5 @@ def enumerate_moves(
             seen.add(m)
             block.append(m)
         block.sort(key=_move_key)
-        if len(block) > move_cap:
-            block = block[:move_cap]
-            if strict_cap:
-                partial = out + [(reduction.id, m) for m in block]
-                raise MoveCapExceeded(reduction.id, partial, move_cap)
-        out.extend((reduction.id, m) for m in block)
+        out.extend((reduction.id, m) for m in block[:move_cap])
     return out

@@ -30,7 +30,6 @@ from .learner import (
     ParamStore,
     ValueRecord,
     merge_window,
-    params_digest,
     quality_records,
     train,
 )
@@ -40,7 +39,6 @@ from .sat import (
     EXTENSION,
     FLIP,
     Formula,
-    PURE_LITERAL,
     RESOLUTION,
     SUBSUMPTION,
     clause,
@@ -59,12 +57,12 @@ def make_setup(name: str) -> Setup:
     if name == "resolution":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE),
+            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE),
         )
     if name == "resolution-ext":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE, EXTENSION),
+            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, EXTENSION),
         )
     if name == "flip":
         return Setup(easy=easy_all_positive, reductions=(FLIP,))
@@ -83,8 +81,6 @@ class RunReport:
     nodes_expanded: int
     evaluator_calls: int
     wall_time_s: float
-    params_before: str
-    params_after: str
     quality: QualityData
     diagnostics: tuple[str, ...] = ()
     # The quality data as log records; built only by a run that trains.
@@ -158,8 +154,6 @@ def solve(
         nodes_expanded=result.stats.nodes_expanded,
         evaluator_calls=result.stats.evaluator_calls,
         wall_time_s=result.stats.wall_time_s,
-        params_before=params_digest(theta),
-        params_after=params_digest(theta_after),
         quality=result.quality,
         diagnostics=tuple(diagnostics),
         records=tuple(records),

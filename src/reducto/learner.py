@@ -436,10 +436,21 @@ def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
 
 
 def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -> int:
-    """Append records (see ``quality_records``) to the log; returns records written."""
-    with open(path, "a") as handle:
-        for rec in records:
-            handle.write(json.dumps(_record_to_json(rec), sort_keys=True, separators=(",", ":")) + "\n")
+    """Append records (see ``quality_records``) to the log; returns records written.
+
+    A log whose last line was cut short (a crash mid-write) gets a newline
+    first, so the fragment stays one corrupt line and no new record joins it.
+    """
+    text = "".join(
+        json.dumps(_record_to_json(rec), sort_keys=True, separators=(",", ":")) + "\n"
+        for rec in records
+    )
+    with open(path, "ab+") as handle:
+        if handle.seek(0, os.SEEK_END) > 0:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                text = "\n" + text
+        handle.write(text.encode())
     return len(records)
 
 

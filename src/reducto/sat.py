@@ -28,6 +28,7 @@ Assignment = frozenset  # frozenset[int] without complementary pairs
 
 ORACLE_VAR_LIMIT = 24
 DEFAULT_PAIR_CAP = 16
+BOUNDED_RESOLVENT_CAP = 64
 
 
 class OracleLimitError(RuntimeError):
@@ -156,19 +157,6 @@ def satisfies(alpha: Iterable[int], phi: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Move rules
 # ---------------------------------------------------------------------------
-
-
-def resolvent(c1: Clause, c2: Clause, pivot: int) -> Clause | None:
-    """Resolvent of two clauses on ``pivot``, or None if it would be tautological.
-
-    Requires ``pivot`` in ``c1`` and its complement in ``c2``.
-    """
-    if pivot not in c1 or -pivot not in c2:
-        raise ValueError("pivot must occur positively in c1 and negatively in c2")
-    merged = (set(c1) | set(c2)) - {pivot, -pivot}
-    if any(-l in merged for l in merged):
-        return None
-    return tuple(sorted(merged, key=abs))
 
 
 def new_resolvents(phi: Formula) -> list[Clause]:
@@ -383,6 +371,44 @@ def _blocked_clause_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
     return assignment(alpha)
 
 
+def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
+    """Propagate unit clauses to a fixpoint; returns the result and the forced literals."""
+    cur = list(phi.clauses)
+    forced: list[int] = []
+    while True:
+        if any(c == () for c in cur):
+            break
+        units = {c[0] for c in cur if len(c) == 1}
+        if not units:
+            break
+        # Smallest variable first; when both of its literals are units, the
+        # positive one.
+        lit = min(units, key=lambda l: (abs(l), l < 0))
+        forced.append(lit)
+        cur = condition(cur, lit)
+    return Formula(cur), tuple(forced)
+
+
+def unit_propagation_move(phi: Formula) -> list[Formula]:
+    fix, _ = unit_propagate_fixpoint(phi)
+    return [] if fix == phi else [fix]
+
+
+def _unit_propagation_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
+    fix, forced = unit_propagate_fixpoint(x)
+    if fix != x2:
+        raise ValueError("target is not the unit-propagation fixpoint of the source")
+    return assignment(set(y) | set(forced))
+
+
+def bounded_resolution_move(phi: Formula) -> list[Formula]:
+    """One move: add the first ``BOUNDED_RESOLVENT_CAP`` new resolvents, then
+    remove every clause that properly contains another; none if no-op."""
+    cur = add_clauses(phi, new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP])
+    cur = (subsumption_move(cur) or [cur])[0]
+    return [] if cur == phi else [cur]
+
+
 def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Formula]:
     """Definitional extension: for literal pairs {a, b} over variables of ``phi``,
     add clauses {a, -v}, {b, -v}, {-a, -b, v} with ``v`` the smallest unused variable.
@@ -460,15 +486,9 @@ SUBSUMPTION = SelfReduction("subsumption", subsumption_move, _identity_lift)
 PURE_LITERAL = SelfReduction("pure-literal", pure_literal_move, _pure_literal_lift)
 BLOCKED_CLAUSE = SelfReduction("blocked-clause", blocked_clause_move, _blocked_clause_lift)
 FLIP = SelfReduction("flip", flip_moves, _flip_lift)
-
-
-def extension_reduction(pair_cap: int = DEFAULT_PAIR_CAP) -> SelfReduction:
-    return SelfReduction(
-        "extension", lambda phi: extension_moves(phi, pair_cap), _identity_lift
-    )
-
-
-EXTENSION = extension_reduction()
+EXTENSION = SelfReduction("extension", extension_moves, _identity_lift)
+UNIT_PROPAGATION = SelfReduction("unit-propagation", unit_propagation_move, _unit_propagation_lift)
+BOUNDED_RESOLUTION = SelfReduction("bounded-resolution", bounded_resolution_move, _identity_lift)
 
 
 # ---------------------------------------------------------------------------

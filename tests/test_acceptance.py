@@ -12,7 +12,7 @@ from collections import deque
 
 import pytest
 
-from reducto.core import SelfReduction, enumerate_moves
+from reducto.core import enumerate_moves
 from reducto.driver import (
     make_setup,
     random_formula,
@@ -35,7 +35,6 @@ from reducto.learner import (
     store_loss,
     train,
 )
-from reducto.portfolio import builtin_members, Portfolio
 from reducto.sat import (
     BLOCKED_CLAUSE,
     EXTENSION,
@@ -64,11 +63,8 @@ def report(criterion, passed, detail):
 
 
 def member_reductions():
-    out = []
-    for member in builtin_members().members:
-        single = Portfolio((member,))
-        out.append(SelfReduction(f"member:{member.id}", single.moves, single.lift))
-    return out
+    """The portfolio's member rules that no rule system uses."""
+    return [r for r in make_setup("portfolio").reductions if r is not PURE_LITERAL]
 
 
 def test_criterion_1_self_reduction_contract():

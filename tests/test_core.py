@@ -5,7 +5,6 @@ import pytest
 from reducto.core import (
     EasyOutcome,
     LiftIntegrityError,
-    MoveCapExceeded,
     Path,
     SelfReduction,
     Setup,
@@ -175,13 +174,6 @@ class TestEnumerateMoves:
         capped = enumerate_moves(FLIP_SETUP, phi, move_cap=1)
         full = enumerate_moves(FLIP_SETUP, phi)
         assert capped == full[:1]
-
-    def test_strict_cap_raises_with_partial(self):
-        phi = Formula([[-1, -2], [1]])
-        with pytest.raises(MoveCapExceeded) as err:
-            enumerate_moves(FLIP_SETUP, phi, move_cap=1, strict_cap=True)
-        assert err.value.reduction_id == "flip"
-        assert len(err.value.partial) == 1
 
     def test_self_moves_removed(self):
         phi = Formula([[1], [-1]])

@@ -16,7 +16,7 @@ from reducto.driver import (
     run_selfcheck,
     solve,
 )
-from reducto.learner import DeltaStore, init_params, params_text
+from reducto.learner import DeltaStore, init_params, params_digest, params_text
 from reducto.sat import Formula, TOP, easy_trivial, oracle_solve, satisfies
 from reducto.search import QualityData, SearchConfig, SearchResult, SearchStats, ams_search
 from reducto.core import EasyOutcome
@@ -34,17 +34,20 @@ class TestSetupRegistry:
         assert [r.id for r in make_setup("resolution").reductions] == [
             "resolution",
             "subsumption",
-            "pure-literal",
             "blocked-clause",
         ]
         assert [r.id for r in make_setup("resolution-ext").reductions] == [
             "resolution",
             "subsumption",
-            "pure-literal",
             "blocked-clause",
             "extension",
         ]
         assert [r.id for r in make_setup("flip").reductions] == ["flip"]
+        assert [r.id for r in make_setup("portfolio").reductions] == [
+            "unit-propagation",
+            "pure-literal",
+            "bounded-resolution",
+        ]
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -82,7 +85,7 @@ class TestSolve:
     def test_training_updates_params(self):
         phi = Formula([[1], [-1]])
         answer, theta2, report = solve(phi, "resolution", init_params(), CFG)
-        assert report.params_before != report.params_after
+        assert params_digest(theta2) != params_digest(init_params())
         assert params_text(theta2) != params_text(init_params())
 
     def test_no_train_keeps_params(self):
@@ -90,7 +93,7 @@ class TestSolve:
         theta = init_params()
         _, theta2, report = solve(phi, "resolution", theta, CFG, train_after=False)
         assert theta2 is theta
-        assert report.params_before == report.params_after
+        assert params_digest(theta2) == params_digest(theta)
 
     def test_history_store_grows(self):
         history = DeltaStore()

@@ -308,6 +308,18 @@ class TestQualityLog:
         assert skipped == 3
         assert len(store.values) == 1
 
+    def test_append_after_a_truncated_last_line_keeps_every_record(self, tmp_path):
+        path = str(tmp_path / "quality.jsonl")
+        phi, psi = Formula([[1]]), Formula([[1, -2], [2]])
+        with open(path, "w") as handle:
+            handle.write('{"kind": "value", "dig')  # a crash cut this record short
+        delta = quality_from({phi: (1.0, 1), psi: (0.5, 2)}, {})
+        assert append_quality_log(path, quality_records(delta)) == 2
+        store, skipped = load_quality_log(path)
+        assert skipped == 1
+        assert store.canonical_text() == merge_quality(DeltaStore(), delta).canonical_text()
+        assert load_quality_log(path, last_lines=2)[0].canonical_text() == store.canonical_text()
+
 
 def write_log(path, rng, n_deltas=12):
     """A log of several runs' records over shared formulas."""

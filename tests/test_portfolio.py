@@ -1,22 +1,21 @@
 import itertools
-import random
 import sys
 
 import pytest
 
-from reducto.core import Path, verify_path, lift_solution
+from reducto.core import Path, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
-from reducto.driver import random_formula
-from reducto.portfolio import (
-    BuiltinMember,
-    ExternalMember,
-    MemberFailure,
-    Portfolio,
-    builtin_members,
-    portfolio_setup,
+from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
+from reducto.sat import (
+    BOTTOM,
+    BOUNDED_RESOLUTION,
+    Formula,
+    PURE_LITERAL,
+    TOP,
+    UNIT_PROPAGATION,
+    satisfies,
     unit_propagate_fixpoint,
 )
-from reducto.sat import BOTTOM, Formula, TOP, satisfies
 
 
 def brute_force(phi):
@@ -28,10 +27,6 @@ def brute_force(phi):
     return None
 
 
-def member_by_id(portfolio, member_id):
-    return next(m for m in portfolio.members if m.id == member_id)
-
-
 class TestUnitPropagation:
     def test_fixpoint_and_forced_literals(self):
         fix, forced = unit_propagate_fixpoint(Formula([[1], [-1, 2]]))
@@ -40,12 +35,14 @@ class TestUnitPropagation:
 
     def test_lift_readds_propagated_literals(self):
         phi = Formula([[1], [-1, 2]])
-        member = member_by_id(builtin_members(), "unit-propagation")
-        fix, lift = member.transform(phi)
-        assert fix == TOP
-        lifted = lift(frozenset())
+        assert UNIT_PROPAGATION.moves(phi) == [TOP]
+        lifted = UNIT_PROPAGATION.lift(phi, TOP, frozenset())
         assert lifted == frozenset([1, 2])
         assert satisfies(lifted, phi)
+
+    def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
+        with pytest.raises(ValueError):
+            UNIT_PROPAGATION.lift(Formula([[1], [-1, 2]]), Formula([[2]]), frozenset([2]))
 
     def test_conflicting_units_leave_empty_clause(self):
         fix, _ = unit_propagate_fixpoint(Formula([[1], [-1]]))
@@ -55,101 +52,33 @@ class TestUnitPropagation:
         assert unit_propagate_fixpoint(phi) == (Formula([[], [2]]), (5,))
 
     def test_no_units_no_move(self):
-        phi = Formula([[1, 2], [-1, -2]])
-        member = member_by_id(builtin_members(), "unit-propagation")
-        assert member.transform(phi) is None
+        assert UNIT_PROPAGATION.moves(Formula([[1, 2], [-1, -2]])) == []
 
 
 class TestPureLiteralMember:
     def test_no_pure_literal_contributes_no_move(self):
-        member = member_by_id(builtin_members(), "pure-literal")
-        assert member.transform(Formula([[1], [-1]])) is None
+        member = portfolio_setup().reduction("pure-literal")
+        assert member.moves(Formula([[1], [-1]])) == []
 
     def test_simplifies_and_lifts(self):
         phi = Formula([[1, 2], [-2]])
-        member = member_by_id(builtin_members(), "pure-literal")
-        fix, lift = member.transform(phi)
-        assert fix == TOP
-        assert satisfies(lift(frozenset()), phi)
+        member = portfolio_setup().reduction("pure-literal")
+        assert member.moves(phi) == [TOP]
+        assert satisfies(member.lift(phi, TOP, frozenset()), phi)
 
 
 class TestBoundedResolution:
     def test_single_iteration_derives_empty_clause(self):
         phi = Formula([[1], [-1]])
-        member = member_by_id(builtin_members(resolution_iterations=1), "bounded-resolution")
-        transformed, lift = member.transform(phi)
+        (transformed,) = BOUNDED_RESOLUTION.moves(phi)
         assert transformed.has_empty_clause
-        assert lift(frozenset([5])) == frozenset([5])
+        assert BOUNDED_RESOLUTION.lift(phi, transformed, frozenset([5])) == frozenset([5])
 
     def test_subsumption_prunes_added_resolvents(self):
-        phi = Formula([[1], [-1]])
-        member = member_by_id(builtin_members(), "bounded-resolution")
-        transformed, _ = member.transform(phi)
-        assert transformed == BOTTOM
+        assert BOUNDED_RESOLUTION.moves(Formula([[1], [-1]])) == [BOTTOM]
 
     def test_no_change_no_move(self):
-        member = member_by_id(builtin_members(), "bounded-resolution")
-        assert member.transform(Formula([[1, 2]])) is None
-
-
-class TestPortfolioMoves:
-    def test_members_deduplicate(self):
-        # Both unit propagation and pure-literal elimination fully simplify.
-        full = builtin_members()
-        p = Portfolio(
-            (member_by_id(full, "pure-literal"), member_by_id(full, "unit-propagation"))
-        )
-        assert p.moves(Formula([[1], [1, 2]])) == [TOP]
-
-    def test_unit_propagation_reaches_empty_clause(self):
-        p = builtin_members()
-        moves = p.moves(Formula([[1], [-1]]))
-        assert moves and all(m.has_empty_clause for m in moves)
-
-    def test_empty_when_no_member_changes_the_instance(self):
-        p = builtin_members()
-        assert p.moves(Formula([[1, 2], [-1, -2]])) == []
-
-    def test_requires_members(self):
-        with pytest.raises(ValueError):
-            Portfolio(())
-
-    def test_duplicate_ids_rejected(self):
-        m = BuiltinMember("dup", lambda phi: None)
-        with pytest.raises(ValueError):
-            Portfolio((m, BuiltinMember("dup", lambda phi: None)))
-
-    def test_lift_dispatches_to_the_producing_member(self):
-        p = builtin_members()
-        phi = Formula([[1], [-1, 2], [3, 4]])
-        setup = portfolio_setup(p)
-        moves = p.moves(phi)
-        assert moves
-        target = moves[0]
-        path = Path(phi, (("portfolio", target),))
-        assert verify_path(setup, path)
-        witness = brute_force(target)
-        assert witness is not None
-        lifted = lift_solution(setup, path, witness)
-        assert satisfies(lifted, phi)
-
-
-class TestPortfolioContract:
-    def test_members_preserve_satisfiability_and_lift_correctly(self):
-        rng = random.Random(59)
-        p = builtin_members()
-        for _ in range(60):
-            phi = random_formula(rng, 4, 6)
-            sat = brute_force(phi) is not None
-            for member in p.members:
-                result = member.transform(phi)
-                if result is None:
-                    continue
-                transformed, lift = result
-                assert (brute_force(transformed) is not None) == sat, (member.id, phi)
-                witness = brute_force(transformed)
-                if witness is not None:
-                    assert satisfies(lift(witness), phi), (member.id, phi)
+        assert BOUNDED_RESOLUTION.moves(Formula([[1, 2]])) == []
 
 
 FAKE_SAT = (
@@ -207,16 +136,13 @@ class TestExternalMembers:
 
     def test_failing_member_never_aborts_portfolio_moves(self):
         phi = Formula([[1], [-1, 2]])
-        p = Portfolio(
-            (
-                external(FAKE_CRASH, member_id="crasher"),
-                external(FAKE_GARBAGE, member_id="mumbler"),
-                member_by_id(builtin_members(), "unit-propagation"),
-            )
-        )
-        moves = p.moves(phi)
-        assert moves == [TOP]
-        assert {mid for mid, _ in p.failures} == {"crasher", "mumbler"}
+        crasher = external(FAKE_CRASH, member_id="crasher")
+        mumbler = external(FAKE_GARBAGE, member_id="mumbler")
+        moves = enumerate_moves(portfolio_setup((crasher, mumbler)), phi)
+        assert ("unit-propagation", TOP) in moves
+        assert {rid for rid, _ in moves} <= {"unit-propagation", "pure-literal", "bounded-resolution"}
+        assert len(crasher.failures) == 1 and crasher.failures[0].startswith("crasher:")
+        assert len(mumbler.failures) == 1 and mumbler.failures[0].startswith("mumbler:")
 
     def test_external_member_round_trip_through_dimacs(self):
         phi = Formula([[1, -2], [2]])
@@ -224,15 +150,60 @@ class TestExternalMembers:
             "import sys; text = sys.stdin.read(); sys.stdout.write(text)"
         )
         # Echoing the instance back is a self-move: no move results.
-        p = Portfolio((external(echo, member_id="echo"),))
-        assert p.moves(phi) == []
+        assert external(echo, member_id="echo").moves(phi) == []
         assert emit_dimacs(phi) == emit_dimacs(Formula(phi.clauses))
+
+    def test_lift_reruns_the_member_and_checks_its_output(self):
+        phi = Formula([[1]])
+        member = external(FAKE_SAT)
+        assert member.moves(phi) == [TOP]
+        assert member.lift(phi, TOP, frozenset()) == frozenset([1])
+        with pytest.raises(ValueError):
+            member.lift(phi, BOTTOM, frozenset())
+
+    def test_path_step_names_the_external_member(self):
+        phi = Formula([[1, 2], [1, -2], [1, 3]])
+        setup = portfolio_setup((external(FAKE_SAT, member_id="oracle"),))
+        path = Path(phi, (("oracle", TOP),))
+        assert verify_path(setup, path)
+        lifted = lift_solution(setup, path, frozenset())
+        assert satisfies(lifted, phi)
+
+
+class TestPortfolioMoves:
+    def test_unit_propagation_reaches_empty_clause(self):
+        moves = enumerate_moves(portfolio_setup(), Formula([[1], [-1]]))
+        assert moves and all(m.has_empty_clause for _, m in moves)
+
+    def test_empty_when_no_member_changes_the_instance(self):
+        assert enumerate_moves(portfolio_setup(), Formula([[1, 2], [-1, -2]])) == []
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError):
+            portfolio_setup((external(FAKE_SAT, member_id="pure-literal"),))
+
+    def test_lift_dispatches_to_the_producing_member(self):
+        phi = Formula([[1], [-1, 2], [3, 4]])
+        setup = portfolio_setup()
+        moves = enumerate_moves(setup, phi)
+        assert [rid for rid, _ in moves] == ["unit-propagation", "pure-literal", "bounded-resolution"]
+        for rid, target in moves:
+            path = Path(phi, ((rid, target),))
+            assert verify_path(setup, path)
+            witness = brute_force(target)
+            assert witness is not None
+            assert satisfies(lift_solution(setup, path, witness), phi), rid
 
 
 class TestPortfolioSetup:
     def test_setup_shape(self):
         setup = portfolio_setup()
-        assert [r.id for r in setup.reductions] == ["portfolio"]
+        assert [r.id for r in setup.reductions] == [
+            "unit-propagation", "pure-literal", "bounded-resolution"
+        ]
+        assert setup.reduction("pure-literal") is PURE_LITERAL
+        setup = portfolio_setup((external(FAKE_SAT, member_id="a"), external(FAKE_UNSAT, member_id="b")))
+        assert [r.id for r in setup.reductions][3:] == ["a", "b"]
 
     def test_solves_through_driver(self):
         from reducto.driver import solve

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from reducto.sat import (
     BLOCKED_CLAUSE,
     BOTTOM,
+    BOUNDED_RESOLUTION,
     EXTENSION,
     FLIP,
     Formula,
@@ -16,6 +17,7 @@ from reducto.sat import (
     RESOLUTION,
     SUBSUMPTION,
     TOP,
+    UNIT_PROPAGATION,
     add_clauses,
     assignment,
     blocked_clause_fixpoint,
@@ -33,7 +35,6 @@ from reducto.sat import (
     pure_literal_fixpoint,
     pure_literal_move,
     resolution_moves,
-    resolvent,
     satisfies,
     subsumption_move,
 )
@@ -126,20 +127,14 @@ class TestSatisfies:
 
 class TestResolvent:
     def test_plain_resolvent(self):
-        assert resolvent((1, 2), (-1, 3), 1) == (2, 3)
+        assert new_resolvents(Formula([[1, 2], [-1, 3]])) == [(2, 3)]
 
     def test_empty_resolvent(self):
-        assert resolvent((1,), (-1,), 1) == ()
+        assert new_resolvents(Formula([[1], [-1]])) == [()]
 
     def test_tautological_resolvent_is_none(self):
-        # Result would hold both 2 and -2.
-        assert resolvent((1, 2), (-1, -2), 1) is None
-
-    def test_pivot_precondition(self):
-        with pytest.raises(ValueError):
-            resolvent((1, 2), (-1, 3), 2)
-        with pytest.raises(ValueError):
-            resolvent((1, 2), (3,), 1)
+        # The only resolvent would hold both 2 and -2.
+        assert new_resolvents(Formula([[1, 2], [-1, -2]])) == []
 
 
 class TestResolutionMoves:
@@ -233,6 +228,14 @@ class TestBlockedClause:
             assert pure_literal_move(fix) == []
             for c, l in eliminated:
                 assert l in c
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(5, 8))
+def test_blocked_clause_fixpoint_keeps_no_clause_the_pure_literal_fixpoint_drops(phi):
+    # Every clause with a pure literal is blocked by it, so blocked-clause
+    # elimination subsumes pure-literal elimination.
+    assert set(blocked_clause_fixpoint(phi)[0]) <= set(pure_literal_fixpoint(phi)[0])
 
 
 class TestExtension:
@@ -345,7 +348,10 @@ class TestOracle:
         assert oracle_solve(big, var_limit=25).satisfiable
 
 
-ALL_RULES = (RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE, EXTENSION, FLIP)
+ALL_RULES = (
+    RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE, EXTENSION, FLIP,
+    UNIT_PROPAGATION, BOUNDED_RESOLUTION,
+)
 
 
 class TestRuleContracts:

@@ -154,7 +154,7 @@ class TestSearchInvariants:
         moves = {0: [1], 1: [0]}
         setup = toy_setup(moves, easy_set=set())
         result = ams_search(0, setup, StubEvaluator(), SearchConfig(horizon=6, budget=8))
-        insts = list(result.path.instances())
+        insts = [result.path.start] + [inst for _, inst in result.path.steps]
         assert len(insts) == len(set(insts))
 
     def test_transpositions_share_statistics(self):
