@@ -1,10 +1,12 @@
 import itertools
+import random
 import sys
 
 import pytest
 
 from reducto.core import Path, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
+from reducto.driver import random_formula
 from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
 from reducto.sat import (
     BOTTOM,
@@ -193,6 +195,21 @@ class TestPortfolioMoves:
             witness = brute_force(target)
             assert witness is not None
             assert satisfies(lift_solution(setup, path, witness), phi), rid
+
+
+class TestPortfolioContract:
+    def test_members_preserve_satisfiability_and_lift_correctly(self):
+        rng = random.Random(59)
+        setup = portfolio_setup()
+        for _ in range(60):
+            phi = random_formula(rng, 4, 6)
+            sat = brute_force(phi) is not None
+            for member in setup.reductions:
+                for transformed in member.moves(phi):
+                    witness = brute_force(transformed)
+                    assert (witness is not None) == sat, (member.id, phi)
+                    if witness is not None:
+                        assert satisfies(member.lift(phi, transformed, witness), phi), (member.id, phi)
 
 
 class TestPortfolioSetup:
