@@ -23,7 +23,6 @@ from .learner import (
     featurize,
     init_params,
     load_params,
-    merge_quality,
     save_params,
     train,
 )

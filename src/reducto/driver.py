@@ -254,38 +254,26 @@ def run_selfcheck(
     setup_name: str,
     cfg: SearchConfig | None = None,
     ratio: float = 3.0,
-    theta: ParamStore | None = None,
-    train_between: bool = False,
-    verify_quality: bool = True,
 ) -> SelfcheckReport:
     """Solve seeded random instances and cross-check every answer with the oracle.
 
     Any disagreement is a contradiction and carries the offending instance as
-    DIMACS text.  Training between runs is off by default so long selfchecks
-    stay linear in the instance count.
+    DIMACS text; every run's quality data is checked against the move rules.
+    Runs use fresh parameters and do not train, so long selfchecks stay
+    linear in the instance count.
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
     cfg = cfg if cfg is not None else SearchConfig(horizon=8, budget=12)
-    theta = theta if theta is not None else ParamStore()
-    history = DeltaStore()
+    theta = ParamStore()
     setup = make_setup(setup_name)
     report = SelfcheckReport(instances=n_instances)
     for _ in range(n_instances):
         n = rng.randint(min(3, max_vars), max_vars)
         m = max(1, round(ratio * n))
         phi = random_ksat(rng, n, m)
-        answer, theta, run = solve(
-            phi,
-            setup_name,
-            theta,
-            cfg,
-            history=history,
-            train_after=train_between,
-            epochs=2 if train_between else None,
-        )
-        if verify_quality:
-            report.quality_violations.extend(check_quality_data(run.quality, setup))
+        answer, _, run = solve(phi, setup_name, theta, cfg, train_after=False)
+        report.quality_violations.extend(check_quality_data(run.quality, setup))
         verdict = oracle_solve(phi)
         if answer.kind == "solution":
             report.solutions += 1

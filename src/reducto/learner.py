@@ -340,23 +340,14 @@ def _merge_record(store: DeltaStore, rec: ValueRecord | DistRecord) -> None:
 
 
 def quality_records(
-    delta: QualityData, features: Callable[[Formula], tuple[float, ...]] | None = None
+    delta: QualityData, features: Callable[[Formula], tuple[float, ...]]
 ) -> list[ValueRecord | DistRecord]:
     """One search's quality data as records: value records, then distributions.
 
     ``features`` maps a formula to its feature vector; pass the search
     evaluator's ``LinearEvaluator.features`` to reuse the vectors it already
-    computed.  By default each distinct formula is featurized once per call.
+    computed.
     """
-    if features is None:
-        cache: dict[Formula, tuple[float, ...]] = {}
-
-        def features(phi: Formula) -> tuple[float, ...]:
-            f = cache.get(phi)
-            if f is None:
-                f = cache[phi] = featurize(phi)
-            return f
-
     records: list[ValueRecord | DistRecord] = [
         ValueRecord(inst.digest, len(inst.variables), features(inst), value, visits)
         for inst, (value, visits) in delta.values.items()
@@ -367,17 +358,6 @@ def quality_records(
     return records
 
 
-def merge_quality(store: DeltaStore, delta: QualityData) -> DeltaStore:
-    """Merge one search's quality data into ``store`` (mutates and returns it).
-
-    Matching value records combine as visit-weighted means; matching
-    distributions sum their visit counts.  Merging an empty delta is a no-op.
-    """
-    for rec in quality_records(delta):
-        _merge_record(store, rec)
-    return store
-
-
 def _newest(records: dict, n: int) -> dict:
     """The last ``n`` entries of ``records`` in insertion order, read from the end."""
     return dict(reversed(list(islice(reversed(records.items()), n))))
@@ -386,11 +366,12 @@ def _newest(records: dict, n: int) -> dict:
 def merge_window(history: DeltaStore, records: Sequence[ValueRecord | DistRecord]) -> DeltaStore:
     """Merge one run's records into ``history`` and return the store to train on.
 
-    ``history`` is updated in place as by ``merge_quality``.  The returned
-    store holds the ``REPLAY_WINDOW // 2`` newest value records and as many
-    newest distribution records of ``history`` before the merge, plus the
-    merged record of every key the run touched.  Its size is bounded by the
-    window plus the run's own records however long the history is.
+    ``history`` is updated in place: matching value records combine as
+    visit-weighted means and matching distributions sum their visit counts.
+    The returned store holds the ``REPLAY_WINDOW // 2`` newest value records
+    and as many newest distribution records of ``history`` before the merge,
+    plus the merged record of every key the run touched.  Its size is bounded
+    by the window plus the run's own records however long the history is.
     """
     half = REPLAY_WINDOW // 2
     window = DeltaStore(_newest(history.values, half), _newest(history.dists, half))
@@ -454,17 +435,13 @@ def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -
     return len(records)
 
 
-def _finite(values: Iterable[float]) -> bool:
-    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
-
-
 def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
     kind = doc["kind"]
     if kind == "value":
         features = tuple(float(f) for f in doc["features"])
         value = float(doc["value"])
         visits = int(doc["visits"])
-        if not _finite(features) or not math.isfinite(value) or visits < 1:
+        if not all(map(math.isfinite, features)) or not math.isfinite(value) or visits < 1:
             raise ValueError("non-finite or invalid value record")
         return ValueRecord(doc["digest"], int(doc["n_vars"]), features, value, visits)
     if kind == "dist":
@@ -472,7 +449,7 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
         for m in doc["moves"]:
             features = tuple(float(f) for f in m["features"])
             count = int(m["count"])
-            if not _finite(features) or count < 0:
+            if not all(map(math.isfinite, features)) or count < 0:
                 raise ValueError("non-finite or invalid move stat")
             moves[m["digest"]] = MoveStat(m["digest"], features, count)
         return DistRecord(doc["digest"], doc["reduction"], int(doc["n_vars"]), moves)

@@ -7,7 +7,10 @@ priors as pseudo-counts, with the first visit of every move forced.  Rewards
 live in [0, 1]: easy instances are worth 1, dead ends 0, and instances cut
 off at the horizon are worth the evaluator's value estimate.
 
-Alongside the best path found, a search emits quality data: the visit-count
+As in a one-player game, the search ends when it is won: sampling stops at
+the first pass whose descent reaches an easy instance, and that descent is the
+returned path.  When no pass within the root's budget reaches one, the path is
+empty.  Alongside the path, a search emits quality data: the visit-count
 distribution over each explored (instance, reduction) pair and a value
 estimate for every explored instance.  These feed the trainer.
 """
@@ -92,7 +95,7 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
-    """Best path found, the easy outcome at its end, quality data, and stats."""
+    """Path found, the easy outcome at its end, quality data, and stats."""
 
     path: Path
     terminal: EasyOutcome
@@ -142,12 +145,14 @@ class _Node:
 
 
 def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) -> SearchResult:
-    """Search for a maximum-reward path from ``x`` toward an easy instance.
+    """Search for a path from ``x`` to an easy instance.
 
-    Runs ``cfg.budget`` sampling passes from the root, sharing statistics
-    between canonically identical instances, then extracts the path that
-    greedily follows maximum accumulated reward.  Deterministic for fixed
-    inputs in this single-threaded implementation.
+    Runs up to ``cfg.budget`` sampling passes from the root, sharing
+    statistics between canonically identical instances, and stops after the
+    first pass whose descent reaches an easy instance; that descent, already
+    backed up, is the path.  If no pass reaches one, the path is empty and
+    the root has spent its whole budget.  Deterministic for fixed inputs in
+    this single-threaded implementation.
     """
     t0 = time.perf_counter()
     tt: dict[Any, _Node] = {}
@@ -231,9 +236,10 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
                 best_i = i
         return best_i
 
-    def sample(f: Any) -> float:
+    def sample(f: Any) -> list[tuple[_Node, int]]:
         # One pass descends from ``f`` choosing a move per node, then backs the
-        # leaf's reward up the descent, deepest node first.  A loop rather than
+        # leaf's reward up the descent, deepest node first.  Returns the
+        # descent if its leaf is easy, else an empty list.  A loop rather than
         # recursion: a nested function that calls itself is a reference cycle,
         # which would leave every node table to the cyclic garbage collector.
         descent: list[tuple[_Node, int]] = []
@@ -261,42 +267,22 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             node.totals[i] += cfg.discount * v
             node.samples += 1
             v = node_value(node)
-        return v
+        return descent if easy_of(f).is_easy else []
 
+    # The game is won at the first easy leaf: stop sampling and return that
+    # descent.  It never revisits an instance, because no statistics change
+    # within a descent, so one that came back would loop to the horizon.
+    winning: list[tuple[_Node, int]] = []
     root = ensure_node(x)
     if not root.easy.is_easy:
         expand(root)
         if root.children:
             for _ in range(cfg.budget):
-                sample(x)
+                winning = sample(x)
+                if winning:
+                    break
 
-    # Greedy extraction: follow maximum accumulated reward, never revisit an
-    # instance, stop at an easy instance, a dead end, or the horizon.
-    steps: list[tuple[str, Any]] = []
-    seen = {x}
-    cur = x
-    while len(steps) < cfg.horizon:
-        if easy_of(cur).is_easy:
-            break
-        node = tt.get(cur)
-        if node is None or not node.children or node.samples == 0:
-            break
-        best_key = None
-        best_step = None
-        for i, (rid, m) in enumerate(node.children):
-            if node.counts[i] == 0 or m in seen:
-                continue
-            key = (node.totals[i] / node.counts[i], node.counts[i])
-            if best_key is None or key > best_key:
-                best_key = key
-                best_step = (rid, m)
-        if best_step is None:
-            break
-        steps.append(best_step)
-        seen.add(best_step[1])
-        cur = best_step[1]
-
-    path = Path(x, tuple(steps))
+    path = Path(x, tuple(node.children[i] for node, i in winning))
     quality = QualityData()
     for f, node in tt.items():
         quality.values[f] = (node_value(node), node.samples if node.samples else 1)

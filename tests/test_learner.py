@@ -27,7 +27,6 @@ from reducto.learner import (
     load_params,
     load_quality_log,
     loss_gradients,
-    merge_quality,
     merge_window,
     params_text,
     parse_params,
@@ -212,6 +211,12 @@ def quality_from(values, dists):
     return q
 
 
+def merge(store, delta):
+    """Merge one search's quality data into ``store`` in place, as ``solve`` does."""
+    merge_window(store, quality_records(delta, featurize))
+    return store
+
+
 class TestMerge:
     def setup_method(self):
         self.phi = Formula([[1, -2], [2]])
@@ -222,21 +227,21 @@ class TestMerge:
         )
 
     def test_merge_into_empty_equals_delta(self):
-        store = merge_quality(DeltaStore(), self.delta)
+        store = merge(DeltaStore(), self.delta)
         rec = store.values[self.phi.digest]
         assert rec.value == 0.8 and rec.visits == 4
         assert store.dists[(self.phi.digest, "flip")].moves[self.move.digest].count == 4
 
     def test_merging_twice_doubles_counts_keeps_means(self):
-        store = merge_quality(DeltaStore(), self.delta)
-        merge_quality(store, self.delta)
+        store = merge(DeltaStore(), self.delta)
+        merge(store, self.delta)
         rec = store.values[self.phi.digest]
         assert rec.value == 0.8 and rec.visits == 8
         assert store.dists[(self.phi.digest, "flip")].moves[self.move.digest].count == 8
 
     def test_visit_weighted_mean(self):
-        store = merge_quality(DeltaStore(), quality_from({self.phi: (1.0, 1)}, {}))
-        merge_quality(store, quality_from({self.phi: (0.0, 3)}, {}))
+        store = merge(DeltaStore(), quality_from({self.phi: (1.0, 1)}, {}))
+        merge(store, quality_from({self.phi: (0.0, 3)}, {}))
         rec = store.values[self.phi.digest]
         assert rec.visits == 4
         assert abs(rec.value - 0.25) < 1e-12
@@ -246,14 +251,14 @@ class TestMerge:
             {self.phi: (0.2, 2), TOP: (1.0, 1)},
             {(self.phi, "flip"): {self.move: 1, Formula([[2]]): 3}},
         )
-        a = merge_quality(merge_quality(DeltaStore(), self.delta), other)
-        b = merge_quality(merge_quality(DeltaStore(), other), self.delta)
+        a = merge(merge(DeltaStore(), self.delta), other)
+        b = merge(merge(DeltaStore(), other), self.delta)
         assert a.canonical_text() == b.canonical_text()
 
     def test_merge_empty_delta_is_identity(self):
-        store = merge_quality(DeltaStore(), self.delta)
+        store = merge(DeltaStore(), self.delta)
         before = store.canonical_text()
-        merge_quality(store, QualityData())
+        merge(store, QualityData())
         assert store.canonical_text() == before
 
 
@@ -265,48 +270,66 @@ class TestQualityLog:
             {phi: (0.75, 2), TOP: (1.0, 1)},
             {(phi, "flip"): {Formula([[1]]): 2}},
         )
-        written = append_quality_log(path, quality_records(delta))
+        written = append_quality_log(path, quality_records(delta, featurize))
         assert written == 3
         store, skipped = load_quality_log(path)
         assert skipped == 0
-        expected = merge_quality(DeltaStore(), delta)
+        expected = merge(DeltaStore(), delta)
         assert store.canonical_text() == expected.canonical_text()
 
     def test_repeated_records_merge_on_load(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
         phi, move = Formula([[1, -2], [2]]), Formula([[1]])
         delta = quality_from({phi: (0.8, 4)}, {(phi, "flip"): {move: 4}})
-        append_quality_log(path, quality_records(delta))
-        append_quality_log(path, quality_records(delta))
+        append_quality_log(path, quality_records(delta, featurize))
+        append_quality_log(path, quality_records(delta, featurize))
         store, _ = load_quality_log(path)
         assert store.values[phi.digest].visits == 8
         assert store.dists[(phi.digest, "flip")].moves[move.digest].count == 8
-        expected = merge_quality(merge_quality(DeltaStore(), delta), delta)
+        expected = merge(merge(DeltaStore(), delta), delta)
         assert store.canonical_text() == expected.canonical_text()
 
     def test_corrupt_records_skipped_and_counted(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
         phi = Formula([[1]])
-        append_quality_log(path, quality_records(quality_from({phi: (1.0, 1)}, {})))
+        append_quality_log(path, quality_records(quality_from({phi: (1.0, 1)}, {}), featurize))
+        dim = len(FEATURE_NAMES)
         with open(path, "a") as handle:
             handle.write("not json\n")
-            handle.write(json.dumps({"kind": "value", "digest": "x"}) + "\n")
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "value",
-                        "digest": "y",
-                        "n_vars": 1,
-                        "features": [float("nan")] * len(FEATURE_NAMES),
-                        "value": 0.5,
-                        "visits": 1,
-                    }
-                )
-                + "\n"
-            )
+            for doc in (
+                {"kind": "value", "digest": "x"},
+                {
+                    "kind": "value",
+                    "digest": "y",
+                    "n_vars": 1,
+                    "features": [float("nan")] * dim,
+                    "value": 0.5,
+                    "visits": 1,
+                },
+                {
+                    "kind": "value",
+                    "digest": "z",
+                    "n_vars": 1,
+                    "features": [0.5] * dim,
+                    "value": float("-inf"),
+                    "visits": 1,
+                },
+                {
+                    "kind": "dist",
+                    "digest": "w",
+                    "reduction": "flip",
+                    "n_vars": 1,
+                    "moves": [
+                        {"digest": "m", "features": [0.5] * (dim - 1) + [float("inf")], "count": 1}
+                    ],
+                },
+            ):
+                # json writes the non-finite floats as NaN, -Infinity and Infinity.
+                handle.write(json.dumps(doc) + "\n")
         store, skipped = load_quality_log(path)
-        assert skipped == 3
+        assert skipped == 5
         assert len(store.values) == 1
+        assert not store.dists
 
     def test_append_after_a_truncated_last_line_keeps_every_record(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
@@ -314,10 +337,10 @@ class TestQualityLog:
         with open(path, "w") as handle:
             handle.write('{"kind": "value", "dig')  # a crash cut this record short
         delta = quality_from({phi: (1.0, 1), psi: (0.5, 2)}, {})
-        assert append_quality_log(path, quality_records(delta)) == 2
+        assert append_quality_log(path, quality_records(delta, featurize)) == 2
         store, skipped = load_quality_log(path)
         assert skipped == 1
-        assert store.canonical_text() == merge_quality(DeltaStore(), delta).canonical_text()
+        assert store.canonical_text() == merge(DeltaStore(), delta).canonical_text()
         assert load_quality_log(path, last_lines=2)[0].canonical_text() == store.canonical_text()
 
 
@@ -325,7 +348,7 @@ def write_log(path, rng, n_deltas=12):
     """A log of several runs' records over shared formulas."""
     pool = [random_formula(rng, 5, 6) for _ in range(10)]
     for _ in range(n_deltas):
-        append_quality_log(path, quality_records(random_delta(rng, pool)))
+        append_quality_log(path, quality_records(random_delta(rng, pool), featurize))
     with open(path) as handle:
         return handle.read()
 
@@ -424,7 +447,7 @@ class TestReplayWindow:
             old, delta = random_delta(rng, pool), random_delta(rng, pool)
 
             def make_history():
-                store = merge_quality(DeltaStore(), old)
+                store = merge(DeltaStore(), old)
                 synthetic = history_store(size, size)
                 store.values.update(synthetic.values)
                 store.dists.update(synthetic.dists)
@@ -433,9 +456,9 @@ class TestReplayWindow:
             history = make_history()
             newest_values = list(history.values)[-half:]
             newest_dists = list(history.dists)[-half:]
-            records = quality_records(delta)
+            records = quality_records(delta, featurize)
             window = merge_window(history, records)
-            assert history.canonical_text() == merge_quality(make_history(), delta).canonical_text()
+            assert history.canonical_text() == ref_merge_quality(make_history(), delta).canonical_text()
             run_values = {r.digest for r in records if isinstance(r, ValueRecord)}
             run_dists = {(r.digest, r.reduction) for r in records if isinstance(r, DistRecord)}
             assert set(window.values) == set(newest_values) | run_values
@@ -562,7 +585,7 @@ class TestTrain:
 
     def test_easy_value_targets_drive_value_up_monotonically(self):
         phi = Formula([[1, -2], [2]])
-        store = merge_quality(DeltaStore(), quality_from({phi: (1.0, 3)}, {}))
+        store = merge(DeltaStore(), quality_from({phi: (1.0, 3)}, {}))
         theta = init_params()
         last = 0.5
         for _ in range(10):
@@ -578,7 +601,7 @@ class TestTrain:
         a, b = Formula([[1]]), Formula([[-1], [-2], [-1, -2]])
         assert featurize(a) != featurize(b)
         delta = quality_from({}, {(phi, "flip"): {a: 9, b: 1}})
-        store = merge_quality(DeltaStore(), delta)
+        store = merge(DeltaStore(), delta)
         theta = train(init_params(), store, epochs=50, learning_rate=0.2)
         priors = LinearEvaluator(theta).priors(phi, "flip", [a, b])
         assert priors[0] > 0.6
@@ -707,9 +730,9 @@ class TestReferenceEquivalence:
             path = str(tmp_path / f"{i}.jsonl")
             ref_lines = []
             for delta in deltas:
-                merge_quality(store, delta)
+                records = quality_records(delta, featurize)
+                merge_window(store, records)
                 ref_merge_quality(ref_store, delta)
-                records = quality_records(delta)
                 # A search's evaluator has featurized some of the formulas
                 # already; its vectors give the same records and log bytes.
                 evaluator = LinearEvaluator(init_params())

@@ -6,13 +6,15 @@ from collections import deque
 import pytest
 
 from reducto.core import NOT_EASY, EasyOutcome, SelfReduction, Setup, enumerate_moves, verify_path
-from reducto.driver import check_quality_data, make_setup, random_formula, random_ksat
+from reducto.driver import SETUP_NAMES, check_quality_data, make_setup, random_formula, random_ksat
 from reducto.learner import LinearEvaluator, ParamStore
 from reducto.sat import Formula, TOP, easy_trivial
 from reducto.search import SearchConfig, ams_search
 
 FLIP_SETUP = make_setup("flip")
 RES_SETUP = make_setup("resolution")
+# A move graph 0 -> {1, 2} -> 3 -> 4 with one transposition, at node 3.
+DIAMOND = {0: [1, 2], 1: [3], 2: [3], 3: [4]}
 
 
 class StubEvaluator:
@@ -144,25 +146,55 @@ class TestSearchInvariants:
                 assert visits >= 1
 
     def test_root_consumes_its_budget(self):
+        # The root spends its whole budget unless a sample reaches an easy
+        # instance.  Nothing in the diamond is easy.
+        setup = toy_setup(DIAMOND, easy_set=set())
+        result = ams_search(0, setup, StubEvaluator(), SearchConfig(horizon=6, budget=9))
+        assert result.quality.values[0][1] == 9
+        assert len(result.path) == 0
+        # Here the first sample reaches an easy instance, and the search stops.
         phi = Formula([[1, 2], [-1, 2], [-2, 1]])
-        cfg = SearchConfig(horizon=4, budget=9)
-        result = ams_search(phi, RES_SETUP, fresh_evaluator(), cfg)
-        _, visits = result.quality.values[phi]
-        assert visits == 9
-
-    def test_returned_path_never_revisits(self):
-        moves = {0: [1], 1: [0]}
-        setup = toy_setup(moves, easy_set=set())
-        result = ams_search(0, setup, StubEvaluator(), SearchConfig(horizon=6, budget=8))
-        insts = [result.path.start] + [inst for _, inst in result.path.steps]
-        assert len(insts) == len(set(insts))
+        result = ams_search(phi, RES_SETUP, fresh_evaluator(), SearchConfig(horizon=4, budget=9))
+        assert result.terminal.is_easy
+        assert result.quality.values[phi][1] == 1
 
     def test_transpositions_share_statistics(self):
-        # Two flip orders reach the same easy grandchild; it is explored once.
-        phi = Formula([[-1], [-2]])
-        result = ams_search(phi, FLIP_SETUP, fresh_evaluator(), SearchConfig(horizon=4, budget=12))
-        assert len(result.quality.values) == 4
-        assert result.terminal.kind == "solution"
+        # Both branches of the diamond lead to node 3, which is explored once
+        # and counts the samples of both.
+        setup = toy_setup(DIAMOND, easy_set=set())
+        result = ams_search(0, setup, StubEvaluator(), SearchConfig(horizon=6, budget=8))
+        quality = result.quality
+        assert sorted(quality.values) == [0, 1, 2, 3, 4]
+        via_1, via_2 = quality.distributions[(1, "r")][3], quality.distributions[(2, "r")][3]
+        assert via_1 > 0 and via_2 > 0
+        assert quality.values[3][1] == via_1 + via_2 == 8
+
+
+class TestFirstEasyInstance:
+    # Instances of the criterion-5 selfcheck stream.  Its instance 117 under
+    # ``flip`` is one where a sample reached an easy instance and a search
+    # that went on to spend its whole budget returned a path missing it.
+    COUNTS = {"resolution": 15, "resolution-ext": 15, "flip": 120, "portfolio": 120}
+
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    def test_a_sampled_easy_instance_ends_the_path(self, setup_name):
+        setup = make_setup(setup_name)
+        rng = random.Random(424242)
+        cfg = SearchConfig(horizon=8, budget=12)
+        won = 0
+        for _ in range(self.COUNTS[setup_name]):
+            n = rng.randint(3, 8)
+            phi = random_ksat(rng, n, 3 * n)
+            result = ams_search(phi, setup, fresh_evaluator(), cfg)
+            if not any(setup.easy(inst).is_easy for inst in result.quality.values):
+                assert len(result.path) == 0
+                continue
+            won += 1
+            assert result.terminal.is_easy, phi
+            assert verify_path(setup, result.path)
+            insts = [result.path.start] + [inst for _, inst in result.path.steps]
+            assert len(insts) == len(set(insts))
+        assert won > 0
 
 
 class TestGuidance:
