@@ -18,9 +18,9 @@ import sys
 from .dimacs import DimacsError, parse_dimacs
 from .driver import (
     BENCH_HEADER,
+    CHECK_CONFIG,
     SETUP_NAMES,
     bench_row_text,
-    make_setup,
     run_bench,
     run_selfcheck,
     solve,
@@ -95,12 +95,12 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _add_search_flags(p: argparse.ArgumentParser, budget: int, horizon: int) -> None:
-    p.add_argument("--budget", type=int, default=budget, help="sampling budget per node")
-    p.add_argument("--horizon", type=int, default=horizon, help="maximum path length")
-    p.add_argument("--exploration", type=float, default=1.4)
-    p.add_argument("--discount", type=float, default=0.95)
-    p.add_argument("--move-cap", type=int, default=256)
+def _add_search_flags(p: argparse.ArgumentParser, defaults: SearchConfig) -> None:
+    p.add_argument("--budget", type=int, default=defaults.budget, help="sampling budget per node")
+    p.add_argument("--horizon", type=int, default=defaults.horizon, help="maximum path length")
+    p.add_argument("--exploration", type=float, default=defaults.exploration)
+    p.add_argument("--discount", type=float, default=defaults.discount)
+    p.add_argument("--move-cap", type=int, default=defaults.move_cap)
 
 
 def _cmd_solve(args) -> int:
@@ -241,12 +241,6 @@ def _cmd_bench(args) -> int:
     if not names:
         print("error: no setups given", file=sys.stderr)
         return EXIT_ERROR
-    for name in names:
-        try:
-            make_setup(name)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
     theta = None
     if args.params:
         try:
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-train", action="store_true", help="skip the training step")
     p_solve.add_argument("--epochs", type=int, default=None)
     p_solve.add_argument("--lr", type=float, default=None)
-    _add_search_flags(p_solve, budget=64, horizon=12)
+    _add_search_flags(p_solve, SearchConfig())
     p_solve.set_defaults(func=_cmd_solve)
 
     p_train = sub.add_parser("train", help="train parameters from a quality log")
@@ -299,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--setup", choices=SETUP_NAMES, default="resolution")
     p_check.add_argument("--ratio", type=float, default=3.0)
     p_check.add_argument("--seed", type=int, default=0, help="instance generator seed")
-    _add_search_flags(p_check, budget=12, horizon=8)
+    _add_search_flags(p_check, CHECK_CONFIG)
     p_check.set_defaults(func=_cmd_selfcheck)
 
     p_bench = sub.add_parser("bench", help="compare setups on a seeded instance set")
@@ -309,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--params", default=None)
     p_bench.add_argument("--ratio", type=float, default=3.0)
     p_bench.add_argument("--seed", type=int, default=0, help="instance generator seed")
-    _add_search_flags(p_bench, budget=12, horizon=8)
+    _add_search_flags(p_bench, CHECK_CONFIG)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

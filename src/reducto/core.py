@@ -6,10 +6,11 @@ knows how to map a successor's solution back to a solution of the original.
 A *path* is a start instance followed by (reduction id, instance) steps; if it
 ends at an easy instance, solutions are recovered by lifting backwards.
 
-Instances are opaque to this module.  They must be hashable, compare by
-canonical form, and (for deterministic move ordering) either be orderable or
-expose a ``sort_key`` attribute.  The bundled SAT domain satisfies all of
-this; other domains can plug in the same way.
+Instances are opaque to this module.  They must be hashable and compare by
+canonical form; each move function lists its moves in the canonical order
+of its domain.  The bundled SAT domain satisfies all of this; other domains
+can plug in the same way, and ``one_move`` builds a reduction that makes at
+most one move.
 """
 
 from __future__ import annotations
@@ -112,10 +113,11 @@ class SolveAnswer:
 class SelfReduction:
     """A named pair of a move function and a solution (lift) function.
 
-    ``moves(x)`` returns a finite sequence of successor instances; every
-    successor of a solvable instance must itself be solvable.  ``lift(x, x2,
-    y)`` maps a solution ``y`` of a successor ``x2`` back to a solution of
-    ``x``.  Both must be pure functions of their arguments.
+    ``moves(x)`` returns a finite sequence of successor instances: distinct,
+    none equal to ``x``, in canonical order.  Every successor of a solvable
+    instance must itself be solvable.  ``lift(x, x2, y)`` maps a solution
+    ``y`` of a successor ``x2`` back to a solution of ``x``.  Both must be
+    pure functions of their arguments.
     """
 
     id: str
@@ -125,6 +127,41 @@ class SelfReduction:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("reduction id must be non-empty")
+
+
+def identity_lift(x: Instance, x2: Instance, y: Solution) -> Solution:
+    """The lift of a reduction whose successors' solutions solve the source."""
+    return y
+
+
+def one_move(
+    reduction_id: str,
+    step: Callable[[Instance], tuple[Instance, Any]],
+    lift: Callable[[Instance, Any, Solution], Solution] | None = None,
+) -> SelfReduction:
+    """A self-reduction whose only move, if any, is the successor ``step`` makes.
+
+    ``step(x)`` returns ``(successor, witness)``; a successor equal to ``x``
+    is no move.  With ``lift``, a solution ``y`` of ``x2`` lifts to
+    ``lift(x, witness, y)`` after ``step(x)`` is replayed, and a replay that
+    does not reproduce ``x2`` raises ValueError.  Without it the reduction
+    uses ``identity_lift`` and replays nothing.
+    """
+
+    def moves(x: Instance) -> list[Instance]:
+        x2, _ = step(x)
+        return [] if x2 == x else [x2]
+
+    if lift is None:
+        return SelfReduction(reduction_id, moves, identity_lift)
+
+    def replay_lift(x: Instance, x2: Instance, y: Solution) -> Solution:
+        successor, witness = step(x)
+        if successor != x2:
+            raise ValueError(f"{reduction_id}: the target is not the move of the source")
+        return lift(x, witness, y)
+
+    return SelfReduction(reduction_id, moves, replay_lift)
 
 
 @dataclass(frozen=True)
@@ -210,10 +247,6 @@ def lift_solution(
     return sol
 
 
-def _move_key(instance: Instance) -> Any:
-    return getattr(instance, "sort_key", instance)
-
-
 def enumerate_moves(
     setup: Setup,
     x: Instance,
@@ -221,20 +254,7 @@ def enumerate_moves(
 ) -> list[tuple[str, Instance]]:
     """All moves from ``x``, as (reduction id, instance) pairs in setup order.
 
-    Within each reduction the moves are canonically ordered and deduplicated,
-    and self-moves (successor equal to ``x``) are dropped.  A reduction
-    offering more than ``move_cap`` moves is truncated to the
-    lexicographically-first ``move_cap`` of them.
+    Each reduction contributes its moves in its own canonical order, cut to
+    the first ``move_cap`` of them.
     """
-    out: list[tuple[str, Instance]] = []
-    for reduction in setup.reductions:
-        block: list[Instance] = []
-        seen: set[Instance] = set()
-        for m in reduction.moves(x):
-            if m == x or m in seen:
-                continue
-            seen.add(m)
-            block.append(m)
-        block.sort(key=_move_key)
-        out.extend((reduction.id, m) for m in block[:move_cap])
-    return out
+    return [(r.id, m) for r in setup.reductions for m in r.moves(x)[:move_cap]]

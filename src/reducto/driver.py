@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core import (
     LiftIntegrityError,
@@ -50,6 +51,10 @@ from .sat import (
 from .search import QualityData, SearchConfig, SearchResult, ams_search
 
 SETUP_NAMES = ("resolution", "resolution-ext", "flip", "portfolio")
+
+# Search settings of selfcheck and bench: short searches keep runs over many
+# instances cheap.
+CHECK_CONFIG = SearchConfig(horizon=8, budget=12)
 
 
 def make_setup(name: str) -> Setup:
@@ -184,6 +189,14 @@ def random_ksat(rng: random.Random, n_vars: int, n_clauses: int, k: int = 3) -> 
     return Formula(clauses)
 
 
+def _check_instances(count: int, max_vars: int, seed: int, ratio: float) -> Iterator[Formula]:
+    """The seeded random 3-SAT instances of selfcheck and bench."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(min(3, max_vars), max_vars)
+        yield random_ksat(rng, n, max(1, round(ratio * n)))
+
+
 def random_formula(rng: random.Random, max_vars: int, max_clauses: int) -> Formula:
     """Mixed-width random CNF (widths 1 to 3) used for desk-scale probing."""
     n_vars = rng.randint(1, max_vars)
@@ -252,7 +265,7 @@ def run_selfcheck(
     max_vars: int,
     seed: int,
     setup_name: str,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig = CHECK_CONFIG,
     ratio: float = 3.0,
 ) -> SelfcheckReport:
     """Solve seeded random instances and cross-check every answer with the oracle.
@@ -263,15 +276,10 @@ def run_selfcheck(
     linear in the instance count.
     """
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    cfg = cfg if cfg is not None else SearchConfig(horizon=8, budget=12)
     theta = ParamStore()
     setup = make_setup(setup_name)
     report = SelfcheckReport(instances=n_instances)
-    for _ in range(n_instances):
-        n = rng.randint(min(3, max_vars), max_vars)
-        m = max(1, round(ratio * n))
-        phi = random_ksat(rng, n, m)
+    for phi in _check_instances(n_instances, max_vars, seed, ratio):
         answer, _, run = solve(phi, setup_name, theta, cfg, train_after=False)
         report.quality_violations.extend(check_quality_data(run.quality, setup))
         verdict = oracle_solve(phi)
@@ -317,26 +325,21 @@ def run_bench(
     n_instances: int,
     max_vars: int,
     seed: int,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig = CHECK_CONFIG,
     ratio: float = 3.0,
     theta: ParamStore | None = None,
 ) -> list[BenchRow]:
     """Solve the same seeded instance set under each setup; no training."""
-    cfg = cfg if cfg is not None else SearchConfig(horizon=8, budget=12)
     theta = theta if theta is not None else ParamStore()
     for name in setup_names:
         make_setup(name)  # validate early
     rows = []
     for name in setup_names:
-        rng = random.Random(seed)
         t0 = time.perf_counter()
         solved = 0
         path_lengths = []
         evaluator_calls = []
-        for _ in range(n_instances):
-            n = rng.randint(min(3, max_vars), max_vars)
-            m = max(1, round(ratio * n))
-            phi = random_ksat(rng, n, m)
+        for phi in _check_instances(n_instances, max_vars, seed, ratio):
             answer, _, report = solve(phi, name, theta, cfg, train_after=False)
             if answer.kind in ("solution", "no_solution"):
                 solved += 1

@@ -6,16 +6,18 @@ member that made it.  The builtin members are the ``sat.py`` rules unit
 propagation, pure-literal elimination and bounded resolution.  External
 members run as child processes speaking DIMACS on stdin and either a solver
 result or a transformed DIMACS formula on stdout; a member that crashes,
-times out, or talks garbage simply contributes no move.
+times out, or talks garbage simply contributes no move.  Each member is a
+``core.one_move`` rule, so its lift reruns it and checks that the rerun
+reproduces the move.
 """
 
 from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import SelfReduction, Setup
+from .core import Setup, one_move
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .sat import (
     Assignment,
@@ -45,7 +47,8 @@ class ExternalMember:
     against the input before being trusted), ``s UNSATISFIABLE``, or a
     complete DIMACS formula, which is taken as an identity-lift transform.
     Anything else is a member failure, never a wrong answer.  ``failures``
-    accumulates the reasons of failed ``moves`` calls so callers can report
+    accumulates the reasons of failed ``step`` calls, whether they came from
+    move generation, path verification or a lift, so callers can report
     them; it never influences results.
     """
 
@@ -54,20 +57,14 @@ class ExternalMember:
     timeout: float = DEFAULT_EXTERNAL_TIMEOUT
     failures: list[str] = field(default_factory=list, init=False, compare=False, repr=False)
 
-    def moves(self, phi: Formula) -> list[Formula]:
-        """The member's output as the only move; none on failure or a self-move."""
+    def step(self, phi: Formula) -> tuple[Formula, Callable[[Assignment], Assignment] | None]:
+        """The member's output and its lift; on a failure, which ``failures``
+        records, ``phi`` itself, which is no move."""
         try:
-            transformed, _ = self.transform(phi)
+            return self.transform(phi)
         except MemberFailure as exc:
             self.failures.append(str(exc))
-            return []
-        return [] if transformed == phi else [transformed]
-
-    def lift(self, x: Formula, x2: Formula, y: Assignment) -> Assignment:
-        transformed, lift = self.transform(x)
-        if transformed != x2:
-            raise ValueError(f"{self.id}: the member does not reproduce the move")
-        return lift(y)
+            return phi, None
 
     def transform(self, phi: Formula):
         try:
@@ -115,7 +112,7 @@ class ExternalMember:
 
 def portfolio_setup(externals: Sequence[ExternalMember] = ()) -> Setup:
     """The builtin member rules, then ``externals``, under the combined easy solver."""
-    members = [SelfReduction(m.id, m.moves, m.lift) for m in externals]
+    members = [one_move(m.id, m.step, lambda x, lift, y: lift(y)) for m in externals]
     return Setup(
         easy=easy_combined,
         reductions=(UNIT_PROPAGATION, PURE_LITERAL, BOUNDED_RESOLUTION, *members),

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from hashlib import blake2b
 from typing import Iterable, Iterator
 
-from .core import EasyOutcome, NO_SOLUTION, NOT_EASY, SelfReduction
+from .core import EasyOutcome, NO_SOLUTION, NOT_EASY, SelfReduction, identity_lift, one_move
 
 Literal = int
 Clause = tuple  # tuple[int, ...] in canonical order
@@ -122,10 +122,6 @@ class Formula:
             v = tuple(sorted({abs(l) for c in self.clauses for l in c}))
             object.__setattr__(self, "_vars", v)
         return v
-
-    @property
-    def sort_key(self) -> tuple:
-        return self.clauses
 
     @property
     def is_empty(self) -> bool:
@@ -250,17 +246,15 @@ def resolution_moves(phi: Formula) -> list[Formula]:
     return moves
 
 
-def subsumption_move(phi: Formula) -> list[Formula]:
-    """One move removing every clause that properly contains another clause; none if no-op."""
+def subsume(phi: Formula) -> Formula:
+    """``phi`` without every clause that properly contains another of its clauses."""
     cls = phi.clauses
     sets = [frozenset(c) for c in cls]
     keep = tuple(
         c for i, c in enumerate(cls)
         if not any(j != i and sets[j] < sets[i] for j in range(len(cls)))
     )
-    if keep == cls:
-        return []
-    return [Formula._make(keep)]
+    return phi if keep == cls else Formula._make(keep)
 
 
 def pure_literal_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
@@ -283,19 +277,12 @@ def pure_literal_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
     return Formula._make(tuple(cur)), tuple(eliminated)
 
 
-def pure_literal_move(phi: Formula) -> list[Formula]:
-    fix, _ = pure_literal_fixpoint(phi)
-    return [] if fix == phi else [fix]
-
-
-def _pure_literal_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    fix, pures = pure_literal_fixpoint(x)
-    if fix != x2:
-        raise ValueError("target is not the pure-literal fixpoint of the source")
-    # Complements of eliminated pure literals cannot occur in the fixpoint, so
-    # a fixpoint solution over its own variables never clashes; assignment()
-    # still asserts it.
-    return assignment(set(y) | set(pures))
+def _add_literals(x: Formula, literals: tuple[int, ...], y: Assignment) -> Assignment:
+    """Lift of a fixpoint that sets ``literals`` true: add them to ``y``."""
+    # Eliminated pure literals and propagated units have no variable left in
+    # the fixpoint, so a fixpoint solution over its own variables never
+    # clashes with them; assignment() still asserts it.
+    return assignment(set(y) | set(literals))
 
 
 def _blocking_literal(c: Clause, occ: dict[int, set[Clause]]) -> int | None:
@@ -350,15 +337,10 @@ def blocked_clause_fixpoint(phi: Formula) -> tuple[Formula, tuple[tuple[Clause, 
     return Formula._make(tuple(c for c in phi.clauses if c in alive)), tuple(eliminated)
 
 
-def blocked_clause_move(phi: Formula) -> list[Formula]:
-    fix, _ = blocked_clause_fixpoint(phi)
-    return [] if fix == phi else [fix]
-
-
-def _blocked_clause_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    fix, eliminated = blocked_clause_fixpoint(x)
-    if fix != x2:
-        raise ValueError("target is not the blocked-clause fixpoint of the source")
+def _restore_blocked_clauses(
+    x: Formula, eliminated: tuple[tuple[Clause, int], ...], y: Assignment
+) -> Assignment:
+    """Lift of blocked-clause elimination: satisfy the deleted clauses, last first."""
     # Solutions are partial: complete y over the source's variables first, so
     # that making a blocking literal true cannot falsify a clause that relied
     # on an unassigned variable.
@@ -389,24 +371,9 @@ def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
     return Formula(cur), tuple(forced)
 
 
-def unit_propagation_move(phi: Formula) -> list[Formula]:
-    fix, _ = unit_propagate_fixpoint(phi)
-    return [] if fix == phi else [fix]
-
-
-def _unit_propagation_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    fix, forced = unit_propagate_fixpoint(x)
-    if fix != x2:
-        raise ValueError("target is not the unit-propagation fixpoint of the source")
-    return assignment(set(y) | set(forced))
-
-
-def bounded_resolution_move(phi: Formula) -> list[Formula]:
-    """One move: add the first ``BOUNDED_RESOLVENT_CAP`` new resolvents, then
-    remove every clause that properly contains another; none if no-op."""
-    cur = add_clauses(phi, new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP])
-    cur = (subsumption_move(cur) or [cur])[0]
-    return [] if cur == phi else [cur]
+def bounded_resolution(phi: Formula) -> Formula:
+    """``phi`` plus its first ``BOUNDED_RESOLVENT_CAP`` new resolvents, then subsumed."""
+    return subsume(add_clauses(phi, new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP]))
 
 
 def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Formula]:
@@ -477,18 +444,14 @@ def _flip_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
     raise ValueError("target is not a flip move of the source")
 
 
-def _identity_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    return y
-
-
-RESOLUTION = SelfReduction("resolution", resolution_moves, _identity_lift)
-SUBSUMPTION = SelfReduction("subsumption", subsumption_move, _identity_lift)
-PURE_LITERAL = SelfReduction("pure-literal", pure_literal_move, _pure_literal_lift)
-BLOCKED_CLAUSE = SelfReduction("blocked-clause", blocked_clause_move, _blocked_clause_lift)
+RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift)
+SUBSUMPTION = one_move("subsumption", lambda phi: (subsume(phi), None))
+PURE_LITERAL = one_move("pure-literal", pure_literal_fixpoint, _add_literals)
+BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
 FLIP = SelfReduction("flip", flip_moves, _flip_lift)
-EXTENSION = SelfReduction("extension", extension_moves, _identity_lift)
-UNIT_PROPAGATION = SelfReduction("unit-propagation", unit_propagation_move, _unit_propagation_lift)
-BOUNDED_RESOLUTION = SelfReduction("bounded-resolution", bounded_resolution_move, _identity_lift)
+EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
+UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
+BOUNDED_RESOLUTION = one_move("bounded-resolution", lambda phi: (bounded_resolution(phi), None))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
-from .core import EasyOutcome, Path, Setup, enumerate_moves
+from .core import DEFAULT_MOVE_CAP, EasyOutcome, Path, Setup, enumerate_moves
 
 PRIOR_WEIGHT = 1.0
 
@@ -55,7 +55,7 @@ class SearchConfig:
     budget: int = 64
     exploration: float = 1.4
     discount: float = 0.95
-    move_cap: int = 256
+    move_cap: int = DEFAULT_MOVE_CAP
 
     def __post_init__(self) -> None:
         if self.horizon < 1:

@@ -6,7 +6,8 @@ import pytest
 
 from reducto.core import Path, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
-from reducto.driver import random_formula
+from reducto.driver import derive_answer, random_formula
+from reducto.learner import LinearEvaluator, init_params
 from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
 from reducto.sat import (
     BOTTOM,
@@ -18,6 +19,7 @@ from reducto.sat import (
     satisfies,
     unit_propagate_fixpoint,
 )
+from reducto.search import SearchConfig, ams_search
 
 
 def brute_force(phi):
@@ -152,16 +154,44 @@ class TestExternalMembers:
             "import sys; text = sys.stdin.read(); sys.stdout.write(text)"
         )
         # Echoing the instance back is a self-move: no move results.
-        assert external(echo, member_id="echo").moves(phi) == []
+        member = external(echo, member_id="echo")
+        assert portfolio_setup((member,)).reduction("echo").moves(phi) == []
         assert emit_dimacs(phi) == emit_dimacs(Formula(phi.clauses))
 
     def test_lift_reruns_the_member_and_checks_its_output(self):
         phi = Formula([[1]])
-        member = external(FAKE_SAT)
-        assert member.moves(phi) == [TOP]
-        assert member.lift(phi, TOP, frozenset()) == frozenset([1])
+        rule = portfolio_setup((external(FAKE_SAT),)).reduction("ext")
+        assert rule.moves(phi) == [TOP]
+        assert rule.lift(phi, TOP, frozenset()) == frozenset([1])
         with pytest.raises(ValueError):
-            member.lift(phi, BOTTOM, frozenset())
+            rule.lift(phi, BOTTOM, frozenset())
+
+    def test_flaky_member_never_yields_a_solution(self, tmp_path):
+        # SAT with a genuine witness on the first run, a crash on every later
+        # run: verification and lifting rerun the member, and must not trust
+        # the first answer.
+        marker = tmp_path / "ran"
+        flaky = (
+            "import os, sys; sys.stdin.read(); m = sys.argv[1]\n"
+            "if os.path.exists(m): sys.exit(3)\n"
+            "open(m, 'w').close(); print('s SATISFIABLE'); print('v 1 -2 0')"
+        )
+        member = ExternalMember("flaky", (sys.executable, "-c", flaky, str(marker)), timeout=20.0)
+        setup = portfolio_setup((member,))
+        phi = Formula([[1, 2], [-1, -2]])
+        assert enumerate_moves(portfolio_setup(), phi) == []
+        evaluator = LinearEvaluator(init_params())
+        result = ams_search(phi, setup, evaluator, SearchConfig(horizon=4, budget=8))
+        assert result.path.steps == (("flaky", TOP),)
+        assert member.failures == []
+        answer, diagnostics = derive_answer(setup, phi, result)
+        assert answer.kind == "dont_know"
+        assert diagnostics
+        assert len(member.failures) == 1
+        with pytest.raises(ValueError):
+            setup.reduction("flaky").lift(phi, TOP, frozenset())
+        assert len(member.failures) == 2
+        assert all(f.startswith("flaky:") for f in member.failures)
 
     def test_path_step_names_the_external_member(self):
         phi = Formula([[1, 2], [1, -2], [1, 3]])

@@ -21,7 +21,6 @@ from reducto.sat import (
     add_clauses,
     assignment,
     blocked_clause_fixpoint,
-    blocked_clause_move,
     clause,
     easy_all_positive,
     easy_combined,
@@ -33,10 +32,8 @@ from reducto.sat import (
     new_resolvents,
     oracle_solve,
     pure_literal_fixpoint,
-    pure_literal_move,
     resolution_moves,
     satisfies,
-    subsumption_move,
 )
 from reducto.driver import random_formula
 
@@ -156,28 +153,28 @@ class TestResolutionMoves:
 
 class TestSubsumption:
     def test_removes_proper_superset(self):
-        assert subsumption_move(Formula([[2], [1, 2]])) == [Formula([[2]])]
+        assert SUBSUMPTION.moves(Formula([[2], [1, 2]])) == [Formula([[2]])]
 
     def test_empty_clause_subsumes_everything(self):
-        assert subsumption_move(Formula([[], [1]])) == [BOTTOM]
+        assert SUBSUMPTION.moves(Formula([[], [1]])) == [BOTTOM]
 
     def test_no_subset_relation_is_a_noop(self):
-        assert subsumption_move(Formula([[1], [2]])) == []
+        assert SUBSUMPTION.moves(Formula([[1], [2]])) == []
 
     def test_equal_clauses_are_not_proper_subsets(self):
-        assert subsumption_move(Formula([[1, 2], [2, 1]])) == []
+        assert SUBSUMPTION.moves(Formula([[1, 2], [2, 1]])) == []
 
 
 class TestPureLiteral:
     def test_no_pure_literal(self):
-        assert pure_literal_move(Formula([[1], [-1]])) == []
+        assert PURE_LITERAL.moves(Formula([[1], [-1]])) == []
 
     def test_one_round_elimination(self):
         phi = Formula([[1, 2], [-1, 3]])
         fix, pures = pure_literal_fixpoint(phi)
         assert fix == TOP
         assert {2, 3}.issubset(set(pures))
-        assert pure_literal_move(phi) == [TOP]
+        assert PURE_LITERAL.moves(phi) == [TOP]
 
     def test_cascading_elimination_order_and_lift(self):
         phi = Formula([[1, 2], [-2]])
@@ -201,8 +198,8 @@ class TestBlockedClause:
     def test_equivalence_core_moves_to_the_empty_formula(self):
         # Resolution yields only tautologies here and no literal is pure.
         phi = Formula([[1, 4], [-1, -4]])
-        assert resolution_moves(phi) == [] and pure_literal_move(phi) == []
-        assert blocked_clause_move(phi) == [TOP]
+        assert resolution_moves(phi) == [] and PURE_LITERAL.moves(phi) == []
+        assert BLOCKED_CLAUSE.moves(phi) == [TOP]
 
     def test_lift_of_the_empty_assignment_is_total_and_satisfies(self):
         phi = Formula([[1, 4], [-1, -4]])
@@ -211,7 +208,7 @@ class TestBlockedClause:
         assert satisfies(lifted, phi)
 
     def test_unit_conflict_has_no_move(self):
-        assert blocked_clause_move(Formula([[1], [-1]])) == []
+        assert BLOCKED_CLAUSE.moves(Formula([[1], [-1]])) == []
 
     def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
         phi = Formula([[1, 4], [-1, -4]])
@@ -224,8 +221,8 @@ class TestBlockedClause:
             phi = random_formula(rng, 4, 6)
             fix, eliminated = blocked_clause_fixpoint(phi)
             assert len(fix) + len(eliminated) == len(phi)
-            assert blocked_clause_move(fix) == []
-            assert pure_literal_move(fix) == []
+            assert BLOCKED_CLAUSE.moves(fix) == []
+            assert PURE_LITERAL.moves(fix) == []
             for c, l in eliminated:
                 assert l in c
 
@@ -380,7 +377,7 @@ class TestRuleContracts:
         rng = random.Random(19)
         for _ in range(50):
             phi = random_formula(rng, 4, 6)
-            for move in subsumption_move(phi):
+            for move in SUBSUMPTION.moves(phi):
                 sets = [frozenset(c) for c in move.clauses]
                 assert not any(
                     i != j and sets[i] < sets[j]
@@ -393,10 +390,14 @@ class TestRuleContracts:
 @given(formulas())
 def test_rule_outputs_are_canonical_formulas(phi):
     for rule in ALL_RULES:
-        for move in rule.moves(phi):
+        moves = rule.moves(phi)
+        for move in moves:
             rebuilt = Formula(move.clauses)
             assert rebuilt == move
             assert rebuilt.clauses == move.clauses
+        # The move-list contract: distinct, in canonical order, no self-move.
+        assert all(a.clauses < b.clauses for a, b in zip(moves, moves[1:])), rule.id
+        assert phi not in moves, rule.id
 
 
 @settings(max_examples=60, deadline=None)
