@@ -104,7 +104,7 @@ class ExternalMember:
         if status == "UNSATISFIABLE":
             return BOTTOM, lambda y: y
         try:
-            transformed = parse_dimacs(stdout)
+            transformed = parse_dimacs(stdout, strict=True)
         except DimacsError as exc:
             raise MemberFailure(f"{self.id}: unparseable output") from exc
         return transformed, lambda y: y

@@ -249,12 +249,18 @@ def resolution_moves(phi: Formula) -> list[Formula]:
 def subsume(phi: Formula) -> Formula:
     """``phi`` without every clause that properly contains another of its clauses."""
     cls = phi.clauses
+    if phi.has_empty_clause:
+        return phi if len(cls) == 1 else BOTTOM
+    # A proper subset of c has its first literal in c, so each clause is filed
+    # under its first literal and c is checked against those filed under its own.
     sets = [frozenset(c) for c in cls]
+    first: dict[int, list[frozenset[int]]] = {}
+    for c, s in zip(cls, sets):
+        first.setdefault(c[0], []).append(s)
     keep = tuple(
-        c for i, c in enumerate(cls)
-        if not any(j != i and sets[j] < sets[i] for j in range(len(cls)))
+        c for c, s in zip(cls, sets) if not any(d < s for l in c for d in first.get(l, ()))
     )
-    return phi if keep == cls else Formula._make(keep)
+    return phi if len(keep) == len(cls) else Formula._make(keep)
 
 
 def pure_literal_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
@@ -368,7 +374,10 @@ def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
         lit = min(units, key=lambda l: (abs(l), l < 0))
         forced.append(lit)
         cur = condition(cur, lit)
-    return Formula(cur), tuple(forced)
+    if not forced:
+        return phi, ()
+    # condition() keeps each clause's literal order, so clauses stay canonical.
+    return Formula._make(tuple(sorted(set(cur), key=_clause_code))), tuple(forced)
 
 
 def bounded_resolution(phi: Formula) -> Formula:
@@ -412,7 +421,10 @@ def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Form
 
 def flip_variable(phi: Formula, v: int) -> Formula:
     """Swap the polarity of variable ``v`` everywhere in ``phi``."""
-    return Formula(tuple(-l if abs(l) == v else l for l in c) for c in phi.clauses)
+    # Literals are ordered by variable, so a flipped clause stays canonical;
+    # a flip maps distinct clauses to distinct clauses, so none is dropped.
+    cls = [tuple([-l if abs(l) == v else l for l in c]) if v in c or -v in c else c for c in phi]
+    return Formula._make(tuple(sorted(cls, key=_clause_code)))
 
 
 def flippable_variables(phi: Formula) -> list[int]:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import warnings
 
 import pytest
 
@@ -92,6 +93,9 @@ FAKE_UNSAT = "import sys; sys.stdin.read(); print('s UNSATISFIABLE')"
 FAKE_TRANSFORM = (
     "import sys; sys.stdin.read(); print('p cnf 2 1'); print('1 2 0')"
 )
+FAKE_TRUNCATED = (
+    "import sys; sys.stdin.read(); print('p cnf 3 3'); print('1 2 0'); print('-3 0')"
+)
 FAKE_GARBAGE = "import sys; sys.stdin.read(); print('hello world')"
 FAKE_CRASH = "import sys; sys.exit(3)"
 FAKE_SLEEP = "import sys, time; time.sleep(30)"
@@ -129,6 +133,14 @@ class TestExternalMembers:
     def test_garbage_output_is_a_failure(self):
         with pytest.raises(MemberFailure):
             external(FAKE_GARBAGE).transform(Formula([[1]]))
+
+    def test_truncated_formula_is_a_failure_and_no_move(self):
+        member = external(FAKE_TRUNCATED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moves = enumerate_moves(portfolio_setup((member,)), Formula([[1, 2], [-1, 3]]))
+        assert "ext" not in {rid for rid, _ in moves}
+        assert member.failures == ["ext: unparseable output"]
 
     def test_crash_is_a_failure(self):
         with pytest.raises(MemberFailure):

@@ -22,6 +22,7 @@ from reducto.sat import (
     assignment,
     blocked_clause_fixpoint,
     clause,
+    condition,
     easy_all_positive,
     easy_combined,
     easy_trivial,
@@ -34,6 +35,8 @@ from reducto.sat import (
     pure_literal_fixpoint,
     resolution_moves,
     satisfies,
+    subsume,
+    unit_propagate_fixpoint,
 )
 from reducto.driver import random_formula
 
@@ -164,6 +167,13 @@ class TestSubsumption:
     def test_equal_clauses_are_not_proper_subsets(self):
         assert SUBSUMPTION.moves(Formula([[1, 2], [2, 1]])) == []
 
+    def test_subset_with_a_different_first_literal(self):
+        assert SUBSUMPTION.moves(Formula([[2, 3], [1, 2, 3]])) == [Formula([[2, 3]])]
+
+    def test_subsumption_free_formula_is_returned_as_is(self):
+        phi = Formula([[1, 2], [-1, 3], [2, -3]])
+        assert subsume(phi) is phi
+
 
 class TestPureLiteral:
     def test_no_pure_literal(self):
@@ -279,6 +289,14 @@ class TestFlip:
     def test_self_move_excluded(self):
         # Swapping the only variable of {{v},{-v}} reproduces the formula.
         assert flip_moves(Formula([[1], [-1]])) == []
+
+    def test_flips_giving_the_same_formula_are_one_move(self):
+        # Flipping 1 and flipping 2 both give {{1,-2},{-1,2}}.
+        phi = Formula([[-1, -2], [1, 2]])
+        moves = FLIP.moves(phi)
+        assert moves == [Formula([[1, -2], [-1, 2]])]
+        lifted = FLIP.lift(phi, moves[0], brute_force(moves[0]))
+        assert satisfies(lifted, phi)
 
     def test_full_polarity_swap_both_directions(self):
         phi = Formula([[-1, 2], [1, -2], [-1, -2]])
@@ -496,6 +514,55 @@ def ref_extension_moves(phi: Formula, pair_cap: int = 16) -> list[Formula]:
     return moves
 
 
+def ref_subsume(phi: Formula) -> Formula:
+    """``phi`` without every clause that properly contains another of its clauses."""
+    cls = phi.clauses
+    sets = [frozenset(c) for c in cls]
+    keep = tuple(
+        c for i, c in enumerate(cls)
+        if not any(j != i and sets[j] < sets[i] for j in range(len(cls)))
+    )
+    return phi if keep == cls else Formula._make(keep)
+
+
+def ref_flip_variable(phi: Formula, v: int) -> Formula:
+    """Swap the polarity of variable ``v`` everywhere in ``phi``."""
+    return Formula(tuple(-l if abs(l) == v else l for l in c) for c in phi.clauses)
+
+
+def ref_unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
+    """Propagate unit clauses to a fixpoint; returns the result and the forced literals."""
+    cur = list(phi.clauses)
+    forced: list[int] = []
+    while True:
+        if any(c == () for c in cur):
+            break
+        units = {c[0] for c in cur if len(c) == 1}
+        if not units:
+            break
+        # Smallest variable first; when both of its literals are units, the
+        # positive one.
+        lit = min(units, key=lambda l: (abs(l), l < 0))
+        forced.append(lit)
+        cur = condition(cur, lit)
+    return Formula(cur), tuple(forced)
+
+
+# Inputs of the simplifier references: dense and sparse formulas, the same
+# with the empty clause, and a formula plus all its new resolvents, the wide
+# clauses that bounded_resolution hands to subsume.
+SIMPLIFIER_INPUTS = st.one_of(
+    formulas(6, 9),
+    formulas(6, 9, sparse=True),
+    st.one_of(formulas(6, 9), formulas(6, 9, sparse=True)).map(
+        lambda phi: Formula(list(phi.clauses) + [()])
+    ),
+    st.one_of(formulas(6, 9), formulas(6, 9, sparse=True)).map(
+        lambda phi: add_clauses(phi, new_resolvents(phi))
+    ),
+)
+
+
 def _exact(moves: list[Formula]) -> list[tuple]:
     # Formula equality is clause-tuple equality; compare the tuples themselves
     # so a failure shows them.
@@ -533,6 +600,27 @@ class TestReferenceEquivalence:
     def test_add_clauses_matches_the_constructor(self, phi, raw):
         new = [clause(c) for c in raw]
         assert add_clauses(phi, new).clauses == Formula(list(phi.clauses) + new).clauses
+
+    @settings(max_examples=400, deadline=None)
+    @given(SIMPLIFIER_INPUTS)
+    def test_subsume_matches_reference(self, phi):
+        out, ref = subsume(phi), ref_subsume(phi)
+        assert out.clauses == ref.clauses
+        assert (out is phi) == (ref is phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIMPLIFIER_INPUTS, st.data())
+    def test_flip_variable_matches_reference(self, phi, data):
+        v = data.draw(st.sampled_from(phi.variables + (1, 10**6 + 50)))
+        assert flip_variable(phi, v).clauses == ref_flip_variable(phi, v).clauses
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIMPLIFIER_INPUTS)
+    def test_unit_propagate_fixpoint_matches_reference(self, phi):
+        out, forced = unit_propagate_fixpoint(phi)
+        ref, ref_forced = ref_unit_propagate_fixpoint(phi)
+        assert out.clauses == ref.clauses
+        assert forced == ref_forced
 
     def test_sparse_ids(self):
         phi = Formula([[1, 10**6], [-(10**6), 70], [-1, -70]])
