@@ -1,7 +1,6 @@
 """reducto: SAT solving as a one-player game over self-reduction moves."""
 
 from .core import (
-    EasyOutcome,
     LiftIntegrityError,
     Path,
     SelfReduction,

@@ -26,6 +26,8 @@ from .driver import (
     solve,
 )
 from .learner import (
+    DEFAULT_EPOCHS,
+    DEFAULT_LEARNING_RATE,
     REPLAY_WINDOW,
     DeltaStore,
     ParamVersionError,
@@ -157,8 +159,8 @@ def _cmd_solve(args) -> int:
     print("c reducto solve")
     print(f"c setup {args.setup}")
     print(f"c path-length {report.path_length}")
-    print(f"c nodes-expanded {report.nodes_expanded}")
-    print(f"c evaluator-calls {report.evaluator_calls}")
+    print(f"c nodes-expanded {report.stats.nodes_expanded}")
+    print(f"c evaluator-calls {report.stats.evaluator_calls}")
     for diag in report.diagnostics:
         print(f"c diagnostic {diag}", file=sys.stderr)
     if answer.kind == "solution":
@@ -274,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--params", default=None, help=f"parameter file (default ${PARAMS_ENV})")
     p_solve.add_argument("--delta-log", default=None, help="quality record log path")
     p_solve.add_argument("--no-train", action="store_true", help="skip the training step")
-    p_solve.add_argument("--epochs", type=int, default=None)
-    p_solve.add_argument("--lr", type=float, default=None)
+    p_solve.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    p_solve.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE)
     _add_search_flags(p_solve, SearchConfig())
     p_solve.set_defaults(func=_cmd_solve)
 
     p_train = sub.add_parser("train", help="train parameters from a quality log")
     p_train.add_argument("--delta-log", required=True)
     p_train.add_argument("--params", default=None)
-    p_train.add_argument("--epochs", type=int, default=20)
-    p_train.add_argument("--lr", type=float, default=0.05)
+    p_train.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    p_train.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE)
     p_train.add_argument("--curriculum", action="store_true")
     p_train.set_defaults(func=_cmd_train)
 

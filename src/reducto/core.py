@@ -41,47 +41,12 @@ class LiftIntegrityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EasyOutcome:
-    """Verdict of an easy-instance solver: not easy, no solution, or a solution."""
-
-    kind: str
-    value: Any = None
-
-    _KINDS = ("not_easy", "no_solution", "solution")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
-        if self.kind == "solution":
-            if self.value is None:
-                raise ValueError("solution outcome requires a value")
-        elif self.value is not None:
-            raise ValueError(f"{self.kind} outcome carries no value")
-
-    @classmethod
-    def not_easy(cls) -> "EasyOutcome":
-        return cls("not_easy")
-
-    @classmethod
-    def no_solution(cls) -> "EasyOutcome":
-        return cls("no_solution")
-
-    @classmethod
-    def solution(cls, value: Solution) -> "EasyOutcome":
-        return cls("solution", value)
-
-    @property
-    def is_easy(self) -> bool:
-        return self.kind != "not_easy"
-
-
-NOT_EASY = EasyOutcome.not_easy()
-NO_SOLUTION = EasyOutcome.no_solution()
-
-
-@dataclass(frozen=True)
 class SolveAnswer:
-    """Final verdict of a solver run: a solution, no solution, or don't know."""
+    """Verdict of a solver: a solution, no solution, or don't know.
+
+    An easy-instance solver answers the same way, with ``dont_know`` meaning
+    the instance is not easy.
+    """
 
     kind: str
     value: Any = None
@@ -107,6 +72,15 @@ class SolveAnswer:
     @classmethod
     def dont_know(cls) -> "SolveAnswer":
         return cls("dont_know")
+
+    @property
+    def is_easy(self) -> bool:
+        return self.kind != "dont_know"
+
+
+# Shared verdicts: easy checks run on every instance the search meets.
+DONT_KNOW = SolveAnswer.dont_know()
+NO_SOLUTION = SolveAnswer.no_solution()
 
 
 @dataclass(frozen=True)
@@ -168,7 +142,7 @@ def one_move(
 class Setup:
     """Game rules for a search problem: an easy-instance solver plus reductions."""
 
-    easy: Callable[[Instance], EasyOutcome]
+    easy: Callable[[Instance], SolveAnswer]
     reductions: tuple[SelfReduction, ...]
 
     def __post_init__(self) -> None:

@@ -1,9 +1,9 @@
 """End-to-end solving: setups registry, answer extraction, training, engines.
 
-A solve run follows the four-step loop: search for a path, turn the terminal
-easy outcome into an answer (lifting a solution backwards when one exists),
-merge the run's quality data with history, and train updated parameters on
-the run's data plus a bounded window of the newest history.
+A solve run follows the four-step loop: search for a path, turn the easy
+solver's verdict at its end into an answer (lifting a solution backwards when
+one exists), merge the run's quality data with history, and train updated
+parameters on the run's data plus a bounded window of the newest history.
 Solution answers are always re-verified before being emitted, and a
 "no solution" answer requires a verified path ending at an easy instance
 whose solver certified unsatisfiability.
@@ -25,6 +25,8 @@ from .core import (
 )
 from .dimacs import emit_dimacs
 from .learner import (
+    DEFAULT_EPOCHS,
+    DEFAULT_LEARNING_RATE,
     DeltaStore,
     DistRecord,
     LinearEvaluator,
@@ -48,7 +50,7 @@ from .sat import (
     oracle_solve,
     satisfies,
 )
-from .search import QualityData, SearchConfig, SearchResult, ams_search
+from .search import QualityData, SearchConfig, SearchResult, SearchStats, ams_search
 
 SETUP_NAMES = ("resolution", "resolution-ext", "flip", "portfolio")
 
@@ -80,12 +82,8 @@ def make_setup(name: str) -> Setup:
 class RunReport:
     """Everything observable about one solve run."""
 
-    answer_kind: str
     path_length: int
-    terminal_kind: str
-    nodes_expanded: int
-    evaluator_calls: int
-    wall_time_s: float
+    stats: SearchStats
     quality: QualityData
     diagnostics: tuple[str, ...] = ()
     # The quality data as log records; built only by a run that trains.
@@ -95,12 +93,12 @@ class RunReport:
 def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[SolveAnswer, list[str]]:
     """Map a search result to an answer, verifying everything that is claimed."""
     terminal = result.terminal
-    if terminal.kind == "not_easy":
-        return SolveAnswer.dont_know(), []
+    if not terminal.is_easy:
+        return terminal, []
     if not verify_path(setup, result.path):
         return SolveAnswer.dont_know(), ["search returned a path that does not verify"]
     if terminal.kind == "no_solution":
-        return SolveAnswer.no_solution(), []
+        return terminal, []
     try:
         lifted = lift_solution(
             setup,
@@ -122,8 +120,8 @@ def solve(
     cfg: SearchConfig,
     history: DeltaStore | None = None,
     train_after: bool = True,
-    epochs: int | None = None,
-    learning_rate: float | None = None,
+    epochs: int = DEFAULT_EPOCHS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
     curriculum: bool = False,
 ) -> tuple[SolveAnswer, ParamStore, RunReport]:
     """Solve ``x`` with the named setup: search, answer, then merge and train.
@@ -145,20 +143,13 @@ def solve(
         records = quality_records(result.quality, evaluator.features)
         window = merge_window(history if history is not None else DeltaStore(), records)
         if not window.is_empty:
-            kwargs = {}
-            if epochs is not None:
-                kwargs["epochs"] = epochs
-            if learning_rate is not None:
-                kwargs["learning_rate"] = learning_rate
-            theta_after = train(theta, window, curriculum=curriculum, **kwargs)
+            theta_after = train(
+                theta, window, epochs=epochs, learning_rate=learning_rate, curriculum=curriculum
+            )
 
     report = RunReport(
-        answer_kind=answer.kind,
         path_length=len(result.path),
-        terminal_kind=result.terminal.kind,
-        nodes_expanded=result.stats.nodes_expanded,
-        evaluator_calls=result.stats.evaluator_calls,
-        wall_time_s=result.stats.wall_time_s,
+        stats=result.stats,
         quality=result.quality,
         diagnostics=tuple(diagnostics),
         records=tuple(records),
@@ -344,7 +335,7 @@ def run_bench(
             if answer.kind in ("solution", "no_solution"):
                 solved += 1
             path_lengths.append(report.path_length)
-            evaluator_calls.append(report.evaluator_calls)
+            evaluator_calls.append(report.stats.evaluator_calls)
         count = max(n_instances, 1)
         rows.append(
             BenchRow(

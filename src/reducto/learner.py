@@ -14,7 +14,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -89,11 +88,10 @@ def featurize(phi: Formula) -> tuple[float, ...]:
 class ParamStore:
     """Persisted model parameters: one value head and one prior head per reduction.
 
-    Weight vectors carry the bias as their last component.
+    Weight vectors carry the bias as their last component.  The features are
+    ``FEATURE_NAMES``, the only layout of ``PARAMS_VERSION``.
     """
 
-    version: int = PARAMS_VERSION
-    feature_spec: tuple[str, ...] = FEATURE_NAMES
     value_weights: list[float] = field(default_factory=lambda: [0.0] * (len(FEATURE_NAMES) + 1))
     prior_weights: dict[str, list[float]] = field(default_factory=dict)
     examples_seen: int = 0
@@ -101,8 +99,6 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         return ParamStore(
-            version=self.version,
-            feature_spec=tuple(self.feature_spec),
             value_weights=list(self.value_weights),
             prior_weights={k: list(v) for k, v in self.prior_weights.items()},
             examples_seen=self.examples_seen,
@@ -111,7 +107,7 @@ class ParamStore:
 
     @property
     def dim(self) -> int:
-        return len(self.feature_spec)
+        return len(FEATURE_NAMES)
 
 
 def init_params() -> ParamStore:
@@ -121,8 +117,8 @@ def init_params() -> ParamStore:
 
 def _params_payload(theta: ParamStore) -> dict:
     return {
-        "version": theta.version,
-        "feature_spec": list(theta.feature_spec),
+        "version": PARAMS_VERSION,
+        "feature_spec": list(FEATURE_NAMES),
         "value_weights": list(theta.value_weights),
         "prior_weights": {k: list(v) for k, v in sorted(theta.prior_weights.items())},
         "training_stats": {
@@ -136,35 +132,40 @@ def params_text(theta: ParamStore) -> str:
     return json.dumps(_params_payload(theta), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def params_digest(theta: ParamStore) -> str:
-    return blake2b(params_text(theta).encode(), digest_size=16).hexdigest()
-
-
 def parse_params(text: str) -> ParamStore:
+    """Read a parameter document; a malformed one raises ParamVersionError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParamVersionError(f"unreadable parameter document: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != PARAMS_VERSION:
+    if not isinstance(doc, dict):
+        raise ParamVersionError("parameter document is not a JSON object")
+    if doc.get("version") != PARAMS_VERSION:
         raise ParamVersionError(f"unsupported parameter version {doc.get('version')!r}")
-    spec = tuple(doc["feature_spec"])
-    value_weights = [float(w) for w in doc["value_weights"]]
+    try:
+        spec = tuple(doc["feature_spec"])
+        value_weights = [float(w) for w in doc["value_weights"]]
+        prior_weights = {rid: [float(w) for w in ws] for rid, ws in doc["prior_weights"].items()}
+        stats = doc.get("training_stats", {})
+        examples_seen = int(stats.get("examples_seen", 0))
+        last_loss = stats.get("last_loss")
+        last_loss = None if last_loss is None else float(last_loss)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParamVersionError(f"malformed parameter document: {exc!r}") from exc
+    if spec != FEATURE_NAMES:
+        raise ParamVersionError(f"feature spec {list(spec)} is not {list(FEATURE_NAMES)}")
     if len(value_weights) != len(spec) + 1:
         raise ParamVersionError("value weight length does not match the feature spec")
-    prior_weights = {}
-    for rid, ws in doc["prior_weights"].items():
-        ws = [float(w) for w in ws]
+    for rid, ws in prior_weights.items():
         if len(ws) != len(spec) + 1:
             raise ParamVersionError(f"prior weight length mismatch for {rid!r}")
-        prior_weights[rid] = ws
-    stats = doc.get("training_stats", {})
+    if not all(math.isfinite(w) for ws in (value_weights, *prior_weights.values()) for w in ws):
+        raise ParamVersionError("parameter weights must be finite")
     return ParamStore(
-        version=PARAMS_VERSION,
-        feature_spec=spec,
         value_weights=value_weights,
         prior_weights=prior_weights,
-        examples_seen=int(stats.get("examples_seen", 0)),
-        last_loss=stats.get("last_loss"),
+        examples_seen=examples_seen,
+        last_loss=last_loss,
     )
 
 
@@ -233,8 +234,6 @@ class LinearEvaluator:
         f = self._features.get(phi)
         if f is None:
             f = featurize(phi)
-            if len(f) != self.params.dim:
-                raise ParamVersionError("feature dimension does not match the parameters")
             self._features[phi] = f
         return f
 
@@ -293,24 +292,6 @@ class DeltaStore:
     @property
     def record_count(self) -> int:
         return len(self.values) + len(self.dists)
-
-    def canonical_text(self) -> str:
-        payload = {
-            "values": sorted(
-                [r.digest, r.n_vars, list(r.features), r.value, r.visits]
-                for r in self.values.values()
-            ),
-            "dists": sorted(
-                [
-                    r.digest,
-                    r.reduction,
-                    r.n_vars,
-                    sorted([m.digest, list(m.features), m.count] for m in r.moves.values()),
-                ]
-                for r in self.dists.values()
-            ),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _merge_record(store: DeltaStore, rec: ValueRecord | DistRecord) -> None:
@@ -441,7 +422,12 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
         features = tuple(float(f) for f in doc["features"])
         value = float(doc["value"])
         visits = int(doc["visits"])
-        if not all(map(math.isfinite, features)) or not math.isfinite(value) or visits < 1:
+        if (
+            len(features) != len(FEATURE_NAMES)
+            or not all(map(math.isfinite, features))
+            or not math.isfinite(value)
+            or visits < 1
+        ):
             raise ValueError("non-finite or invalid value record")
         return ValueRecord(doc["digest"], int(doc["n_vars"]), features, value, visits)
     if kind == "dist":
@@ -449,7 +435,11 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
         for m in doc["moves"]:
             features = tuple(float(f) for f in m["features"])
             count = int(m["count"])
-            if not all(map(math.isfinite, features)) or count < 0:
+            if (
+                len(features) != len(FEATURE_NAMES)
+                or not all(map(math.isfinite, features))
+                or count < 0
+            ):
                 raise ValueError("non-finite or invalid move stat")
             moves[m["digest"]] = MoveStat(m["digest"], features, count)
         return DistRecord(doc["digest"], doc["reduction"], int(doc["n_vars"]), moves)

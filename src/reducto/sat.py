@@ -20,7 +20,7 @@ from bisect import bisect_left
 from hashlib import blake2b
 from typing import Iterable, Iterator
 
-from .core import EasyOutcome, NO_SOLUTION, NOT_EASY, SelfReduction, identity_lift, one_move
+from .core import DONT_KNOW, NO_SOLUTION, SelfReduction, SolveAnswer, identity_lift, one_move
 
 Literal = int
 Clause = tuple  # tuple[int, ...] in canonical order
@@ -471,29 +471,29 @@ BOUNDED_RESOLUTION = one_move("bounded-resolution", lambda phi: (bounded_resolut
 # ---------------------------------------------------------------------------
 
 
-def easy_trivial(phi: Formula) -> EasyOutcome:
+def easy_trivial(phi: Formula) -> SolveAnswer:
     """Easy set: the empty formula (satisfiable) and any formula with the empty clause."""
     if phi.is_empty:
-        return EasyOutcome.solution(assignment())
+        return SolveAnswer.solution(assignment())
     if phi.has_empty_clause:
         return NO_SOLUTION
-    return NOT_EASY
+    return DONT_KNOW
 
 
-def easy_all_positive(phi: Formula) -> EasyOutcome:
+def easy_all_positive(phi: Formula) -> SolveAnswer:
     """Easy set: formulas in which every clause has a positive literal.
 
     Such formulas are satisfied by the set of all their positive literals, so
     this solver never reports "no solution".
     """
     if all(any(l > 0 for l in c) for c in phi.clauses):
-        return EasyOutcome.solution(
+        return SolveAnswer.solution(
             assignment(l for c in phi.clauses for l in c if l > 0)
         )
-    return NOT_EASY
+    return DONT_KNOW
 
 
-def easy_combined(phi: Formula) -> EasyOutcome:
+def easy_combined(phi: Formula) -> SolveAnswer:
     """Union of the trivial and all-positive easy sets."""
     out = easy_trivial(phi)
     if out.is_easy:

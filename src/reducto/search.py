@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
-from .core import DEFAULT_MOVE_CAP, EasyOutcome, Path, Setup, enumerate_moves
+from .core import DEFAULT_MOVE_CAP, Path, Setup, SolveAnswer, enumerate_moves
 
 PRIOR_WEIGHT = 1.0
 
@@ -81,13 +81,11 @@ class QualityData:
     values: dict[Any, tuple[float, int]] = field(default_factory=dict)
     distributions: dict[tuple[Any, str], dict[Any, int]] = field(default_factory=dict)
 
-    @property
-    def record_count(self) -> int:
-        return len(self.values) + len(self.distributions)
-
 
 @dataclass(frozen=True)
 class SearchStats:
+    """What one search did; a solve's ``RunReport.stats``."""
+
     nodes_expanded: int
     evaluator_calls: int
     wall_time_s: float
@@ -95,10 +93,10 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
-    """Path found, the easy outcome at its end, quality data, and stats."""
+    """Path found, the easy solver's verdict at its end, quality data, and stats."""
 
     path: Path
-    terminal: EasyOutcome
+    terminal: SolveAnswer
     quality: QualityData
     stats: SearchStats
 
@@ -133,7 +131,7 @@ class SearchResult:
 class _Node:
     __slots__ = ("instance", "easy", "children", "child_easy", "priors", "counts", "totals", "samples")
 
-    def __init__(self, instance: Any, easy: EasyOutcome):
+    def __init__(self, instance: Any, easy: SolveAnswer):
         self.instance = instance
         self.easy = easy
         self.children: list[tuple[str, Any]] | None = None
@@ -156,11 +154,11 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
     """
     t0 = time.perf_counter()
     tt: dict[Any, _Node] = {}
-    easy_cache: dict[Any, EasyOutcome] = {}
+    easy_cache: dict[Any, SolveAnswer] = {}
     value_cache: dict[Any, float] = {}
     calls = [0]
 
-    def easy_of(f: Any) -> EasyOutcome:
+    def easy_of(f: Any) -> SolveAnswer:
         out = easy_cache.get(f)
         if out is None:
             out = setup.easy(f)

@@ -471,7 +471,7 @@ def test_criterion_8_learning_signal_reported():
         calls = []
         for phi in held_out:
             answer, _, rep = solve(phi, "flip", params, cfg, train_after=False)
-            calls.append(rep.evaluator_calls if answer.kind == "solution" else float("inf"))
+            calls.append(rep.stats.evaluator_calls if answer.kind == "solution" else float("inf"))
         return statistics.median(calls)
 
     fresh_median = median_calls(init_params())

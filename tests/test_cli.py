@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -113,6 +114,30 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
         assert code == 10
         assert "c skipped 1 corrupt quality records" in err
+
+    def test_wrong_length_record_is_skipped_not_fatal(self, workdir, capsys):
+        cnf = write(workdir / "f.cnf", SAT_TEXT)
+        run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
+        doc = {"kind": "value", "digest": "x", "n_vars": 1, "features": [0.5] * 3,
+               "value": 0.5, "visits": 1}
+        with open("p.delta.jsonl", "a") as handle:
+            handle.write(json.dumps(doc) + "\n")
+        for _ in range(2):
+            code, _, err = run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
+            assert code == 10
+            assert "c skipped 1 corrupt quality records" in err
+
+    @pytest.mark.parametrize("text", ["[1]", '{"version": 1}', "{"])
+    def test_malformed_params_file_is_one_error_line(self, workdir, capsys, text):
+        cnf = write(workdir / "f.cnf", SAT_TEXT)
+        params = write(workdir / "bad.json", text)
+        for command in (["solve", cnf, "--params", params],
+                        ["bench", "--setups", "flip", "--instances", "1", "--params", params]):
+            code, out, err = run(capsys, *command)
+            assert code == 1
+            assert out == ""
+            assert [l for l in err.splitlines() if l.startswith("error:")] == err.splitlines()
+            assert len(err.splitlines()) == 1
 
     def test_solve_reads_only_the_end_of_the_log(self, workdir, capsys):
         # A corrupt line older than the replay window is never read.

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from reducto.core import (
-    EasyOutcome,
+    DONT_KNOW,
+    NO_SOLUTION,
     LiftIntegrityError,
     Path,
     SelfReduction,
@@ -36,14 +37,15 @@ def sat_check(inst, sol):
 
 class TestOutcomeTypes:
     def test_variants_are_exclusive(self):
-        assert EasyOutcome.not_easy().kind == "not_easy"
-        assert EasyOutcome.solution(frozenset()).is_easy
+        assert DONT_KNOW == SolveAnswer.dont_know() and not DONT_KNOW.is_easy
+        assert NO_SOLUTION == SolveAnswer.no_solution() and NO_SOLUTION.is_easy
+        assert SolveAnswer.solution(frozenset()).is_easy
         with pytest.raises(ValueError):
-            EasyOutcome("bogus")
+            SolveAnswer("bogus")
         with pytest.raises(ValueError):
-            EasyOutcome("not_easy", frozenset())
+            SolveAnswer("dont_know", frozenset())
         with pytest.raises(ValueError):
-            EasyOutcome.solution(None)
+            SolveAnswer.solution(None)
 
     def test_answer_variants(self):
         assert SolveAnswer.dont_know().kind == "dont_know"

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -185,6 +186,48 @@ class TestInitAndSerialization:
         with pytest.raises(ParamVersionError):
             parse_params(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: [1],
+            lambda doc: None,
+            lambda doc: {"version": 1},
+            lambda doc: {k: v for k, v in doc.items() if k != "prior_weights"},
+            lambda doc: {**doc, "prior_weights": [[0.0] * 11]},
+            lambda doc: {**doc, "value_weights": ["heavy"] * 11},
+            lambda doc: {**doc, "value_weights": 0.0},
+            lambda doc: {**doc, "prior_weights": {"flip": [float("nan")] * 11}},
+            lambda doc: {**doc, "training_stats": [1]},
+            lambda doc: {**doc, "training_stats": {"last_loss": "low"}},
+            # A two-feature layout whose weight lengths match it.
+            lambda doc: {
+                **doc,
+                "feature_spec": ["var_count", "clause_count"],
+                "value_weights": [0.0] * 3,
+                "prior_weights": {"flip": [0.0] * 3},
+            },
+            lambda doc: {**doc, "feature_spec": list(reversed(FEATURE_NAMES))},
+        ],
+        ids=[
+            "list",
+            "null",
+            "version-only",
+            "no-prior-weights",
+            "prior-weights-list",
+            "non-numeric-weight",
+            "scalar-weights",
+            "nan-weight",
+            "stats-list",
+            "non-numeric-loss",
+            "two-feature-spec",
+            "reordered-spec",
+        ],
+    )
+    def test_malformed_documents_are_version_errors(self, change):
+        doc = json.loads(params_text(random_params(random.Random(29))))
+        with pytest.raises(ParamVersionError):
+            parse_params(json.dumps(change(doc)))
+
     def test_interrupted_write_leaves_old_params_intact(self, tmp_path, monkeypatch):
         path = str(tmp_path / "params.json")
         original = init_params()
@@ -253,13 +296,13 @@ class TestMerge:
         )
         a = merge(merge(DeltaStore(), self.delta), other)
         b = merge(merge(DeltaStore(), other), self.delta)
-        assert a.canonical_text() == b.canonical_text()
+        assert a == b
 
     def test_merge_empty_delta_is_identity(self):
         store = merge(DeltaStore(), self.delta)
-        before = store.canonical_text()
+        before = copy.deepcopy(store)
         merge(store, QualityData())
-        assert store.canonical_text() == before
+        assert store == before
 
 
 class TestQualityLog:
@@ -275,7 +318,7 @@ class TestQualityLog:
         store, skipped = load_quality_log(path)
         assert skipped == 0
         expected = merge(DeltaStore(), delta)
-        assert store.canonical_text() == expected.canonical_text()
+        assert store == expected
 
     def test_repeated_records_merge_on_load(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
@@ -287,7 +330,7 @@ class TestQualityLog:
         assert store.values[phi.digest].visits == 8
         assert store.dists[(phi.digest, "flip")].moves[move.digest].count == 8
         expected = merge(merge(DeltaStore(), delta), delta)
-        assert store.canonical_text() == expected.canonical_text()
+        assert store == expected
 
     def test_corrupt_records_skipped_and_counted(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
@@ -323,11 +366,27 @@ class TestQualityLog:
                         {"digest": "m", "features": [0.5] * (dim - 1) + [float("inf")], "count": 1}
                     ],
                 },
+                # Feature vectors of the wrong length.
+                {
+                    "kind": "value",
+                    "digest": "u",
+                    "n_vars": 1,
+                    "features": [0.5] * 3,
+                    "value": 0.5,
+                    "visits": 1,
+                },
+                {
+                    "kind": "dist",
+                    "digest": "t",
+                    "reduction": "flip",
+                    "n_vars": 1,
+                    "moves": [{"digest": "m", "features": [0.5] * (dim + 1), "count": 1}],
+                },
             ):
                 # json writes the non-finite floats as NaN, -Infinity and Infinity.
                 handle.write(json.dumps(doc) + "\n")
         store, skipped = load_quality_log(path)
-        assert skipped == 5
+        assert skipped == 7
         assert len(store.values) == 1
         assert not store.dists
 
@@ -340,8 +399,8 @@ class TestQualityLog:
         assert append_quality_log(path, quality_records(delta, featurize)) == 2
         store, skipped = load_quality_log(path)
         assert skipped == 1
-        assert store.canonical_text() == merge(DeltaStore(), delta).canonical_text()
-        assert load_quality_log(path, last_lines=2)[0].canonical_text() == store.canonical_text()
+        assert store == merge(DeltaStore(), delta)
+        assert load_quality_log(path, last_lines=2)[0] == store
 
 
 def write_log(path, rng, n_deltas=12):
@@ -374,7 +433,7 @@ class TestLogTail:
             store, skipped = load_quality_log(path, last_lines=n)
             expected, _ = self.reference(tmp_path, lines[-n:])
             assert skipped == 0
-            assert store.canonical_text() == expected.canonical_text()
+            assert store == expected
 
     def test_missing_trailing_newline(self, tmp_path, monkeypatch):
         monkeypatch.setattr(learner, "_TAIL_BLOCK", 64)
@@ -385,7 +444,7 @@ class TestLogTail:
         for n in (1, 4, len(lines), len(lines) + 1):
             store, skipped = load_quality_log(path, last_lines=n)
             assert skipped == 0
-            assert store.canonical_text() == self.reference(tmp_path, lines[-n:])[0].canonical_text()
+            assert store == self.reference(tmp_path, lines[-n:])[0]
 
     def test_truncated_last_line_is_skipped_and_counted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(learner, "_TAIL_BLOCK", 64)
@@ -398,7 +457,7 @@ class TestLogTail:
             store, skipped = load_quality_log(path, last_lines=n)
             assert skipped == 1
             expected = self.reference(tmp_path, (lines[:-1] + [cut])[-n:])
-            assert (store.canonical_text(), skipped) == (expected[0].canonical_text(), expected[1])
+            assert (store, skipped) == expected
         assert load_quality_log(path)[1] == 1
 
     def test_corrupt_lines_count_only_inside_the_tail(self, tmp_path):
@@ -417,7 +476,7 @@ class TestLogTail:
         lines = write_log(path, random.Random(6), n_deltas=2).splitlines(keepends=True)
         assert len(lines) < REPLAY_WINDOW
         store, skipped = load_quality_log(path, last_lines=REPLAY_WINDOW)
-        assert (store.canonical_text(), skipped) == (load_quality_log(path)[0].canonical_text(), 0)
+        assert (store, skipped) == (load_quality_log(path)[0], 0)
 
 
 def history_store(n_values, n_dists, dim=len(FEATURE_NAMES)):
@@ -458,7 +517,7 @@ class TestReplayWindow:
             newest_dists = list(history.dists)[-half:]
             records = quality_records(delta, featurize)
             window = merge_window(history, records)
-            assert history.canonical_text() == ref_merge_quality(make_history(), delta).canonical_text()
+            assert history == ref_merge_quality(make_history(), delta)
             run_values = {r.digest for r in records if isinstance(r, ValueRecord)}
             run_dists = {(r.digest, r.reduction) for r in records if isinstance(r, DistRecord)}
             assert set(window.values) == set(newest_values) | run_values
@@ -739,17 +798,17 @@ class TestReferenceEquivalence:
                 for phi in rng.sample(pool, 4):
                     evaluator.value(phi)
                 assert quality_records(delta, evaluator.features) == records
-                assert append_quality_log(path, records) == delta.record_count
+                assert append_quality_log(path, records) == len(delta.values) + len(delta.distributions)
                 ref_lines.extend(
                     json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                     for rec in ref_delta_records(delta)
                 )
-            assert store.canonical_text() == ref_store.canonical_text()
+            assert store == ref_store
             with open(path) as handle:
                 assert handle.read() == "".join(ref_lines)
             loaded, skipped = load_quality_log(path)
             assert skipped == 0
-            assert loaded.canonical_text() == ref_store.canonical_text()
+            assert loaded == ref_store
 
 
 def ref_merge_value_record(store: DeltaStore, rec: ValueRecord) -> None:

@@ -314,7 +314,7 @@ class TestEasySolvers:
         assert easy_trivial(Formula([[], [1]])).kind == "no_solution"
 
     def test_trivial_not_easy(self):
-        assert easy_trivial(Formula([[1]])).kind == "not_easy"
+        assert easy_trivial(Formula([[1]])).kind == "dont_know"
 
     def test_all_positive_solution(self):
         out = easy_all_positive(Formula([[1, -2], [2]]))
@@ -323,19 +323,19 @@ class TestEasySolvers:
         assert satisfies(out.value, Formula([[1, -2], [2]]))
 
     def test_all_positive_not_easy(self):
-        assert easy_all_positive(Formula([[-1]])).kind == "not_easy"
+        assert easy_all_positive(Formula([[-1]])).kind == "dont_know"
 
     def test_all_positive_vacuous_top(self):
         out = easy_all_positive(TOP)
         assert out.kind == "solution" and out.value == frozenset()
 
     def test_all_positive_never_certifies_unsat(self):
-        assert easy_all_positive(BOTTOM).kind == "not_easy"
+        assert easy_all_positive(BOTTOM).kind == "dont_know"
 
     def test_combined_prefers_trivial_verdicts(self):
         assert easy_combined(BOTTOM).kind == "no_solution"
         assert easy_combined(Formula([[1, -2], [2]])).kind == "solution"
-        assert easy_combined(Formula([[-1]])).kind == "not_easy"
+        assert easy_combined(Formula([[-1]])).kind == "dont_know"
 
 
 class TestOracle:

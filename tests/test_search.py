@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from reducto.core import NOT_EASY, EasyOutcome, SelfReduction, Setup, enumerate_moves, verify_path
+from reducto.core import DONT_KNOW, SelfReduction, Setup, SolveAnswer, enumerate_moves, verify_path
 from reducto.driver import SETUP_NAMES, check_quality_data, make_setup, random_formula, random_ksat
 from reducto.learner import LinearEvaluator, ParamStore
 from reducto.sat import Formula, TOP, easy_trivial
@@ -40,7 +40,7 @@ def fresh_evaluator():
 
 def toy_setup(moves_map, easy_set):
     def easy(x):
-        return EasyOutcome.solution(x) if x in easy_set else NOT_EASY
+        return SolveAnswer.solution(x) if x in easy_set else DONT_KNOW
 
     reduction = SelfReduction("r", lambda x: moves_map.get(x, []), lambda x, x2, y: y)
     return Setup(easy=easy, reductions=(reduction,))
@@ -81,7 +81,7 @@ class TestTerminals:
         phi = Formula([[1], [-1]])
         result = ams_search(phi, FLIP_SETUP, fresh_evaluator(), SearchConfig(budget=4))
         assert len(result.path) == 0
-        assert result.terminal.kind == "not_easy"
+        assert result.terminal.kind == "dont_know"
         value, visits = result.quality.values[phi]
         assert value == 0.0 and visits == 1
 
@@ -99,7 +99,7 @@ class TestHorizon:
         cfg = SearchConfig(horizon=1, budget=16)
         result = ams_search(phi, RES_SETUP, fresh_evaluator(), cfg)
         assert len(result.path) <= 1
-        assert result.terminal.kind == "not_easy"
+        assert result.terminal.kind == "dont_know"
 
     def test_deep_enough_horizon_certifies(self):
         phi = Formula([[1, 3], [-1, 3], [-3]])
