@@ -1,11 +1,14 @@
 """Command-line surface: solve, train, selfcheck, and bench subcommands.
 
 Solve prints SAT-competition style output (``s ...`` / ``v ...``) and uses
-the matching exit codes: 10 satisfiable, 20 unsatisfiable, 0 unknown, 1 for
-usage or input errors.  Parameters live in a JSON file (default from the
-REDUCTO_PARAMS environment variable) updated atomically under an advisory
-lock; each run appends its quality data to a sibling record log and trains
-on the end of that log (see ``learner.REPLAY_WINDOW``).
+the matching exit codes: 10 satisfiable, 20 unsatisfiable, 0 unknown.  Exit
+code 1 means any error, never a traceback: a usage error prints argparse's
+usage message, and every other error (input, files, parameters, training)
+prints one ``error: <message>`` line on stderr.  Parameters live in a JSON
+file (default from the REDUCTO_PARAMS environment variable) updated
+atomically under an advisory lock; each run appends its quality data to a
+sibling record log and trains on the end of that log (see
+``learner.REPLAY_WINDOW``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import contextlib
 import os
 import sys
 
-from .dimacs import DimacsError, parse_dimacs
+from .dimacs import parse_dimacs
 from .driver import (
     BENCH_HEADER,
     CHECK_CONFIG,
@@ -30,7 +33,6 @@ from .learner import (
     DEFAULT_LEARNING_RATE,
     REPLAY_WINDOW,
     DeltaStore,
-    ParamVersionError,
     TrainDivergedError,
     append_quality_log,
     fit,
@@ -75,7 +77,7 @@ def _default_params_path(args) -> str:
 
 
 def _delta_log_path(args, params_path: str) -> str:
-    if getattr(args, "delta_log", None):
+    if args.delta_log:
         return args.delta_log
     base = params_path[:-5] if params_path.endswith(".json") else params_path
     return base + ".delta.jsonl"
@@ -109,28 +111,16 @@ def _cmd_solve(args) -> int:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        try:
-            with open(args.input) as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    try:
-        phi = parse_dimacs(text)
-    except DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        with open(args.input) as handle:
+            text = handle.read()
+    phi = parse_dimacs(text)
 
     params_path = _default_params_path(args)
     delta_path = _delta_log_path(args, params_path)
     cfg = _search_config(args)
 
     with _advisory_lock(params_path):
-        try:
-            theta = _load_or_init_params(params_path)
-        except (ParamVersionError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        theta = _load_or_init_params(params_path)
         history = DeltaStore()
         if not args.no_train and os.path.exists(delta_path):
             # Training replays at most the newest REPLAY_WINDOW records, so
@@ -138,20 +128,16 @@ def _cmd_solve(args) -> int:
             history, skipped = load_quality_log(delta_path, last_lines=REPLAY_WINDOW)
             if skipped:
                 print(f"c skipped {skipped} corrupt quality records", file=sys.stderr)
-        try:
-            answer, theta_after, report = solve(
-                phi,
-                args.setup,
-                theta,
-                cfg,
-                history=history,
-                train_after=not args.no_train,
-                epochs=args.epochs,
-                learning_rate=args.lr,
-            )
-        except TrainDivergedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        answer, theta_after, report = solve(
+            phi,
+            args.setup,
+            theta,
+            cfg,
+            history=history,
+            train_after=not args.no_train,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+        )
         if not args.no_train:
             append_quality_log(delta_path, report.records)
             save_params(theta_after, params_path)
@@ -187,22 +173,14 @@ def _cmd_train(args) -> int:
         print("error: quality log holds no usable records", file=sys.stderr)
         return EXIT_ERROR
     with _advisory_lock(params_path):
-        try:
-            theta = _load_or_init_params(params_path)
-        except (ParamVersionError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        try:
-            theta_after, first_loss, last_loss = fit(
-                theta,
-                store,
-                epochs=args.epochs,
-                learning_rate=args.lr,
-                curriculum=args.curriculum,
-            )
-        except (TrainDivergedError, ParamVersionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        theta = _load_or_init_params(params_path)
+        theta_after, first_loss, last_loss = fit(
+            theta,
+            store,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            curriculum=args.curriculum,
+        )
         save_params(theta_after, params_path)
     print(f"c records {store.record_count}")
     print(f"c first-loss {first_loss:.6f}")
@@ -243,13 +221,7 @@ def _cmd_bench(args) -> int:
     if not names:
         print("error: no setups given", file=sys.stderr)
         return EXIT_ERROR
-    theta = None
-    if args.params:
-        try:
-            theta = load_params(args.params)
-        except (ParamVersionError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    theta = load_params(args.params) if args.params else None
     cfg = _search_config(args)
     rows = run_bench(
         names,
@@ -317,9 +289,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
+    # The one place a failure becomes an error line; DimacsError and
+    # ParamVersionError are ValueErrors.
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, TrainDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

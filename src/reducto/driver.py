@@ -41,6 +41,7 @@ from .sat import (
     BLOCKED_CLAUSE,
     EXTENSION,
     FLIP,
+    ORACLE_VAR_LIMIT,
     Formula,
     RESOLUTION,
     SUBSUMPTION,
@@ -264,8 +265,17 @@ def run_selfcheck(
     Any disagreement is a contradiction and carries the offending instance as
     DIMACS text; every run's quality data is checked against the move rules.
     Runs use fresh parameters and do not train, so long selfchecks stay
-    linear in the instance count.
+    linear in the instance count.  Raises ``ValueError`` before any solve when
+    ``n_instances`` is negative or ``max_vars`` is above the oracle's limit.
     """
+    if n_instances < 0:
+        raise ValueError(f"instance count must be non-negative, got {n_instances}")
+    # An instance has at most max_vars variables, so no oracle call below can
+    # refuse one.
+    if max_vars > ORACLE_VAR_LIMIT:
+        raise ValueError(
+            f"max_vars {max_vars} exceeds the oracle limit of {ORACLE_VAR_LIMIT} variables"
+        )
     t0 = time.perf_counter()
     theta = ParamStore()
     setup = make_setup(setup_name)
@@ -320,7 +330,12 @@ def run_bench(
     ratio: float = 3.0,
     theta: ParamStore | None = None,
 ) -> list[BenchRow]:
-    """Solve the same seeded instance set under each setup; no training."""
+    """Solve the same seeded instance set under each setup; no training.
+
+    Raises ``ValueError`` before any solve when ``n_instances`` is negative.
+    """
+    if n_instances < 0:
+        raise ValueError(f"instance count must be non-negative, got {n_instances}")
     theta = theta if theta is not None else ParamStore()
     for name in setup_names:
         make_setup(name)  # validate early

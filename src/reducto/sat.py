@@ -15,6 +15,7 @@ is then the canonical clause order, so ordering and insertion compare ints
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_left
 from hashlib import blake2b
@@ -228,12 +229,6 @@ def _insert_clauses(
     return cls
 
 
-def add_clauses(phi: Formula, new: Iterable[Clause]) -> Formula:
-    """``phi`` plus those canonical clauses of ``new`` that it lacks."""
-    codes = [_clause_code(c) for c in phi.clauses]
-    return Formula._make(_insert_clauses(phi.clauses, codes, set(new).difference(phi.clauses)))
-
-
 def resolution_moves(phi: Formula) -> list[Formula]:
     """Each move adds one new resolvent to ``phi``."""
     cls = phi.clauses
@@ -382,7 +377,10 @@ def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
 
 def bounded_resolution(phi: Formula) -> Formula:
     """``phi`` plus its first ``BOUNDED_RESOLVENT_CAP`` new resolvents, then subsumed."""
-    return subsume(add_clauses(phi, new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP]))
+    # The resolvents are clauses phi lacks, in canonical order, so one merge
+    # keeps the union canonical.
+    new = new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP]
+    return subsume(Formula._make(tuple(heapq.merge(phi.clauses, new, key=_clause_code))))
 
 
 def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Formula]:

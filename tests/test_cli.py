@@ -279,6 +279,31 @@ class TestBenchCommand:
         assert code == 0
 
 
+class TestErrorLines:
+    # Each of these ended in a traceback before main became the one place
+    # that turns an exception into an error line.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["solve", "f.cnf", "--params", "no-such-dir/p.json"],
+                     id="params-in-missing-dir"),
+        pytest.param(["solve", "f.cnf", "--params", "p.json", "--delta-log", "no-such-dir/d.jsonl"],
+                     id="delta-log-in-missing-dir"),
+        pytest.param(["train", "--delta-log", "a-directory", "--params", "p.json"],
+                     id="delta-log-is-a-directory"),
+        pytest.param(["selfcheck", "--instances", "10", "--max-vars", "40", "--seed", "1",
+                      "--budget", "1", "--horizon", "1"], id="max-vars-above-oracle-limit"),
+        pytest.param(["selfcheck", "--instances", "-1"], id="selfcheck-negative-instances"),
+        pytest.param(["bench", "--instances", "-1"], id="bench-negative-instances"),
+    ])
+    def test_failure_is_one_error_line(self, workdir, capsys, argv):
+        write(workdir / "f.cnf", SAT_TEXT)
+        (workdir / "a-directory").mkdir()
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert [l for l in err.splitlines() if l.startswith("error:")] == err.splitlines()
+        assert len(err.splitlines()) == 1
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 1
