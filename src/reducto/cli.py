@@ -122,9 +122,12 @@ def _cmd_solve(args) -> int:
     with _advisory_lock(params_path):
         theta = _load_or_init_params(params_path)
         history = DeltaStore()
-        if not args.no_train and os.path.exists(delta_path):
-            # Training replays at most the newest REPLAY_WINDOW records, so
-            # only the end of the log is read.
+        if not args.no_train:
+            # Creating the log here makes an unwritable path fail before the
+            # search.  Training replays at most the newest REPLAY_WINDOW
+            # records, so only the end of the log is read.
+            with open(delta_path, "a"):
+                pass
             history, skipped = load_quality_log(delta_path, last_lines=REPLAY_WINDOW)
             if skipped:
                 print(f"c skipped {skipped} corrupt quality records", file=sys.stderr)

@@ -11,6 +11,7 @@ whose solver certified unsatisfiability.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -266,10 +267,13 @@ def run_selfcheck(
     DIMACS text; every run's quality data is checked against the move rules.
     Runs use fresh parameters and do not train, so long selfchecks stay
     linear in the instance count.  Raises ``ValueError`` before any solve when
-    ``n_instances`` is negative or ``max_vars`` is above the oracle's limit.
+    ``n_instances`` is negative, ``ratio`` is not finite and positive, or
+    ``max_vars`` is above the oracle's limit.
     """
     if n_instances < 0:
         raise ValueError(f"instance count must be non-negative, got {n_instances}")
+    if not (0.0 < ratio < math.inf):
+        raise ValueError(f"clause ratio must be finite and positive, got {ratio}")
     # An instance has at most max_vars variables, so no oracle call below can
     # refuse one.
     if max_vars > ORACLE_VAR_LIMIT:
@@ -332,10 +336,13 @@ def run_bench(
 ) -> list[BenchRow]:
     """Solve the same seeded instance set under each setup; no training.
 
-    Raises ``ValueError`` before any solve when ``n_instances`` is negative.
+    Raises ``ValueError`` before any solve when ``n_instances`` is negative or
+    ``ratio`` is not finite and positive.
     """
     if n_instances < 0:
         raise ValueError(f"instance count must be non-negative, got {n_instances}")
+    if not (0.0 < ratio < math.inf):
+        raise ValueError(f"clause ratio must be finite and positive, got {ratio}")
     theta = theta if theta is not None else ParamStore()
     for name in setup_names:
         make_setup(name)  # validate early

@@ -448,8 +448,13 @@ def flip_moves(phi: Formula) -> list[Formula]:
 
 
 def _flip_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    for v in flippable_variables(x):
-        if flip_variable(x, v) == x2:
+    # Every clause a flip changes holds the flipped variable, so the first
+    # clause of x missing from x2 names every candidate, in variable order.
+    kept = set(x2.clauses)
+    changed = next((c for c in x.clauses if c not in kept), ())
+    flippable = set(flippable_variables(x))
+    for v in (abs(l) for l in changed):
+        if v in flippable and flip_variable(x, v) == x2:
             return assignment(-l if abs(l) == v else l for l in y)
     raise ValueError("target is not a flip move of the source")
 

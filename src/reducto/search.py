@@ -2,17 +2,20 @@
 
 The search is an adaptation of adaptive multistage sampling to deterministic
 move graphs.  Each explored node holds per-move visit counts and accumulated
-discounted returns; moves are picked by a UCB score seeded with evaluator
-priors as pseudo-counts, with the first visit of every move forced.  Rewards
-live in [0, 1]: easy instances are worth 1, dead ends 0, and instances cut
-off at the horizon are worth the evaluator's value estimate.
+discounted returns.  Rewards live in [0, 1]: easy instances are worth 1, dead
+ends 0, and instances cut off at the horizon are worth the evaluator's value
+estimate.
 
-As in a one-player game, the search ends when it is won: sampling stops at
-the first pass whose descent reaches an easy instance, and that descent is the
-returned path.  When no pass within the root's budget reaches one, the path is
-empty.  Alongside the path, a search emits quality data: the visit-count
-distribution over each explored (instance, reduction) pair and a value
-estimate for every explored instance.  These feed the trainer.
+As in a one-player game, the search ends when it is won.  Expanding a node
+asks the easy solver about its moves in list order and stops at the first easy
+one.  A node whose moves include an easy instance is won: the descent that
+reaches it takes its first easy move, sampling stops, and that descent is the
+returned path.  At any other node the first visit of every move is forced,
+then a UCB score seeded with evaluator priors as pseudo-counts picks.  When no
+pass within the root's budget reaches an easy instance, the path is empty.
+Alongside the path, a search emits quality data: the visit-count distribution
+over each explored (instance, reduction) pair and a value estimate for every
+explored instance.  These feed the trainer.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class SearchConfig:
             raise ValueError("budget must be at least 1")
         if not (0.0 < self.discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
-        if self.exploration < 0:
-            raise ValueError("exploration must be non-negative")
+        if not (0.0 <= self.exploration < math.inf):
+            raise ValueError("exploration must be finite and non-negative")
         if self.move_cap < 1:
             raise ValueError("move_cap must be at least 1")
 
@@ -129,13 +132,13 @@ class SearchResult:
 
 
 class _Node:
-    __slots__ = ("instance", "easy", "children", "child_easy", "priors", "counts", "totals", "samples")
+    __slots__ = ("instance", "easy", "children", "won", "priors", "counts", "totals", "samples")
 
-    def __init__(self, instance: Any, easy: SolveAnswer):
+    def __init__(self, instance: Any, easy: bool):
         self.instance = instance
         self.easy = easy
         self.children: list[tuple[str, Any]] | None = None
-        self.child_easy: list[bool] = []
+        self.won = -1
         self.priors: list[float] = []
         self.counts: list[int] = []
         self.totals: list[float] = []
@@ -154,16 +157,8 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
     """
     t0 = time.perf_counter()
     tt: dict[Any, _Node] = {}
-    easy_cache: dict[Any, SolveAnswer] = {}
     value_cache: dict[Any, float] = {}
     calls = [0]
-
-    def easy_of(f: Any) -> SolveAnswer:
-        out = easy_cache.get(f)
-        if out is None:
-            out = setup.easy(f)
-            easy_cache[f] = out
-        return out
 
     def eval_value(f: Any) -> float:
         v = value_cache.get(f)
@@ -173,10 +168,10 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             calls[0] += 1
         return v
 
-    def ensure_node(f: Any) -> _Node:
+    def ensure_node(f: Any, easy: bool = False) -> _Node:
         node = tt.get(f)
         if node is None:
-            node = _Node(f, easy_of(f))
+            node = _Node(f, easy)
             tt[f] = node
         return node
 
@@ -185,7 +180,7 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             return
         moves = enumerate_moves(setup, node.instance, move_cap=cfg.move_cap)
         node.children = moves
-        node.child_easy = [easy_of(m).is_easy for _, m in moves]
+        node.won = next((i for i, (_, m) in enumerate(moves) if setup.easy(m).is_easy), -1)
         k = len(moves)
         node.counts = [0] * k
         node.totals = [0.0] * k
@@ -205,7 +200,7 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         node.priors = priors
 
     def node_value(node: _Node) -> float:
-        if node.easy.is_easy:
+        if node.easy:
             return 1.0
         if node.children is not None and not node.children:
             return 0.0
@@ -214,12 +209,13 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         return eval_value(node.instance)
 
     def select(node: _Node) -> int:
-        unvisited = [i for i, n in enumerate(node.counts) if n == 0]
-        if unvisited:
-            for i in unvisited:
-                if node.child_easy[i]:
-                    return i
-            return unvisited[0]
+        # ``won`` is the first easy child, or -1: taking it wins the game, so a
+        # won node is selected once and exploration runs only at the others.
+        if node.won >= 0:
+            return node.won
+        for i, n in enumerate(node.counts):
+            if n == 0:
+                return i
         w = PRIOR_WEIGHT
         c = cfg.exploration
         log_t = math.log(node.samples + w * len(node.counts))
@@ -241,11 +237,8 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         # recursion: a nested function that calls itself is a reference cycle,
         # which would leave every node table to the cyclic garbage collector.
         descent: list[tuple[_Node, int]] = []
+        won = False
         while True:
-            if easy_of(f).is_easy:
-                ensure_node(f)
-                v = 1.0
-                break
             if len(descent) >= cfg.horizon:
                 v = eval_value(f)
                 break
@@ -260,19 +253,25 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             i = select(node)
             descent.append((node, i))
             f = node.children[i][1]
+            won = i == node.won  # no other move leads to an easy instance
+            if won:
+                ensure_node(f, easy=True)
+                v = 1.0
+                break
         for node, i in reversed(descent):
             node.counts[i] += 1
             node.totals[i] += cfg.discount * v
             node.samples += 1
             v = node_value(node)
-        return descent if easy_of(f).is_easy else []
+        return descent if won else []
 
     # The game is won at the first easy leaf: stop sampling and return that
     # descent.  It never revisits an instance, because no statistics change
     # within a descent, so one that came back would loop to the horizon.
     winning: list[tuple[_Node, int]] = []
-    root = ensure_node(x)
-    if not root.easy.is_easy:
+    root_answer = setup.easy(x)
+    root = ensure_node(x, root_answer.is_easy)
+    if not root.easy:
         expand(root)
         if root.children:
             for _ in range(cfg.budget):
@@ -293,4 +292,5 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         evaluator_calls=calls[0],
         wall_time_s=time.perf_counter() - t0,
     )
-    return SearchResult(path=path, terminal=easy_of(path.end), quality=quality, stats=stats)
+    terminal = setup.easy(path.end) if winning else root_answer
+    return SearchResult(path=path, terminal=terminal, quality=quality, stats=stats)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from reducto import cli
 from reducto.cli import main
 from reducto.dimacs import parse_dimacs
 from reducto.learner import (
@@ -293,6 +294,13 @@ class TestErrorLines:
                       "--budget", "1", "--horizon", "1"], id="max-vars-above-oracle-limit"),
         pytest.param(["selfcheck", "--instances", "-1"], id="selfcheck-negative-instances"),
         pytest.param(["bench", "--instances", "-1"], id="bench-negative-instances"),
+        # Each of these settings was accepted, or overflowed, before any check.
+        pytest.param(["solve", "f.cnf", "--no-train", "--exploration", "nan"], id="exploration-nan"),
+        pytest.param(["solve", "f.cnf", "--no-train", "--exploration", "inf"], id="exploration-inf"),
+        pytest.param(["selfcheck", "--instances", "3", "--ratio", "inf"], id="selfcheck-ratio-inf"),
+        pytest.param(["selfcheck", "--instances", "3", "--ratio", "-1"], id="selfcheck-ratio-negative"),
+        pytest.param(["selfcheck", "--instances", "3", "--ratio", "0"], id="selfcheck-ratio-zero"),
+        pytest.param(["bench", "--instances", "3", "--ratio", "-1"], id="bench-ratio-negative"),
     ])
     def test_failure_is_one_error_line(self, workdir, capsys, argv):
         write(workdir / "f.cnf", SAT_TEXT)
@@ -302,6 +310,17 @@ class TestErrorLines:
         assert out == ""
         assert [l for l in err.splitlines() if l.startswith("error:")] == err.splitlines()
         assert len(err.splitlines()) == 1
+
+    def test_unwritable_quality_log_fails_before_the_search(self, workdir, capsys, monkeypatch):
+        write(workdir / "f.cnf", SAT_TEXT)
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+        code, out, err = run(
+            capsys, "solve", "f.cnf", "--params", "p.json", "--delta-log", "no-such-dir/d.jsonl"
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert calls == []
 
 
 class TestUsageErrors:

@@ -435,7 +435,8 @@ def test_flippable_variables_come_from_all_negative_clauses(phi):
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the key-function move generators that the integer
-# clause codes and bitmask resolvents replaced, kept to pin their output.
+# clause codes and bitmask resolvents replaced, and the other rewritten rule
+# functions, kept to pin their output.
 # ---------------------------------------------------------------------------
 
 
@@ -529,6 +530,14 @@ def ref_subsume(phi: Formula) -> Formula:
 def ref_flip_variable(phi: Formula, v: int) -> Formula:
     """Swap the polarity of variable ``v`` everywhere in ``phi``."""
     return Formula(tuple(-l if abs(l) == v else l for l in c) for c in phi.clauses)
+
+
+def ref_flip_lift(x: Formula, x2: Formula, y) -> frozenset:
+    """Lift through the first flippable variable whose flip gives ``x2``."""
+    for v in flippable_variables(x):
+        if flip_variable(x, v) == x2:
+            return assignment(-l if abs(l) == v else l for l in y)
+    raise ValueError("target is not a flip move of the source")
 
 
 def ref_unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
@@ -628,6 +637,23 @@ class TestReferenceEquivalence:
         ref, ref_forced = ref_unit_propagate_fixpoint(phi)
         assert out.clauses == ref.clauses
         assert forced == ref_forced
+
+    def test_flip_lift_matches_reference(self):
+        rng = random.Random(61)
+        lifts = 0
+        for _ in range(400):
+            phi = random_formula(rng, 8, 20)
+            y = assignment(v if rng.random() < 0.5 else -v for v in phi.variables)
+            moves = flip_moves(phi)
+            for move in moves:
+                assert FLIP.lift(phi, move, y) == ref_flip_lift(phi, move, y)
+                lifts += 1
+            # Non-moves: the formula itself, and a resolution move.
+            for other in [phi] + resolution_moves(phi)[:1]:
+                if other not in moves:
+                    with pytest.raises(ValueError):
+                        FLIP.lift(phi, other, y)
+        assert lifts > 500
 
     def test_sparse_ids(self):
         phi = Formula([[1, 10**6], [-(10**6), 70], [-1, -70]])

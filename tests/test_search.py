@@ -1,13 +1,23 @@
 import dataclasses
 import gc
+import hashlib
 import random
 from collections import deque
 
 import pytest
 
 from reducto.core import DONT_KNOW, SelfReduction, Setup, SolveAnswer, enumerate_moves, verify_path
-from reducto.driver import SETUP_NAMES, check_quality_data, make_setup, random_formula, random_ksat
-from reducto.learner import LinearEvaluator, ParamStore
+from reducto.driver import (
+    CHECK_CONFIG,
+    SETUP_NAMES,
+    _check_instances,
+    check_quality_data,
+    derive_answer,
+    make_setup,
+    random_formula,
+    random_ksat,
+)
+from reducto.learner import FEATURE_NAMES, LinearEvaluator, ParamStore
 from reducto.sat import Formula, TOP, easy_trivial
 from reducto.search import SearchConfig, ams_search
 
@@ -58,6 +68,10 @@ class TestConfig:
             SearchConfig(discount=1.5)
         with pytest.raises(ValueError):
             SearchConfig(exploration=-1.0)
+        with pytest.raises(ValueError):
+            SearchConfig(exploration=float("nan"))
+        with pytest.raises(ValueError):
+            SearchConfig(exploration=float("inf"))
 
 
 class TestTerminals:
@@ -215,6 +229,20 @@ class TestGuidance:
         assert dist[3] == 1 and dist[1] == 0 and dist[2] == 0
         assert result.path.end == 3
 
+    def test_expansion_stops_at_the_first_easy_child(self):
+        toy = toy_setup({0: [1, 2, 3, 4]}, easy_set={2, 4})
+        asked = []
+
+        def easy(x):
+            asked.append(x)
+            return toy.easy(x)
+
+        setup = Setup(easy=easy, reductions=toy.reductions)
+        result = ams_search(0, setup, StubEvaluator(), SearchConfig(horizon=3, budget=4))
+        assert set(asked) == {0, 1, 2}
+        assert result.path.end == 2
+        assert result.quality.values[0][1] == 1
+
     def test_small_instance_optimality_probe(self):
         # Wherever shallow BFS finds an easy instance, a search with budget
         # branching**3 must end its path at an easy instance too.
@@ -275,3 +303,37 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestPinnedOutput:
+    # sha256 of the canonical texts and answers below.  A change that alters
+    # search output on purpose records the new digest and says why.
+    DIGEST = "f50c791a7f6c5969f8e21565b13f1cbee4fc2163ba7a5517da09175ffce7dcb7"
+    # Resolution searches at CHECK_CONFIG are the slow ones.
+    COUNTS = {"resolution": 5, "resolution-ext": 5, "flip": 40, "portfolio": 40}
+
+    @staticmethod
+    def fixed_params():
+        # Non-zero value and prior heads for every reduction id, so priors
+        # and values differ from move to move and steer UCB.
+        width = len(FEATURE_NAMES) + 1
+        rids = sorted({r.id for name in SETUP_NAMES for r in make_setup(name).reductions})
+        return ParamStore(
+            value_weights=[((3 * j) % 7 - 3) / 4 for j in range(width)],
+            prior_weights={
+                rid: [((5 * j + k) % 9 - 4) / 3 for j in range(width)]
+                for k, rid in enumerate(rids)
+            },
+        )
+
+    def test_search_output_is_unchanged(self):
+        h = hashlib.sha256()
+        for theta in (ParamStore(), self.fixed_params()):
+            for name in SETUP_NAMES:
+                setup = make_setup(name)
+                for phi in _check_instances(self.COUNTS[name], 6, 1, 3.0):
+                    result = ams_search(phi, setup, LinearEvaluator(theta), CHECK_CONFIG)
+                    answer, diagnostics = derive_answer(setup, phi, result)
+                    sol = sorted(answer.value) if answer.value is not None else None
+                    h.update(f"{result.canonical_text()}\n{answer.kind} {sol} {diagnostics}\n".encode())
+        assert h.hexdigest() == self.DIGEST
