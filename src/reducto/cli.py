@@ -102,7 +102,12 @@ def _search_config(args) -> SearchConfig:
 def _add_search_flags(p: argparse.ArgumentParser, defaults: SearchConfig) -> None:
     p.add_argument("--budget", type=int, default=defaults.budget, help="sampling budget per node")
     p.add_argument("--horizon", type=int, default=defaults.horizon, help="maximum path length")
-    p.add_argument("--exploration", type=float, default=defaults.exploration)
+    p.add_argument(
+        "--exploration",
+        type=float,
+        default=defaults.exploration,
+        help="PUCT exploration coefficient (weight of the prior bonus)",
+    )
     p.add_argument("--discount", type=float, default=defaults.discount)
     p.add_argument("--move-cap", type=int, default=defaults.move_cap)
 
@@ -150,6 +155,7 @@ def _cmd_solve(args) -> int:
     print(f"c path-length {report.path_length}")
     print(f"c nodes-expanded {report.stats.nodes_expanded}")
     print(f"c evaluator-calls {report.stats.evaluator_calls}")
+    print(f"c samples {report.stats.samples}")
     for diag in report.diagnostics:
         print(f"c diagnostic {diag}", file=sys.stderr)
     if answer.kind == "solution":

@@ -40,6 +40,7 @@ from .learner import (
 from .portfolio import portfolio_setup
 from .sat import (
     BLOCKED_CLAUSE,
+    ELIMINATION,
     EXTENSION,
     FLIP,
     ORACLE_VAR_LIMIT,
@@ -66,12 +67,12 @@ def make_setup(name: str) -> Setup:
     if name == "resolution":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE),
+            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, ELIMINATION),
         )
     if name == "resolution-ext":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, EXTENSION),
+            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION),
         )
     if name == "flip":
         return Setup(easy=easy_all_positive, reductions=(FLIP,))
@@ -88,7 +89,8 @@ class RunReport:
     stats: SearchStats
     quality: QualityData
     diagnostics: tuple[str, ...] = ()
-    # The quality data as log records; built only by a run that trains.
+    # The run's ``training_quality`` as log records; built only by a run that
+    # trains.
     records: tuple[ValueRecord | DistRecord, ...] = ()
 
 
@@ -115,6 +117,24 @@ def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[Solve
     return SolveAnswer.solution(lifted), []
 
 
+def training_quality(result: SearchResult) -> QualityData:
+    """The quality data a trained solve learns from.
+
+    Every value estimate of the search, but distributions only at the
+    (instance, reduction) pairs on the returned path, where the move taken
+    counts 1 and its siblings 0: expert iteration's target (Anthony, Tian
+    and Barber, NeurIPS 2017).  The visit counts of an early-stopping search
+    mostly echo the priors it searched with, so a search without a path
+    trains no prior head.
+    """
+    dists: dict[tuple[Formula, str], dict[Formula, int]] = {}
+    prev = result.path.start
+    for rid, inst in result.path.steps:
+        dists[(prev, rid)] = {m: int(m == inst) for m in result.quality.distributions[(prev, rid)]}
+        prev = inst
+    return QualityData(values=result.quality.values, distributions=dists)
+
+
 def solve(
     x: Formula,
     setup_name: str,
@@ -128,11 +148,11 @@ def solve(
 ) -> tuple[SolveAnswer, ParamStore, RunReport]:
     """Solve ``x`` with the named setup: search, answer, then merge and train.
 
-    ``history`` is the quality store of previous runs; it is merged with this
-    run's quality data in place.  Training fits the run's records plus the
-    newest ``learner.REPLAY_WINDOW`` records of history (``merge_window``),
-    so its cost does not grow with the history.  With ``train_after`` false
-    the parameters are returned unchanged.
+    ``history`` is the quality store of previous runs; it is merged with
+    this run's ``training_quality`` in place.  Training fits the run's
+    records plus the newest ``learner.REPLAY_WINDOW`` records of history
+    (``merge_window``), so its cost does not grow with the history.  With
+    ``train_after`` false the parameters are returned unchanged.
     """
     setup = make_setup(setup_name)
     evaluator = LinearEvaluator(theta)
@@ -142,7 +162,7 @@ def solve(
     theta_after = theta
     records: list[ValueRecord | DistRecord] = []
     if train_after:
-        records = quality_records(result.quality, evaluator.features)
+        records = quality_records(training_quality(result), evaluator.features)
         window = merge_window(history if history is not None else DeltaStore(), records)
         if not window.is_empty:
             theta_after = train(

@@ -7,8 +7,9 @@ propagation, pure-literal elimination and bounded resolution.  External
 members run as child processes speaking DIMACS on stdin and either a solver
 result or a transformed DIMACS formula on stdout; a member that crashes,
 times out, or talks garbage simply contributes no move.  Each member is a
-``core.one_move`` rule, so its lift reruns it and checks that the rerun
-reproduces the move.
+``core.one_move`` rule, so its lift replays it and checks that the replay
+reproduces the move; an external member keeps its output per formula, so the
+replay sees what the search saw and its child process runs once per formula.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .sat import (
 
 DEFAULT_EXTERNAL_TIMEOUT = 10.0
 
+Lift = Callable[[Assignment], Assignment]
+
 
 class MemberFailure(Exception):
     """A portfolio member failed (crash, timeout, or unusable output)."""
@@ -46,25 +49,34 @@ class ExternalMember:
     Accepted outputs: ``s SATISFIABLE`` with ``v`` witness lines (verified
     against the input before being trusted), ``s UNSATISFIABLE``, or a
     complete DIMACS formula, which is taken as an identity-lift transform.
-    Anything else is a member failure, never a wrong answer.  ``failures``
-    accumulates the reasons of failed ``step`` calls, whether they came from
-    move generation, path verification or a lift, so callers can report
-    them; it never influences results.
+    Anything else is a member failure, never a wrong answer.  ``step``
+    keeps its result per formula, so move generation, path verification and
+    lifting all see one run of the child process, and output that changes
+    between runs cannot fail a good path.  ``failures`` holds the reason of
+    each failed run, so callers can report them; it never influences results.
     """
 
     id: str
     command: tuple[str, ...]
     timeout: float = DEFAULT_EXTERNAL_TIMEOUT
     failures: list[str] = field(default_factory=list, init=False, compare=False, repr=False)
+    _steps: dict[Formula, tuple[Formula, Lift | None]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
-    def step(self, phi: Formula) -> tuple[Formula, Callable[[Assignment], Assignment] | None]:
+    def step(self, phi: Formula) -> tuple[Formula, Lift | None]:
         """The member's output and its lift; on a failure, which ``failures``
-        records, ``phi`` itself, which is no move."""
-        try:
-            return self.transform(phi)
-        except MemberFailure as exc:
-            self.failures.append(str(exc))
-            return phi, None
+        records, ``phi`` itself, which is no move.  The child process runs at
+        the first call for ``phi`` only."""
+        out = self._steps.get(phi)
+        if out is None:
+            try:
+                out = self.transform(phi)
+            except MemberFailure as exc:
+                self.failures.append(str(exc))
+                out = phi, None
+            self._steps[phi] = out
+        return out
 
     def transform(self, phi: Formula):
         try:

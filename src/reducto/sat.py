@@ -156,29 +156,55 @@ def satisfies(alpha: Iterable[int], phi: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def new_resolvents(phi: Formula) -> list[Clause]:
-    """All resolvents of clause pairs of ``phi`` that are not already clauses of it.
+def _clause_masks(phi: Formula) -> tuple[list[int], dict[int, int], int, list[int]]:
+    """``phi``'s clauses as bitmasks over the dense ranks of its variables.
 
-    The result is in canonical order.
+    Bit 2r stands for the positive literal of the r-th variable and bit 2r+1
+    for the negative one, so masks stay short whatever the variable ids, a
+    resolvent is one OR, and a mask is tautological iff ``m & (m >> 1) & even``
+    is non-zero.  Returns the literal of each bit position, the bit of each
+    literal, ``even`` (bit 2r for every rank r) and the mask of each clause.
     """
-    # Each clause is a bitmask over the dense ranks of phi's variables: bit 2r
-    # for the positive literal of the r-th variable, bit 2r+1 for the negative
-    # one.  Masks stay short whatever the variable ids, a resolvent is one OR,
-    # and it is tautological iff some variable has both of its bits set.
     lits: list[int] = []
     bits: dict[int, int] = {}
     for v in phi.variables:
         bits[v] = 1 << len(lits)
         bits[-v] = 2 << len(lits)
         lits += (v, -v)
-    even = ((1 << len(lits)) - 1) // 3  # bit 2r for every rank r
     masks = []
-    occ: dict[int, list[int]] = {}
     for c in phi.clauses:
         m = 0
         for l in c:
             m |= bits[l]
         masks.append(m)
+    return lits, bits, ((1 << len(lits)) - 1) // 3, masks
+
+
+def _positions(masks: Iterable[int]) -> list[list[int]]:
+    """The set bits of each mask, ascending.
+
+    Ascending bit positions are the canonical literal order, so sorting the
+    position lists of masks sorts their clauses canonically.
+    """
+    out = []
+    for m in masks:
+        pos = []
+        while m:
+            low = m & -m
+            pos.append(low.bit_length() - 1)
+            m ^= low
+        out.append(pos)
+    return out
+
+
+def new_resolvents(phi: Formula) -> list[Clause]:
+    """All resolvents of clause pairs of ``phi`` that are not already clauses of it.
+
+    The result is in canonical order.
+    """
+    lits, bits, even, masks = _clause_masks(phi)
+    occ: dict[int, list[int]] = {}
+    for c, m in zip(phi.clauses, masks):
         for l in c:
             occ.setdefault(l, []).append(m)
     out: set[int] = set()
@@ -192,17 +218,7 @@ def new_resolvents(phi: Formula) -> list[Clause]:
             m1 &= rest
             out.update([m for m2 in negs if not (m := m1 | m2) & (m >> 1) & even])
     out.difference_update(masks)
-    # Ascending bit positions are the canonical literal order, so sorting the
-    # position tuples sorts the resolvents canonically.
-    ranked = []
-    for m in out:
-        pos = []
-        while m:
-            low = m & -m
-            pos.append(low.bit_length() - 1)
-            m ^= low
-        ranked.append(pos)
-    ranked.sort()
+    ranked = sorted(_positions(out))
     return [tuple([lits[i] for i in pos]) for pos in ranked]
 
 
@@ -354,6 +370,54 @@ def _restore_blocked_clauses(
     return assignment(alpha)
 
 
+def _eliminations(phi: Formula, vs: Iterable[int]) -> Iterator[tuple[int, Formula]]:
+    """``(v, phi with v eliminated)`` for each variable ``v`` of ``phi`` in ``vs``, in order.
+
+    Eliminating ``v`` (Davis and Putnam, JACM 1960) drops every clause on
+    ``v`` and adds all their non-tautological resolvents on ``v``; the result
+    is satisfiable exactly when ``phi`` is.
+    """
+    lits, bits, even, masks = _clause_masks(phi)
+    decoded: dict[int, tuple[list[int], Clause]] = {}
+    for v in vs:
+        pv, nv = bits[v], bits[-v]
+        negs = [m ^ nv for m in masks if m & nv]
+        out = {m for m in masks if not m & (pv | nv)}
+        for p in masks:
+            if p & pv:
+                p ^= pv
+                out.update([r for n in negs if not (r := p | n) & (r >> 1) & even])
+        fresh = [m for m in out if m not in decoded]
+        for m, pos in zip(fresh, _positions(fresh)):
+            decoded[m] = (pos, tuple([lits[i] for i in pos]))
+        ranked = sorted([decoded[m] for m in out])
+        yield v, Formula._make(tuple([c for _, c in ranked]))
+
+
+def elimination_moves(phi: Formula) -> list[Formula]:
+    """One move per variable of ``phi``: the formula with that variable eliminated."""
+    # Two variables can give the same formula: {(1 2)} gives ⊤ for both.
+    return sorted({f for _, f in _eliminations(phi, phi.variables)}, key=lambda f: f.clauses)
+
+
+def _elimination_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
+    # The eliminated variable occurs in x and not in x2.
+    left = set(x2.variables)
+    for v, f in _eliminations(x, [u for u in x.variables if u not in left]):
+        if f != x2:
+            continue
+        # Complete y over x's other variables first, as _restore_blocked_clauses
+        # does: then every resolvent on v is satisfied, so one value of v
+        # satisfies all the clauses on it.
+        alpha = set(y)
+        alpha.difference_update((v, -v))
+        alpha.update(-u for u in x.variables if u != v and u not in alpha and -u not in alpha)
+        needs_v = any(v in c and alpha.isdisjoint(c) for c in x.clauses)
+        alpha.add(v if needs_v else -v)
+        return assignment(alpha)
+    raise ValueError("target is not an elimination move of the source")
+
+
 def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
     """Propagate unit clauses to a fixpoint; returns the result and the forced literals."""
     cur = list(phi.clauses)
@@ -463,6 +527,7 @@ RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift)
 SUBSUMPTION = one_move("subsumption", lambda phi: (subsume(phi), None))
 PURE_LITERAL = one_move("pure-literal", pure_literal_fixpoint, _add_literals)
 BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
+ELIMINATION = SelfReduction("elimination", elimination_moves, _elimination_lift)
 FLIP = SelfReduction("flip", flip_moves, _flip_lift)
 EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
 UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)

@@ -10,12 +10,14 @@ As in a one-player game, the search ends when it is won.  Expanding a node
 asks the easy solver about its moves in list order and stops at the first easy
 one.  A node whose moves include an easy instance is won: the descent that
 reaches it takes its first easy move, sampling stops, and that descent is the
-returned path.  At any other node the first visit of every move is forced,
-then a UCB score seeded with evaluator priors as pseudo-counts picks.  When no
-pass within the root's budget reaches an easy instance, the path is empty.
-Alongside the path, a search emits quality data: the visit-count distribution
-over each explored (instance, reduction) pair and a value estimate for every
-explored instance.  These feed the trainer.
+returned path.  At any other node PUCT, AlphaZero's selection rule (Silver et
+al., Science 2018), picks the move with the highest mean return plus an
+exploration bonus proportional to the evaluator's prior; a move not yet
+visited is scored with its parent's mean return.  When no pass within the
+root's budget reaches an easy instance, the path is empty.  Alongside the
+path, a search emits quality data: the visit-count distribution over each
+explored (instance, reduction) pair and a value estimate for every explored
+instance.  These feed the trainer.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 from .core import DEFAULT_MOVE_CAP, Path, Setup, SolveAnswer, enumerate_moves
-
-PRIOR_WEIGHT = 1.0
 
 
 class Evaluator(Protocol):
@@ -49,7 +49,8 @@ class SearchConfig:
 
     horizon     maximum path length in moves
     budget      sampling count per node
-    exploration UCB exploration coefficient
+    exploration PUCT exploration coefficient: the weight ``c`` of the prior
+                bonus ``c * P * sqrt(N + 1) / (1 + n)``
     discount    per-move reward discount in (0, 1]
     move_cap    per-reduction cap passed to move enumeration
     """
@@ -92,6 +93,9 @@ class SearchStats:
     nodes_expanded: int
     evaluator_calls: int
     wall_time_s: float
+    # Sampling passes the root ran: at most the budget, and fewer when one
+    # was won or when descents that came back to the root spent its budget.
+    samples: int = 0
 
 
 @dataclass
@@ -126,6 +130,7 @@ class SearchResult:
             "stats": {
                 "nodes_expanded": self.stats.nodes_expanded,
                 "evaluator_calls": self.stats.evaluator_calls,
+                "samples": self.stats.samples,
             },
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -213,22 +218,16 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         # won node is selected once and exploration runs only at the others.
         if node.won >= 0:
             return node.won
-        for i, n in enumerate(node.counts):
-            if n == 0:
-                return i
-        w = PRIOR_WEIGHT
-        c = cfg.exploration
-        log_t = math.log(node.samples + w * len(node.counts))
-        best_i = 0
-        best = -math.inf
-        for i in range(len(node.counts)):
-            n = node.counts[i] + w
-            mean = (node.totals[i] + w * node.priors[i]) / n
-            score = mean + c * math.sqrt(log_t / n)
-            if score > best:
-                best = score
-                best_i = i
-        return best_i
+        # PUCT: argmax of q + c * P * sqrt(N + 1) / (1 + n), where an unvisited
+        # child's q is its parent's mean return; ties go to the lowest index.
+        n_parent = node.samples
+        unvisited_q = sum(node.totals) / n_parent if n_parent else 0.0
+        scale = cfg.exploration * math.sqrt(n_parent + 1)
+        scores = [
+            (total / n if n else unvisited_q) + scale * p / (1 + n)
+            for n, total, p in zip(node.counts, node.totals, node.priors)
+        ]
+        return scores.index(max(scores))
 
     def sample(f: Any) -> list[tuple[_Node, int]]:
         # One pass descends from ``f`` choosing a move per node, then backs the
@@ -269,15 +268,18 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
     # descent.  It never revisits an instance, because no statistics change
     # within a descent, so one that came back would loop to the horizon.
     winning: list[tuple[_Node, int]] = []
+    passes = 0
     root_answer = setup.easy(x)
     root = ensure_node(x, root_answer.is_easy)
     if not root.easy:
         expand(root)
-        if root.children:
-            for _ in range(cfg.budget):
-                winning = sample(x)
-                if winning:
-                    break
+        # A descent that comes back to the root is backed up there twice, so
+        # the root's visits can reach the budget before its passes do.
+        while root.children and passes < cfg.budget and root.samples < cfg.budget:
+            passes += 1
+            winning = sample(x)
+            if winning:
+                break
 
     path = Path(x, tuple(node.children[i] for node, i in winning))
     quality = QualityData()
@@ -291,6 +293,7 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         nodes_expanded=len(tt),
         evaluator_calls=calls[0],
         wall_time_s=time.perf_counter() - t0,
+        samples=passes,
     )
     terminal = setup.easy(path.end) if winning else root_answer
     return SearchResult(path=path, terminal=terminal, quality=quality, stats=stats)

@@ -37,6 +37,7 @@ from reducto.learner import (
 )
 from reducto.sat import (
     BLOCKED_CLAUSE,
+    ELIMINATION,
     EXTENSION,
     FLIP,
     Formula,
@@ -71,7 +72,7 @@ def test_criterion_1_self_reduction_contract():
     t0 = time.perf_counter()
     rng = random.Random(1001)
     rules = [
-        RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE, EXTENSION, FLIP
+        RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE, ELIMINATION, EXTENSION, FLIP
     ] + member_reductions()
     forward_violations = 0
     lift_violations = 0

@@ -151,6 +151,19 @@ class TestSolveCommand:
         assert "skipped" not in err
         assert load_quality_log("p.delta.jsonl")[1] == 1
 
+    def test_prints_the_root_samples(self, workdir, capsys):
+        # Unsatisfiable, so flip never wins; at horizon 1 no descent comes
+        # back to the root, so the root runs a pass per unit of budget.
+        cnf = write(workdir / "f.cnf", "p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
+        code, out, _ = run(capsys, "solve", cnf, "--setup", "flip", "--no-train",
+                           "--budget", "7", "--horizon", "1", "--params", "p.json")
+        assert code == 0
+        assert "c samples 7" in out.splitlines()
+        code, out, _ = run(capsys, "solve", cnf, "--setup", "resolution", "--no-train",
+                           "--params", "p.json")
+        assert code == 20
+        assert "c samples 1" in out.splitlines()
+
     def test_output_is_deterministic(self, workdir, capsys):
         cnf = write(workdir / "f.cnf", SAT_TEXT)
         outputs = set()

@@ -168,7 +168,7 @@ class TestEnumerateMoves:
     def test_setup_order_and_block_order_are_deterministic(self):
         phi = Formula([[1], [-1]])
         moves = enumerate_moves(RES_SETUP, phi)
-        assert [rid for rid, _ in moves] == ["resolution"]
+        assert [rid for rid, _ in moves] == ["resolution", "elimination"]
         assert moves == enumerate_moves(RES_SETUP, phi)
 
     def test_cap_truncates_to_lexicographically_first(self):

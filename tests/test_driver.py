@@ -16,7 +16,7 @@ from reducto.driver import (
     run_selfcheck,
     solve,
 )
-from reducto.learner import DeltaStore, init_params, params_text
+from reducto.learner import DeltaStore, DistRecord, ValueRecord, init_params, params_text
 from reducto.sat import Formula, TOP, easy_trivial, oracle_solve, satisfies
 from reducto.search import QualityData, SearchConfig, SearchResult, SearchStats, ams_search
 from reducto.core import SolveAnswer
@@ -35,11 +35,13 @@ class TestSetupRegistry:
             "resolution",
             "subsumption",
             "blocked-clause",
+            "elimination",
         ]
         assert [r.id for r in make_setup("resolution-ext").reductions] == [
             "resolution",
             "subsumption",
             "blocked-clause",
+            "elimination",
             "extension",
         ]
         assert [r.id for r in make_setup("flip").reductions] == ["flip"]
@@ -98,11 +100,45 @@ class TestSolve:
         theta = init_params()
         _, theta, report = solve(Formula([[1], [-1]]), "resolution", theta, CFG, history=history)
         first = history.record_count
-        # The report carries the run's quality data, which is what was merged.
-        assert len(report.quality.values) + len(report.quality.distributions) == first
+        # The report carries the run's records, which is what was merged.
+        assert len(report.records) == first
         assert check_quality_data(report.quality, make_setup("resolution")) == []
         _, theta, _ = solve(Formula([[-1], [1]]), "resolution", theta, CFG, history=history)
         assert history.record_count >= first > 0
+
+
+class TestTrainingRecords:
+    def test_a_pathless_search_trains_no_prior_head(self):
+        # Unsatisfiable, so no flip path reaches an easy instance, but the
+        # search explores flip moves.
+        phi = Formula([[-1, -2], [1], [2]])
+        answer, _, report = solve(phi, "flip", init_params(), CFG)
+        assert answer.kind == "dont_know" and report.path_length == 0
+        assert report.quality.distributions
+        assert report.records
+        assert all(isinstance(rec, ValueRecord) for rec in report.records)
+        assert {rec.digest for rec in report.records} == {f.digest for f in report.quality.values}
+
+    def test_a_won_search_trains_one_distribution_per_path_step(self):
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(30):
+            phi = random_ksat(rng, 5, 15)
+            theta = init_params()
+            result = ams_search(phi, make_setup("resolution"), _uniform_evaluator(), CFG)
+            _, _, report = solve(phi, "resolution", theta, CFG)
+            dists = [rec for rec in report.records if isinstance(rec, DistRecord)]
+            assert len(dists) == len(result.path)
+            prev = result.path.start
+            for rec, (rid, inst) in zip(dists, result.path.steps):
+                assert (rec.digest, rec.reduction) == (prev.digest, rid)
+                siblings = result.quality.distributions[(prev, rid)]
+                assert {d: m.count for d, m in rec.moves.items()} == {
+                    m.digest: int(m == inst) for m in siblings
+                }
+                prev = inst
+            checked += len(dists)
+        assert checked > 30
 
 
 class TestDeriveAnswer:

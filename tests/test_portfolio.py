@@ -178,32 +178,35 @@ class TestExternalMembers:
         with pytest.raises(ValueError):
             rule.lift(phi, BOTTOM, frozenset())
 
-    def test_flaky_member_never_yields_a_solution(self, tmp_path):
+    def test_member_output_is_kept_per_formula(self, tmp_path):
         # SAT with a genuine witness on the first run, a crash on every later
-        # run: verification and lifting rerun the member, and must not trust
-        # the first answer.
-        marker = tmp_path / "ran"
+        # run.  Verification and lifting read the kept output of the first
+        # run, so the answer is a verified, lifted solution, and the member
+        # runs once per distinct formula it is given.
+        runs = tmp_path / "runs"
         flaky = (
-            "import os, sys; sys.stdin.read(); m = sys.argv[1]\n"
-            "if os.path.exists(m): sys.exit(3)\n"
-            "open(m, 'w').close(); print('s SATISFIABLE'); print('v 1 -2 0')"
+            "import sys; sys.stdin.read(); m = sys.argv[1]\n"
+            "with open(m, 'a') as f: f.write('x')\n"
+            "if open(m).read() != 'x': sys.exit(3)\n"
+            "print('s SATISFIABLE'); print('v 1 -2 0')"
         )
-        member = ExternalMember("flaky", (sys.executable, "-c", flaky, str(marker)), timeout=20.0)
+        member = ExternalMember("flaky", (sys.executable, "-c", flaky, str(runs)), timeout=20.0)
         setup = portfolio_setup((member,))
         phi = Formula([[1, 2], [-1, -2]])
         assert enumerate_moves(portfolio_setup(), phi) == []
         evaluator = LinearEvaluator(init_params())
         result = ams_search(phi, setup, evaluator, SearchConfig(horizon=4, budget=8))
         assert result.path.steps == (("flaky", TOP),)
-        assert member.failures == []
         answer, diagnostics = derive_answer(setup, phi, result)
-        assert answer.kind == "dont_know"
-        assert diagnostics
-        assert len(member.failures) == 1
-        with pytest.raises(ValueError):
-            setup.reduction("flaky").lift(phi, TOP, frozenset())
-        assert len(member.failures) == 2
-        assert all(f.startswith("flaky:") for f in member.failures)
+        assert answer.kind == "solution" and diagnostics == []
+        assert satisfies(answer.value, phi)
+        assert setup.reduction("flaky").lift(phi, TOP, frozenset()) == frozenset([1, -2])
+        assert runs.read_text() == "x"
+        assert member.failures == []
+        # A second formula is a second run, which crashes: no move.
+        assert setup.reduction("flaky").moves(Formula([[1, 2]])) == []
+        assert runs.read_text() == "xx"
+        assert len(member.failures) == 1 and member.failures[0].startswith("flaky:")
 
     def test_path_step_names_the_external_member(self):
         phi = Formula([[1, 2], [1, -2], [1, 3]])

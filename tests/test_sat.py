@@ -10,6 +10,7 @@ from reducto.sat import (
     BOTTOM,
     BOUNDED_RESOLUTION,
     BOUNDED_RESOLVENT_CAP,
+    ELIMINATION,
     EXTENSION,
     FLIP,
     Formula,
@@ -27,6 +28,7 @@ from reducto.sat import (
     easy_all_positive,
     easy_combined,
     easy_trivial,
+    elimination_moves,
     extension_moves,
     flip_moves,
     flip_variable,
@@ -244,6 +246,68 @@ def test_blocked_clause_fixpoint_keeps_no_clause_the_pure_literal_fixpoint_drops
     # Every clause with a pure literal is blocked by it, so blocked-clause
     # elimination subsumes pure-literal elimination.
     assert set(blocked_clause_fixpoint(phi)[0]) <= set(pure_literal_fixpoint(phi)[0])
+
+
+class TestElimination:
+    def test_one_clause_eliminates_to_top_for_both_variables(self):
+        # Both variables give the same formula, which is one move.
+        assert elimination_moves(Formula([[1, 2]])) == [TOP]
+
+    def test_unit_conflict_eliminates_to_bottom(self):
+        assert elimination_moves(Formula([[1], [-1]])) == [BOTTOM]
+
+    def test_move_drops_the_clauses_and_adds_the_non_tautological_resolvents(self):
+        phi = Formula([[1, 2], [-1, 3], [-1, -2], [2, 4]])
+        # On 1: (2 3) from the first two clauses; (1 2), (-1 -2) is tautological.
+        assert Formula([[2, 3], [2, 4]]) in elimination_moves(phi)
+
+    def test_eliminating_every_variable_reaches_the_oracle_verdict(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            phi = random_formula(rng, 6, 14)
+            cur, steps = phi, 0
+            while moves := elimination_moves(cur):
+                cur = rng.choice(moves)
+                steps += 1
+            assert cur in (TOP, BOTTOM), (phi, cur)
+            assert (cur == TOP) == oracle_solve(phi).satisfiable, phi
+            assert steps <= len(phi.variables)
+
+    def test_each_moves_lift_satisfies_the_source(self):
+        rng = random.Random(29)
+        lifted_moves = 0
+        for _ in range(200):
+            phi = random_formula(rng, 6, 14)
+            for move in elimination_moves(phi):
+                verdict = oracle_solve(move)
+                if not verdict.satisfiable:
+                    continue
+                lifted_moves += 1
+                # A solution of the target may also set the eliminated
+                # variable, say after a later extension step reused it.
+                gone = set(phi.variables) - set(move.variables)
+                for extra in ((), tuple(gone), tuple(-v for v in gone)):
+                    y = assignment(verdict.witness | set(extra))
+                    assert satisfies(ELIMINATION.lift(phi, move, y), phi), (phi, move, y)
+        assert lifted_moves > 100
+
+    def test_lift_to_a_non_move_target_raises(self):
+        phi = Formula([[1, 2], [-1, 3], [-2, -3]])
+        assert Formula([[2, 3]]) not in elimination_moves(phi)
+        for target in (Formula([[2, 3]]), phi, TOP, BOTTOM, Formula([[2, 3], [-2, -3], [4]])):
+            with pytest.raises(ValueError):
+                ELIMINATION.lift(phi, target, frozenset())
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas())
+def test_elimination_moves_are_canonical_and_distinct(phi):
+    moves = elimination_moves(phi)
+    for move in moves:
+        assert Formula(move.clauses).clauses == move.clauses
+    assert all(a.clauses < b.clauses for a, b in zip(moves, moves[1:]))
+    assert phi not in moves
+    assert len(moves) <= len(phi.variables)
 
 
 class TestExtension:

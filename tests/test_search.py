@@ -212,22 +212,38 @@ class TestFirstEasyInstance:
 
 
 class TestGuidance:
-    def test_priors_steer_selection_after_forced_visits(self):
-        moves = {0: [1, 2]}
-        setup = toy_setup(moves, easy_set=set())
+    def test_puct_visits_the_higher_prior_first(self):
+        # No child is visited before a prior decides: with one sample, PUCT
+        # takes the child with prior 0.9, not the first in list order.
+        setup = toy_setup({0: [1, 2]}, easy_set=set())
         evaluator = StubEvaluator(priors={(0, "r"): [0.1, 0.9]})
-        result = ams_search(0, setup, evaluator, SearchConfig(horizon=3, budget=6))
-        dist = result.quality.distributions[(0, "r")]
-        assert dist[1] + dist[2] == 6
-        assert dist[2] > dist[1]
+        result = ams_search(0, setup, evaluator, SearchConfig(horizon=3, budget=1))
+        assert result.quality.distributions[(0, "r")] == {1: 0, 2: 1}
 
-    def test_known_easy_children_are_forced_first(self):
-        moves = {0: [1, 2, 3]}
-        setup = toy_setup(moves, easy_set={3})
+    def test_equal_priors_tie_to_the_lowest_index(self):
+        setup = toy_setup({0: [1, 2, 3]}, easy_set=set())
         result = ams_search(0, setup, StubEvaluator(), SearchConfig(horizon=3, budget=1))
-        dist = result.quality.distributions[(0, "r")]
-        assert dist[3] == 1 and dist[1] == 0 and dist[2] == 0
+        assert result.quality.distributions[(0, "r")] == {1: 1, 2: 0, 3: 0}
+
+    def test_a_won_node_takes_its_easy_move(self):
+        # The easy child has the lowest prior, and is still the move taken.
+        setup = toy_setup({0: [1, 2, 3]}, easy_set={3})
+        evaluator = StubEvaluator(priors={(0, "r"): [0.5, 0.45, 0.05]})
+        result = ams_search(0, setup, evaluator, SearchConfig(horizon=3, budget=4))
+        assert result.quality.distributions[(0, "r")] == {1: 0, 2: 0, 3: 1}
         assert result.path.end == 3
+        assert result.stats.samples == 1
+
+    def test_unvisited_children_score_the_parents_mean(self):
+        # Child 1 reaches a horizon leaf worth 1 and takes the first sample.
+        # The unvisited child 2 then scores the parent's mean 1, not 0, plus
+        # its bonus, which beats a second visit of child 1.
+        setup = toy_setup({0: [1, 2, 3], 1: [4]}, easy_set=set())
+        evaluator = StubEvaluator(value=1.0, priors={(0, "r"): [0.45, 0.45, 0.1]})
+        cfg = SearchConfig(horizon=2, budget=2, discount=1.0)
+        result = ams_search(0, setup, evaluator, cfg)
+        assert result.quality.distributions[(0, "r")] == {1: 1, 2: 1, 3: 0}
+        assert result.stats.samples == 2
 
     def test_expansion_stops_at_the_first_easy_child(self):
         toy = toy_setup({0: [1, 2, 3, 4]}, easy_set={2, 4})
@@ -308,14 +324,14 @@ class TestMemory:
 class TestPinnedOutput:
     # sha256 of the canonical texts and answers below.  A change that alters
     # search output on purpose records the new digest and says why.
-    DIGEST = "f50c791a7f6c5969f8e21565b13f1cbee4fc2163ba7a5517da09175ffce7dcb7"
+    DIGEST = "3090d876ba4398892ea35756acd9cb98adf5ec5020d5d2821d52eb9c39e723b0"
     # Resolution searches at CHECK_CONFIG are the slow ones.
     COUNTS = {"resolution": 5, "resolution-ext": 5, "flip": 40, "portfolio": 40}
 
     @staticmethod
     def fixed_params():
         # Non-zero value and prior heads for every reduction id, so priors
-        # and values differ from move to move and steer UCB.
+        # and values differ from move to move and steer PUCT.
         width = len(FEATURE_NAMES) + 1
         rids = sorted({r.id for name in SETUP_NAMES for r in make_setup(name).reductions})
         return ParamStore(
