@@ -3,13 +3,14 @@
 Every member is an ordinary self-reduction, so per-instance algorithm
 selection falls out of the ordinary path search, and a path step names the
 member that made it.  The builtin members are the ``sat.py`` rules unit
-propagation, pure-literal elimination and bounded resolution.  External
-members run as child processes speaking DIMACS on stdin and either a solver
-result or a transformed DIMACS formula on stdout; a member that crashes,
-times out, or talks garbage simply contributes no move.  Each member is a
+propagation, blocked-clause elimination and variable elimination, the same
+rule objects the ``resolution`` setup runs.  External members run as child
+processes speaking DIMACS on stdin and either a solver result or a
+transformed DIMACS formula on stdout; a member that crashes, times out, or
+talks garbage simply contributes no move.  Each external member is a
 ``core.one_move`` rule, so its lift replays it and checks that the replay
-reproduces the move; an external member keeps its output per formula, so the
-replay sees what the search saw and its child process runs once per formula.
+reproduces the move; it keeps its output per formula, so the replay sees
+what the search saw and its child process runs once per formula.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .core import Setup, one_move
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .sat import (
     Assignment,
+    BLOCKED_CLAUSE,
     BOTTOM,
-    BOUNDED_RESOLUTION,
+    ELIMINATION,
     Formula,
-    PURE_LITERAL,
     TOP,
     UNIT_PROPAGATION,
     assignment,
@@ -127,5 +128,5 @@ def portfolio_setup(externals: Sequence[ExternalMember] = ()) -> Setup:
     members = [one_move(m.id, m.step, lambda x, lift, y: lift(y)) for m in externals]
     return Setup(
         easy=easy_combined,
-        reductions=(UNIT_PROPAGATION, PURE_LITERAL, BOUNDED_RESOLUTION, *members),
+        reductions=(UNIT_PROPAGATION, BLOCKED_CLAUSE, ELIMINATION, *members),
     )

@@ -15,10 +15,10 @@ is then the canonical clause order, so ordering and insertion compare ints
 
 from __future__ import annotations
 
-import heapq
-import itertools
+# hashlib.blake2b is _blake2.blake2b, and importing hashlib would also load
+# OpenSSL's _hashlib, which costs megabytes of memory and nothing here uses.
+from _blake2 import blake2b
 from bisect import bisect_left
-from hashlib import blake2b
 from typing import Iterable, Iterator
 
 from .core import DONT_KNOW, NO_SOLUTION, SelfReduction, SolveAnswer, identity_lift, one_move
@@ -29,7 +29,6 @@ Assignment = frozenset  # frozenset[int] without complementary pairs
 
 ORACLE_VAR_LIMIT = 24
 DEFAULT_PAIR_CAP = 16
-BOUNDED_RESOLVENT_CAP = 64
 
 
 class OracleLimitError(RuntimeError):
@@ -274,34 +273,6 @@ def subsume(phi: Formula) -> Formula:
     return phi if len(keep) == len(cls) else Formula._make(keep)
 
 
-def pure_literal_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
-    """Iterate pure-literal clause deletion to a fixpoint.
-
-    Returns the fixpoint formula and the pure literals eliminated, in
-    elimination order; the lift extends a fixpoint solution with exactly
-    these literals.
-    """
-    cur = list(phi.clauses)
-    eliminated: list[int] = []
-    while True:
-        occurring = set(itertools.chain.from_iterable(cur))
-        pures = sorted((l for l in occurring if -l not in occurring), key=abs)
-        if not pures:
-            break
-        eliminated.extend(pures)
-        pure_set = set(pures)
-        cur = [c for c in cur if not pure_set.intersection(c)]
-    return Formula._make(tuple(cur)), tuple(eliminated)
-
-
-def _add_literals(x: Formula, literals: tuple[int, ...], y: Assignment) -> Assignment:
-    """Lift of a fixpoint that sets ``literals`` true: add them to ``y``."""
-    # Eliminated pure literals and propagated units have no variable left in
-    # the fixpoint, so a fixpoint solution over its own variables never
-    # clashes with them; assignment() still asserts it.
-    return assignment(set(y) | set(literals))
-
-
 def _blocking_literal(c: Clause, occ: dict[int, set[Clause]]) -> int | None:
     """First literal ``l`` of ``c`` on which every resolvent with ``occ[-l]`` is tautological."""
     # One set of the clause's negations serves every candidate: while ``l`` is
@@ -439,12 +410,12 @@ def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
     return Formula._make(tuple(sorted(set(cur), key=_clause_code))), tuple(forced)
 
 
-def bounded_resolution(phi: Formula) -> Formula:
-    """``phi`` plus its first ``BOUNDED_RESOLVENT_CAP`` new resolvents, then subsumed."""
-    # The resolvents are clauses phi lacks, in canonical order, so one merge
-    # keeps the union canonical.
-    new = new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP]
-    return subsume(Formula._make(tuple(heapq.merge(phi.clauses, new, key=_clause_code))))
+def _add_literals(x: Formula, literals: tuple[int, ...], y: Assignment) -> Assignment:
+    """Lift of a fixpoint that sets ``literals`` true: add them to ``y``."""
+    # Propagated units have no variable left in the fixpoint, so a fixpoint
+    # solution over its own variables never clashes with them; assignment()
+    # still asserts it.
+    return assignment(set(y) | set(literals))
 
 
 def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Formula]:
@@ -525,13 +496,11 @@ def _flip_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
 
 RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift)
 SUBSUMPTION = one_move("subsumption", lambda phi: (subsume(phi), None))
-PURE_LITERAL = one_move("pure-literal", pure_literal_fixpoint, _add_literals)
 BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
 ELIMINATION = SelfReduction("elimination", elimination_moves, _elimination_lift)
 FLIP = SelfReduction("flip", flip_moves, _flip_lift)
 EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
 UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
-BOUNDED_RESOLUTION = one_move("bounded-resolution", lambda phi: (bounded_resolution(phi), None))
 
 
 # ---------------------------------------------------------------------------

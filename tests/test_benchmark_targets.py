@@ -19,6 +19,7 @@ KNOWN_STALE = {
     "reducto.portfolio:Portfolio.moves",
     "reducto.portfolio:Portfolio.lift",
     "reducto.portfolio:BuiltinMember.transform",
+    "reducto.sat:PURE_LITERAL",
 }
 
 

@@ -47,8 +47,8 @@ class TestSetupRegistry:
         assert [r.id for r in make_setup("flip").reductions] == ["flip"]
         assert [r.id for r in make_setup("portfolio").reductions] == [
             "unit-propagation",
-            "pure-literal",
-            "bounded-resolution",
+            "blocked-clause",
+            "elimination",
         ]
 
     def test_unknown_name(self):

@@ -7,16 +7,17 @@ import pytest
 
 from reducto.core import Path, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
-from reducto.driver import derive_answer, random_formula
+from reducto.driver import derive_answer, random_formula, run_selfcheck
 from reducto.learner import LinearEvaluator, init_params
 from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
 from reducto.sat import (
+    BLOCKED_CLAUSE,
     BOTTOM,
-    BOUNDED_RESOLUTION,
+    ELIMINATION,
     Formula,
-    PURE_LITERAL,
     TOP,
     UNIT_PROPAGATION,
+    easy_combined,
     satisfies,
     unit_propagate_fixpoint,
 )
@@ -58,32 +59,6 @@ class TestUnitPropagation:
 
     def test_no_units_no_move(self):
         assert UNIT_PROPAGATION.moves(Formula([[1, 2], [-1, -2]])) == []
-
-
-class TestPureLiteralMember:
-    def test_no_pure_literal_contributes_no_move(self):
-        member = portfolio_setup().reduction("pure-literal")
-        assert member.moves(Formula([[1], [-1]])) == []
-
-    def test_simplifies_and_lifts(self):
-        phi = Formula([[1, 2], [-2]])
-        member = portfolio_setup().reduction("pure-literal")
-        assert member.moves(phi) == [TOP]
-        assert satisfies(member.lift(phi, TOP, frozenset()), phi)
-
-
-class TestBoundedResolution:
-    def test_single_iteration_derives_empty_clause(self):
-        phi = Formula([[1], [-1]])
-        (transformed,) = BOUNDED_RESOLUTION.moves(phi)
-        assert transformed.has_empty_clause
-        assert BOUNDED_RESOLUTION.lift(phi, transformed, frozenset([5])) == frozenset([5])
-
-    def test_subsumption_prunes_added_resolvents(self):
-        assert BOUNDED_RESOLUTION.moves(Formula([[1], [-1]])) == [BOTTOM]
-
-    def test_no_change_no_move(self):
-        assert BOUNDED_RESOLUTION.moves(Formula([[1, 2]])) == []
 
 
 FAKE_SAT = (
@@ -156,7 +131,7 @@ class TestExternalMembers:
         mumbler = external(FAKE_GARBAGE, member_id="mumbler")
         moves = enumerate_moves(portfolio_setup((crasher, mumbler)), phi)
         assert ("unit-propagation", TOP) in moves
-        assert {rid for rid, _ in moves} <= {"unit-propagation", "pure-literal", "bounded-resolution"}
+        assert {rid for rid, _ in moves} <= {"unit-propagation", "blocked-clause", "elimination"}
         assert len(crasher.failures) == 1 and crasher.failures[0].startswith("crasher:")
         assert len(mumbler.failures) == 1 and mumbler.failures[0].startswith("mumbler:")
 
@@ -188,19 +163,22 @@ class TestExternalMembers:
             "import sys; sys.stdin.read(); m = sys.argv[1]\n"
             "with open(m, 'a') as f: f.write('x')\n"
             "if open(m).read() != 'x': sys.exit(3)\n"
-            "print('s SATISFIABLE'); print('v 1 -2 0')"
+            "print('s SATISFIABLE'); print('v -1 -2 -3 0')"
         )
         member = ExternalMember("flaky", (sys.executable, "-c", flaky, str(runs)), timeout=20.0)
         setup = portfolio_setup((member,))
-        phi = Formula([[1, 2], [-1, -2]])
-        assert enumerate_moves(portfolio_setup(), phi) == []
+        # The witness satisfies phi, and no builtin move reaches an easy
+        # instance, so only the flaky member can win the search.
+        phi = Formula([[1, -3], [-1, 2], [-1, -2], [-2, 3]])
+        builtin_moves = enumerate_moves(portfolio_setup(), phi)
+        assert builtin_moves and not any(easy_combined(m).is_easy for _, m in builtin_moves)
         evaluator = LinearEvaluator(init_params())
         result = ams_search(phi, setup, evaluator, SearchConfig(horizon=4, budget=8))
         assert result.path.steps == (("flaky", TOP),)
         answer, diagnostics = derive_answer(setup, phi, result)
         assert answer.kind == "solution" and diagnostics == []
         assert satisfies(answer.value, phi)
-        assert setup.reduction("flaky").lift(phi, TOP, frozenset()) == frozenset([1, -2])
+        assert setup.reduction("flaky").lift(phi, TOP, frozenset()) == frozenset([-1, -2, -3])
         assert runs.read_text() == "x"
         assert member.failures == []
         # A second formula is a second run, which crashes: no move.
@@ -223,17 +201,27 @@ class TestPortfolioMoves:
         assert moves and all(m.has_empty_clause for _, m in moves)
 
     def test_empty_when_no_member_changes_the_instance(self):
-        assert enumerate_moves(portfolio_setup(), Formula([[1, 2], [-1, -2]])) == []
+        # Elimination has a move at every formula with a variable, so only ⊤
+        # and ⊥ have no move.
+        setup = portfolio_setup()
+        assert enumerate_moves(setup, TOP) == [] and enumerate_moves(setup, BOTTOM) == []
+        rng = random.Random(61)
+        for _ in range(30):
+            phi = random_formula(rng, 4, 6)
+            assert enumerate_moves(setup, phi), phi
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            portfolio_setup((external(FAKE_SAT, member_id="pure-literal"),))
+            portfolio_setup((external(FAKE_SAT, member_id="blocked-clause"),))
 
     def test_lift_dispatches_to_the_producing_member(self):
         phi = Formula([[1], [-1, 2], [3, 4]])
         setup = portfolio_setup()
         moves = enumerate_moves(setup, phi)
-        assert [rid for rid, _ in moves] == ["unit-propagation", "pure-literal", "bounded-resolution"]
+        # Eliminating 3 or 4 gives the same formula, which is one move.
+        assert [rid for rid, _ in moves] == [
+            "unit-propagation", "blocked-clause", "elimination", "elimination", "elimination"
+        ]
         for rid, target in moves:
             path = Path(phi, ((rid, target),))
             assert verify_path(setup, path)
@@ -260,10 +248,9 @@ class TestPortfolioContract:
 class TestPortfolioSetup:
     def test_setup_shape(self):
         setup = portfolio_setup()
-        assert [r.id for r in setup.reductions] == [
-            "unit-propagation", "pure-literal", "bounded-resolution"
-        ]
-        assert setup.reduction("pure-literal") is PURE_LITERAL
+        assert [r.id for r in setup.reductions] == ["unit-propagation", "blocked-clause", "elimination"]
+        # The same rule objects as the resolution setup runs.
+        assert setup.reductions == (UNIT_PROPAGATION, BLOCKED_CLAUSE, ELIMINATION)
         setup = portfolio_setup((external(FAKE_SAT, member_id="a"), external(FAKE_UNSAT, member_id="b")))
         assert [r.id for r in setup.reductions][3:] == ["a", "b"]
 
@@ -289,3 +276,10 @@ class TestPortfolioSetup:
             phi, "portfolio", init_params(), SearchConfig(horizon=4, budget=8)
         )
         assert answer.kind == "no_solution"
+
+    def test_selfcheck_decides_almost_every_instance(self):
+        # With pure-literal elimination and bounded resolution as members,
+        # 260 of these 500 instances were don't-know.
+        report = run_selfcheck(500, 8, 424242, "portfolio")
+        assert report.passed, (report.contradictions, report.quality_violations)
+        assert report.dont_know <= 5, (report.solutions, report.no_solutions, report.dont_know)

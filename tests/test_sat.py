@@ -1,28 +1,29 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from bisect import insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reducto import sat
 from reducto.sat import (
     BLOCKED_CLAUSE,
     BOTTOM,
-    BOUNDED_RESOLUTION,
-    BOUNDED_RESOLVENT_CAP,
     ELIMINATION,
     EXTENSION,
     FLIP,
     Formula,
     OracleLimitError,
-    PURE_LITERAL,
     RESOLUTION,
     SUBSUMPTION,
     TOP,
     UNIT_PROPAGATION,
     assignment,
     blocked_clause_fixpoint,
-    bounded_resolution,
     clause,
     condition,
     easy_all_positive,
@@ -35,7 +36,6 @@ from reducto.sat import (
     flippable_variables,
     new_resolvents,
     oracle_solve,
-    pure_literal_fixpoint,
     resolution_moves,
     satisfies,
     subsume,
@@ -114,6 +114,19 @@ class TestDataModel:
     def test_variables(self):
         assert Formula([[1, -4], [2]]).variables == (1, 2, 4)
 
+    def test_digest_uses_hashlibs_blake2b(self):
+        # The builtin module's function is hashlib's own, so digests are as before.
+        assert sat.blake2b is hashlib.blake2b
+
+
+def test_import_leaves_openssl_hashlib_unloaded():
+    src = os.path.dirname(os.path.dirname(sat.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reducto; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
+
 
 class TestSatisfies:
     def test_empty_formula_satisfied_by_empty_assignment(self):
@@ -178,40 +191,17 @@ class TestSubsumption:
         assert subsume(phi) is phi
 
 
-class TestPureLiteral:
-    def test_no_pure_literal(self):
-        assert PURE_LITERAL.moves(Formula([[1], [-1]])) == []
-
-    def test_one_round_elimination(self):
-        phi = Formula([[1, 2], [-1, 3]])
-        fix, pures = pure_literal_fixpoint(phi)
-        assert fix == TOP
-        assert {2, 3}.issubset(set(pures))
-        assert PURE_LITERAL.moves(phi) == [TOP]
-
-    def test_cascading_elimination_order_and_lift(self):
-        phi = Formula([[1, 2], [-2]])
-        fix, pures = pure_literal_fixpoint(phi)
-        assert fix == TOP
-        assert pures == (1, -2)
-        lifted = PURE_LITERAL.lift(phi, TOP, frozenset())
-        assert lifted == frozenset([1, -2])
-        assert satisfies(lifted, phi)
-
-    def test_fixpoint_has_no_pure_literal(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            phi = random_formula(rng, 4, 6)
-            fix, _ = pure_literal_fixpoint(phi)
-            occurring = {l for c in fix.clauses for l in c}
-            assert all(-l in occurring for l in occurring)
+def pure_literals(phi):
+    """Literals of ``phi`` whose complement does not occur in it."""
+    occurring = {l for c in phi.clauses for l in c}
+    return {l for l in occurring if -l not in occurring}
 
 
 class TestBlockedClause:
     def test_equivalence_core_moves_to_the_empty_formula(self):
         # Resolution yields only tautologies here and no literal is pure.
         phi = Formula([[1, 4], [-1, -4]])
-        assert resolution_moves(phi) == [] and PURE_LITERAL.moves(phi) == []
+        assert resolution_moves(phi) == [] and not pure_literals(phi)
         assert BLOCKED_CLAUSE.moves(phi) == [TOP]
 
     def test_lift_of_the_empty_assignment_is_total_and_satisfies(self):
@@ -235,17 +225,17 @@ class TestBlockedClause:
             fix, eliminated = blocked_clause_fixpoint(phi)
             assert len(fix) + len(eliminated) == len(phi)
             assert BLOCKED_CLAUSE.moves(fix) == []
-            assert PURE_LITERAL.moves(fix) == []
+            assert not pure_literals(fix)
             for c, l in eliminated:
                 assert l in c
 
 
 @settings(max_examples=200, deadline=None)
 @given(formulas(5, 8))
-def test_blocked_clause_fixpoint_keeps_no_clause_the_pure_literal_fixpoint_drops(phi):
+def test_blocked_clause_fixpoint_has_no_pure_literal(phi):
     # Every clause with a pure literal is blocked by it, so blocked-clause
-    # elimination subsumes pure-literal elimination.
-    assert set(blocked_clause_fixpoint(phi)[0]) <= set(pure_literal_fixpoint(phi)[0])
+    # elimination removes every clause that pure-literal elimination removes.
+    assert not pure_literals(blocked_clause_fixpoint(phi)[0])
 
 
 class TestElimination:
@@ -429,8 +419,7 @@ class TestOracle:
 
 
 ALL_RULES = (
-    RESOLUTION, SUBSUMPTION, PURE_LITERAL, BLOCKED_CLAUSE, EXTENSION, FLIP,
-    UNIT_PROPAGATION, BOUNDED_RESOLUTION,
+    RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION, FLIP, UNIT_PROPAGATION,
 )
 
 
@@ -623,8 +612,8 @@ def ref_unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]
 
 
 # Inputs of the simplifier references: dense and sparse formulas, the same
-# with the empty clause, and a formula plus all its new resolvents, the wide
-# clauses that bounded_resolution hands to subsume.
+# with the empty clause, and a formula plus all its new resolvents: the wide
+# clauses that resolution steps leave for subsumption.
 SIMPLIFIER_INPUTS = st.one_of(
     formulas(6, 9),
     formulas(6, 9, sparse=True),
@@ -668,18 +657,6 @@ class TestReferenceEquivalence:
         expected = tuple(sorted({clause(c) for c in raw}, key=_clause_key))
         assert Formula(raw).clauses == expected
         assert Formula(reversed(raw)).clauses == expected
-
-    # random_formula(rng, 8, 30) has more new resolvents than the cap in
-    # about one case in twelve.
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        formulas(6, 9, sparse=True),
-        st.integers(0, 2**32).map(lambda seed: random_formula(random.Random(seed), 8, 30)),
-    ))
-    def test_bounded_resolution_matches_the_constructor(self, phi):
-        new = new_resolvents(phi)[:BOUNDED_RESOLVENT_CAP]
-        expected = subsume(Formula(list(phi.clauses) + new))
-        assert bounded_resolution(phi).clauses == expected.clauses
 
     @settings(max_examples=400, deadline=None)
     @given(SIMPLIFIER_INPUTS)
