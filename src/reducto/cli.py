@@ -124,7 +124,10 @@ def _cmd_solve(args) -> int:
     delta_path = _delta_log_path(args, params_path)
     cfg = _search_config(args)
 
-    with _advisory_lock(params_path):
+    # A no-train solve writes nothing, and save_params replaces the file
+    # atomically, so its read needs no lock.
+    lock = contextlib.nullcontext() if args.no_train else _advisory_lock(params_path)
+    with lock:
         theta = _load_or_init_params(params_path)
         history = DeltaStore()
         if not args.no_train:

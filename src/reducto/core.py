@@ -15,7 +15,7 @@ most one move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 Instance = Any
@@ -90,17 +90,32 @@ class SelfReduction:
     ``moves(x)`` returns a finite sequence of successor instances: distinct,
     none equal to ``x``, in canonical order.  Every successor of a solvable
     instance must itself be solvable.  ``lift(x, x2, y)`` maps a solution
-    ``y`` of a successor ``x2`` back to a solution of ``x``.  Both must be
-    pure functions of their arguments.
+    ``y`` of a successor ``x2`` back to a solution of ``x``.  ``is_move(x,
+    x2)`` is true exactly when ``x2 in moves(x)``; a rule that has a cheaper
+    check than listing its moves passes one, and the default is that
+    membership test.  ``verify_path`` and the quality-data check ask
+    ``is_move`` and never list moves.  All three must be pure functions of
+    their arguments.
     """
 
     id: str
     moves: Callable[[Instance], Sequence[Instance]]
     lift: Callable[[Instance, Instance, Solution], Solution]
+    is_move: Callable[[Instance, Instance], bool] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("reduction id must be non-empty")
+        # dataclasses.replace carries the default over from the old rule, so
+        # it is rebound here to ask this rule's own moves.
+        default = getattr(self.is_move, "__func__", None) is SelfReduction._in_moves
+        if self.is_move is None or default:
+            object.__setattr__(self, "is_move", self._in_moves)
+
+    def _in_moves(self, x: Instance, x2: Instance) -> bool:
+        return x2 in self.moves(x)
 
 
 def identity_lift(x: Instance, x2: Instance, y: Solution) -> Solution:
@@ -179,15 +194,14 @@ class Path:
 
 
 def verify_path(setup: Setup, path: Path) -> bool:
-    """Check that every step of ``path`` is a genuine move of its reduction.
+    """Check with each reduction's ``is_move`` that every step of ``path`` is one of its moves.
 
     Zero-length paths verify trivially.  Referencing a reduction id the setup
     does not define raises UnknownReductionError rather than returning False.
     """
     prev = path.start
     for rid, inst in path.steps:
-        reduction = setup.reduction(rid)
-        if inst not in list(reduction.moves(prev)):
+        if not setup.reduction(rid).is_move(prev, inst):
             return False
         prev = inst
     return True

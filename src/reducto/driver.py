@@ -232,22 +232,18 @@ def random_formula(rng: random.Random, max_vars: int, max_clauses: int) -> Formu
 def check_quality_data(quality: QualityData, setup: Setup) -> list[str]:
     """Integrity check of one run's quality data against the move rules.
 
-    Verifies that every positively-counted move is a genuine move of its
-    reduction and that per-instance distribution counts sum to the visits
-    recorded for that instance.
+    Verifies with each reduction's ``is_move`` that every positively-counted
+    move is a genuine move of its reduction, and that per-instance
+    distribution counts sum to the visits recorded for that instance.
     """
     violations: list[str] = []
     routed: dict = {}
     for (inst, rid), dist in quality.distributions.items():
-        legal = None
         for move, count in dist.items():
             if count < 0:
                 violations.append(f"negative count for {rid} at {inst.digest}")
-            if count > 0:
-                if legal is None:
-                    legal = set(setup.reduction(rid).moves(inst))
-                if move not in legal:
-                    violations.append(f"counted non-move for {rid} at {inst.digest}")
+            if count > 0 and not setup.reduction(rid).is_move(inst, move):
+                violations.append(f"counted non-move for {rid} at {inst.digest}")
         routed[inst] = routed.get(inst, 0) + sum(dist.values())
     for inst, total in routed.items():
         _, visits = quality.values[inst]

@@ -256,6 +256,30 @@ def resolution_moves(phi: Formula) -> list[Formula]:
     return moves
 
 
+def _is_resolution_move(phi: Formula, phi2: Formula) -> bool:
+    """Whether ``phi2`` is ``phi`` plus one clause that resolves two clauses of ``phi``."""
+    cls, cls2 = phi.clauses, phi2.clauses
+    if len(cls2) != len(cls) + 1:
+        return False
+    i = next((i for i, c in enumerate(cls) if c != cls2[i]), len(cls))
+    if cls2[i + 1 :] != cls[i:]:
+        return False
+    # The new clause r (complement-free, as every clause is) is the
+    # resolvent of c and d on v when c holds v, d holds -v, and their other
+    # literals, all in r, cover r.  Those literals are kept as bits over r.
+    r = cls2[i]
+    bit = {l: 1 << k for k, l in enumerate(r)}
+    parts: dict[int, set[int]] = {}
+    for c in cls:
+        out = [l for l in c if l not in bit]
+        if len(out) == 1:
+            parts.setdefault(out[0], set()).add(sum([bit[l] for l in c if l in bit]))
+    full = (1 << len(r)) - 1
+    return any(
+        p | n == full for v, ps in parts.items() if v > 0 for p in ps for n in parts.get(-v, ())
+    )
+
+
 def subsume(phi: Formula) -> Formula:
     """``phi`` without every clause that properly contains another of its clauses."""
     cls = phi.clauses
@@ -371,22 +395,29 @@ def elimination_moves(phi: Formula) -> list[Formula]:
     return sorted({f for _, f in _eliminations(phi, phi.variables)}, key=lambda f: f.clauses)
 
 
-def _elimination_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    # The eliminated variable occurs in x and not in x2.
+def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
+    """The variable whose elimination turns ``x`` into ``x2``, if there is one."""
+    # It occurs in x and not in x2.
     left = set(x2.variables)
-    for v, f in _eliminations(x, [u for u in x.variables if u not in left]):
-        if f != x2:
-            continue
-        # Complete y over x's other variables first, as _restore_blocked_clauses
-        # does: then every resolvent on v is satisfied, so one value of v
-        # satisfies all the clauses on it.
-        alpha = set(y)
-        alpha.difference_update((v, -v))
-        alpha.update(-u for u in x.variables if u != v and u not in alpha and -u not in alpha)
-        needs_v = any(v in c and alpha.isdisjoint(c) for c in x.clauses)
-        alpha.add(v if needs_v else -v)
-        return assignment(alpha)
-    raise ValueError("target is not an elimination move of the source")
+    return next(
+        (v for v, f in _eliminations(x, [u for u in x.variables if u not in left]) if f == x2),
+        None,
+    )
+
+
+def _elimination_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
+    v = _eliminated_variable(x, x2)
+    if v is None:
+        raise ValueError("target is not an elimination move of the source")
+    # Complete y over x's other variables first, as _restore_blocked_clauses
+    # does: then every resolvent on v is satisfied, so one value of v
+    # satisfies all the clauses on it.
+    alpha = set(y)
+    alpha.difference_update((v, -v))
+    alpha.update(-u for u in x.variables if u != v and u not in alpha and -u not in alpha)
+    needs_v = any(v in c and alpha.isdisjoint(c) for c in x.clauses)
+    alpha.add(v if needs_v else -v)
+    return assignment(alpha)
 
 
 def unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]:
@@ -482,23 +513,37 @@ def flip_moves(phi: Formula) -> list[Formula]:
     return moves
 
 
-def _flip_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
+def _flipped_variable(x: Formula, x2: Formula) -> int | None:
+    """The flippable variable whose flip turns ``x`` into ``x2``, if there is one."""
     # Every clause a flip changes holds the flipped variable, so the first
     # clause of x missing from x2 names every candidate, in variable order.
     kept = set(x2.clauses)
     changed = next((c for c in x.clauses if c not in kept), ())
     flippable = set(flippable_variables(x))
-    for v in (abs(l) for l in changed):
-        if v in flippable and flip_variable(x, v) == x2:
-            return assignment(-l if abs(l) == v else l for l in y)
-    raise ValueError("target is not a flip move of the source")
+    return next(
+        (v for v in map(abs, changed) if v in flippable and flip_variable(x, v) == x2), None
+    )
 
 
-RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift)
+def _flip_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
+    v = _flipped_variable(x, x2)
+    if v is None:
+        raise ValueError("target is not a flip move of the source")
+    return assignment(-l if abs(l) == v else l for l in y)
+
+
+RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift, _is_resolution_move)
 SUBSUMPTION = one_move("subsumption", lambda phi: (subsume(phi), None))
 BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
-ELIMINATION = SelfReduction("elimination", elimination_moves, _elimination_lift)
-FLIP = SelfReduction("flip", flip_moves, _flip_lift)
+ELIMINATION = SelfReduction(
+    "elimination",
+    elimination_moves,
+    _elimination_lift,
+    lambda x, x2: _eliminated_variable(x, x2) is not None,
+)
+FLIP = SelfReduction(
+    "flip", flip_moves, _flip_lift, lambda x, x2: _flipped_variable(x, x2) is not None
+)
 EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
 UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
 

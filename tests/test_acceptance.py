@@ -77,11 +77,17 @@ def test_criterion_1_self_reduction_contract():
     forward_violations = 0
     lift_violations = 0
     checked_moves = 0
+    # is_move(phi, m) must agree with m in moves(phi) for phi itself and for
+    # every rule's moves.
+    is_move_disagreements = 0
     for _ in range(500):
         phi = random_formula(rng, 8, 20)
         base_sat = oracle_solve(phi).satisfiable
-        for rule in rules:
-            for move in rule.moves(phi):
+        move_lists = [rule.moves(phi) for rule in rules]
+        candidates = {phi}.union(*move_lists)
+        for rule, moves in zip(rules, move_lists):
+            is_move_disagreements += sum(rule.is_move(phi, m) != (m in moves) for m in candidates)
+            for move in moves:
                 checked_moves += 1
                 verdict = oracle_solve(move)
                 if base_sat and not verdict.satisfiable:
@@ -92,13 +98,18 @@ def test_criterion_1_self_reduction_contract():
                     if not satisfies(lifted, phi):
                         lift_violations += 1
     elapsed = time.perf_counter() - t0
-    ok = forward_violations == 0 and lift_violations == 0 and elapsed < 60.0
+    ok = (
+        forward_violations == 0
+        and lift_violations == 0
+        and is_move_disagreements == 0
+        and elapsed < 60.0
+    )
     assert report(
         1,
         ok,
         f"500 formulas, {checked_moves} moves across {len(rules)} rules/members: "
         f"{forward_violations} forward violations, {lift_violations} lift violations, "
-        f"{elapsed:.1f}s (< 60s)",
+        f"{is_move_disagreements} is_move disagreements, {elapsed:.1f}s (< 60s)",
     )
 
 

@@ -100,6 +100,15 @@ class TestSolveCommand:
         )
         assert not os.path.exists("p.json")
         assert not os.path.exists("p.delta.jsonl")
+        assert not os.path.exists("p.json.lock")
+
+    def test_no_train_solve_needs_no_writable_params_dir(self, workdir, capsys):
+        cnf = write(workdir / "f.cnf", SAT_TEXT)
+        params = str(workdir / "missing" / "p.json")
+        code, out, err = run(capsys, "solve", cnf, "--params", params, "--no-train")
+        assert code == 10, err
+        assert "s SATISFIABLE" in out
+        assert not os.path.exists(workdir / "missing")
 
     def test_env_var_sets_default_params_path(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("REDUCTO_PARAMS", str(workdir / "env-params.json"))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -84,6 +85,33 @@ class TestVerifyPath:
         path = Path(Formula([[-1]]), (("teleport", Formula([[1]])),))
         with pytest.raises(UnknownReductionError):
             verify_path(FLIP_SETUP, path)
+
+    def test_asks_is_move_and_never_lists_moves(self):
+        def no_listing(x):
+            raise AssertionError("verify_path listed moves")
+
+        rule = SelfReduction(
+            "plus-one", no_listing, lambda x, x2, y: y, is_move=lambda x, x2: x2 == x + 1
+        )
+        setup = Setup(easy=easy_trivial, reductions=(rule,))
+        assert verify_path(setup, Path(1, (("plus-one", 2), ("plus-one", 3))))
+        assert not verify_path(setup, Path(1, (("plus-one", 3),)))
+
+
+class TestIsMove:
+    def test_default_is_membership_in_moves(self):
+        rule = SelfReduction("r", lambda x: [x + 1, x + 2], lambda x, x2, y: y)
+        assert rule.is_move(1, 3) and not rule.is_move(1, 4)
+
+    def test_replace_keeps_a_given_check_and_rebinds_the_default(self):
+        # perfbench wraps rules with dataclasses.replace(rule, moves=...).
+        moves = lambda x: [x + 1]
+        given = SelfReduction("r", moves, lambda x, x2, y: y, is_move=lambda x, x2: True)
+        assert dataclasses.replace(given, moves=lambda x: []).is_move(1, 5)
+        default = SelfReduction("r", moves, lambda x, x2, y: y)
+        wrapped = dataclasses.replace(default, moves=lambda x: [x + 2])
+        assert wrapped.is_move(1, 3) and not wrapped.is_move(1, 2)
+        assert wrapped == dataclasses.replace(wrapped) and default.is_move(1, 2)
 
 
 class TestLiftSolution:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reducto.core import Path, SelfReduction, Setup
+from reducto.core import Path, SelfReduction, Setup, verify_path
 from reducto.driver import (
     BENCH_HEADER,
     SETUP_NAMES,
@@ -17,11 +17,33 @@ from reducto.driver import (
     solve,
 )
 from reducto.learner import DeltaStore, DistRecord, ValueRecord, init_params, params_text
-from reducto.sat import Formula, TOP, easy_trivial, oracle_solve, satisfies
+from reducto.sat import (
+    ELIMINATION,
+    FLIP,
+    RESOLUTION,
+    TOP,
+    Formula,
+    easy_trivial,
+    flip_variable,
+    oracle_solve,
+    satisfies,
+)
 from reducto.search import QualityData, SearchConfig, SearchResult, SearchStats, ams_search
 from reducto.core import SolveAnswer
 
 CFG = SearchConfig(horizon=6, budget=12)
+
+# A formula whose resolvents on 1 and on 2 are (2 3) and (1 4).
+CHAIN = Formula([[1, 2], [-1, 3], [-2, 4]])
+# A formula whose flippable variables are 1 and 3, not 2.
+NEGATIVE = Formula([[-1, 2], [-1, -3]])
+NON_MOVES = [
+    ("resolution", CHAIN, Formula(CHAIN.clauses + ((2, -3),))),
+    ("resolution", CHAIN, Formula(CHAIN.clauses + ((2, 3), (1, 4)))),
+    # Variable 1 eliminated, then variable 2.
+    ("elimination", CHAIN, Formula([[3, 4]])),
+    ("flip", NEGATIVE, flip_variable(NEGATIVE, 2)),
+]
 
 
 class TestSetupRegistry:
@@ -224,6 +246,14 @@ class TestSelfcheckEngine:
         )
         violations = check_quality_data(bogus, setup)
         assert any("non-move" in v for v in violations)
+
+    @pytest.mark.parametrize("rid, x, non_move", NON_MOVES, ids=[c[0] for c in NON_MOVES])
+    def test_non_moves_of_each_fast_rule_are_caught(self, rid, x, non_move):
+        setup = Setup(easy=easy_trivial, reductions=(RESOLUTION, ELIMINATION, FLIP))
+        assert non_move not in setup.reduction(rid).moves(x)
+        assert not verify_path(setup, Path(x, ((rid, non_move),)))
+        bogus = QualityData(values={x: (1.0, 2)}, distributions={(x, rid): {non_move: 2}})
+        assert f"counted non-move for {rid} at {x.digest}" in check_quality_data(bogus, setup)
 
     def test_count_sum_mismatch_detected(self):
         setup = make_setup("flip")

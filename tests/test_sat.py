@@ -458,6 +458,28 @@ class TestRuleContracts:
                 )
 
 
+# No rule's move from a formula over small variable ids reaches this one.
+UNRELATED = Formula([[10**7, -(10**7 + 1)]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)))
+def test_is_move_accepts_exactly_the_moves(phi):
+    # ALL_RULES holds every builtin rule, UNIT_PROPAGATION included.
+    move_lists = {rule.id: rule.moves(phi) for rule in ALL_RULES}
+    for rule in ALL_RULES:
+        moves = move_lists[rule.id]
+        for move in moves:
+            assert rule.is_move(phi, move), (rule.id, phi, move)
+        others = {m for ms in move_lists.values() for m in ms if m not in moves}
+        for non_move in others | {phi, UNRELATED}:
+            assert not rule.is_move(phi, non_move), (rule.id, phi, non_move)
+        # Two steps of the rule, such as two resolvents added, are a move
+        # only when one step reaches the same formula.
+        for two_steps in {m2 for m in moves[:3] for m2 in rule.moves(m)[:3]}:
+            assert rule.is_move(phi, two_steps) == (two_steps in moves), (rule.id, phi)
+
+
 @settings(max_examples=60, deadline=None)
 @given(formulas())
 def test_rule_outputs_are_canonical_formulas(phi):
