@@ -89,19 +89,21 @@ class SelfReduction:
 
     ``moves(x)`` returns a finite sequence of successor instances: distinct,
     none equal to ``x``, in canonical order.  Every successor of a solvable
-    instance must itself be solvable.  ``lift(x, x2, y)`` maps a solution
-    ``y`` of a successor ``x2`` back to a solution of ``x``.  ``is_move(x,
-    x2)`` is true exactly when ``x2 in moves(x)``; a rule that has a cheaper
-    check than listing its moves passes one, and the default is that
-    membership test.  ``verify_path`` and the quality-data check ask
-    ``is_move`` and never list moves.  All three must be pure functions of
-    their arguments.
+    instance must itself be solvable.  ``identify(x, x2)`` recognises one
+    step: it returns a witness of the move, anything but None, exactly when
+    ``x2 in moves(x)``, and None otherwise.  ``lift(x, witness, y)`` maps a
+    solution ``y`` of that successor back to a solution of ``x``, using the
+    witness ``identify`` returned instead of working the step out again.  A
+    rule that has a cheaper check than listing its moves passes
+    ``identify``; the default is that membership test, with witness True.
+    ``verify_path`` and the quality-data check ask ``identify`` and never
+    list moves.  All three must be pure functions of their arguments.
     """
 
     id: str
     moves: Callable[[Instance], Sequence[Instance]]
-    lift: Callable[[Instance, Instance, Solution], Solution]
-    is_move: Callable[[Instance, Instance], bool] | None = field(
+    lift: Callable[[Instance, Any, Solution], Solution]
+    identify: Callable[[Instance, Instance], Any] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -110,15 +112,15 @@ class SelfReduction:
             raise ValueError("reduction id must be non-empty")
         # dataclasses.replace carries the default over from the old rule, so
         # it is rebound here to ask this rule's own moves.
-        default = getattr(self.is_move, "__func__", None) is SelfReduction._in_moves
-        if self.is_move is None or default:
-            object.__setattr__(self, "is_move", self._in_moves)
+        default = getattr(self.identify, "__func__", None) is SelfReduction._in_moves
+        if self.identify is None or default:
+            object.__setattr__(self, "identify", self._in_moves)
 
-    def _in_moves(self, x: Instance, x2: Instance) -> bool:
-        return x2 in self.moves(x)
+    def _in_moves(self, x: Instance, x2: Instance) -> bool | None:
+        return True if x2 in self.moves(x) else None
 
 
-def identity_lift(x: Instance, x2: Instance, y: Solution) -> Solution:
+def identity_lift(x: Instance, witness: Any, y: Solution) -> Solution:
     """The lift of a reduction whose successors' solutions solve the source."""
     return y
 
@@ -126,31 +128,28 @@ def identity_lift(x: Instance, x2: Instance, y: Solution) -> Solution:
 def one_move(
     reduction_id: str,
     step: Callable[[Instance], tuple[Instance, Any]],
-    lift: Callable[[Instance, Any, Solution], Solution] | None = None,
+    lift: Callable[[Instance, Any, Solution], Solution] = identity_lift,
 ) -> SelfReduction:
     """A self-reduction whose only move, if any, is the successor ``step`` makes.
 
     ``step(x)`` returns ``(successor, witness)``; a successor equal to ``x``
-    is no move.  With ``lift``, a solution ``y`` of ``x2`` lifts to
-    ``lift(x, witness, y)`` after ``step(x)`` is replayed, and a replay that
-    does not reproduce ``x2`` raises ValueError.  Without it the reduction
-    uses ``identity_lift`` and replays nothing.
+    is no move.  ``identify(x, x2)`` runs ``step(x)`` once and, when it
+    makes ``x2``, returns its witness (True for a witness of None), which
+    ``lift(x, witness, y)`` then consumes.  Without ``lift`` the reduction
+    keeps the solution as it is (``identity_lift``).
     """
 
     def moves(x: Instance) -> list[Instance]:
         x2, _ = step(x)
         return [] if x2 == x else [x2]
 
-    if lift is None:
-        return SelfReduction(reduction_id, moves, identity_lift)
-
-    def replay_lift(x: Instance, x2: Instance, y: Solution) -> Solution:
+    def identify(x: Instance, x2: Instance) -> Any:
         successor, witness = step(x)
-        if successor != x2:
-            raise ValueError(f"{reduction_id}: the target is not the move of the source")
-        return lift(x, witness, y)
+        if successor != x2 or x2 == x:
+            return None
+        return True if witness is None else witness
 
-    return SelfReduction(reduction_id, moves, replay_lift)
+    return SelfReduction(reduction_id, moves, lift, identify)
 
 
 @dataclass(frozen=True)
@@ -193,41 +192,47 @@ class Path:
         return self.steps[-1][1] if self.steps else self.start
 
 
-def verify_path(setup: Setup, path: Path) -> bool:
-    """Check with each reduction's ``is_move`` that every step of ``path`` is one of its moves.
+def verify_path(setup: Setup, path: Path) -> list[Any] | None:
+    """Identify every step of ``path`` with its reduction's ``identify``.
 
-    Zero-length paths verify trivially.  Referencing a reduction id the setup
-    does not define raises UnknownReductionError rather than returning False.
+    Returns the witnesses, one per step, or None when a step is not a move.
+    A zero-length path verifies to ``[]``, so callers test ``is None``.
+    Referencing a reduction id the setup does not define raises
+    UnknownReductionError rather than returning None.
     """
+    witnesses = []
     prev = path.start
     for rid, inst in path.steps:
-        if not setup.reduction(rid).is_move(prev, inst):
-            return False
+        witness = setup.reduction(rid).identify(prev, inst)
+        if witness is None:
+            return None
+        witnesses.append(witness)
         prev = inst
-    return True
+    return witnesses
 
 
 def lift_solution(
     setup: Setup,
     path: Path,
+    witnesses: Sequence[Any],
     y: Solution,
     check: Callable[[Instance, Solution], bool] | None = None,
 ) -> Solution:
     """Lift a solution of the path's final instance back to the start.
 
-    Applies the step reductions' lift functions right to left.  ``check``, if
-    given, is called as ``check(instance, candidate)`` after every lift; a
-    failing check (or an exception inside a lift) raises LiftIntegrityError
-    identifying the offending step.  Callers are expected to have verified the
-    path first.
+    Applies the step reductions' lift functions right to left, each to the
+    witness ``verify_path`` returned for its step.  ``check``, if given, is
+    called as ``check(instance, candidate)`` after every lift; a failing
+    check (or an exception inside a lift) raises LiftIntegrityError
+    identifying the offending step.
     """
     sol = y
     for i in range(len(path.steps) - 1, -1, -1):
-        rid, inst = path.steps[i]
+        rid = path.steps[i][0]
         prev = path.steps[i - 1][1] if i > 0 else path.start
         reduction = setup.reduction(rid)
         try:
-            sol = reduction.lift(prev, inst, sol)
+            sol = reduction.lift(prev, witnesses[i], sol)
         except Exception as exc:
             raise LiftIntegrityError(i + 1, rid, str(exc)) from exc
         if check is not None and not check(prev, sol):

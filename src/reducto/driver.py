@@ -99,7 +99,8 @@ def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[Solve
     terminal = result.terminal
     if not terminal.is_easy:
         return terminal, []
-    if not verify_path(setup, result.path):
+    witnesses = verify_path(setup, result.path)
+    if witnesses is None:
         return SolveAnswer.dont_know(), ["search returned a path that does not verify"]
     if terminal.kind == "no_solution":
         return terminal, []
@@ -107,6 +108,7 @@ def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[Solve
         lifted = lift_solution(
             setup,
             result.path,
+            witnesses,
             terminal.value,
             check=lambda inst, sol: satisfies(sol, inst),
         )
@@ -232,7 +234,7 @@ def random_formula(rng: random.Random, max_vars: int, max_clauses: int) -> Formu
 def check_quality_data(quality: QualityData, setup: Setup) -> list[str]:
     """Integrity check of one run's quality data against the move rules.
 
-    Verifies with each reduction's ``is_move`` that every positively-counted
+    Verifies with each reduction's ``identify`` that every positively-counted
     move is a genuine move of its reduction, and that per-instance
     distribution counts sum to the visits recorded for that instance.
     """
@@ -242,7 +244,7 @@ def check_quality_data(quality: QualityData, setup: Setup) -> list[str]:
         for move, count in dist.items():
             if count < 0:
                 violations.append(f"negative count for {rid} at {inst.digest}")
-            if count > 0 and not setup.reduction(rid).is_move(inst, move):
+            if count > 0 and setup.reduction(rid).identify(inst, move) is None:
                 violations.append(f"counted non-move for {rid} at {inst.digest}")
         routed[inst] = routed.get(inst, 0) + sum(dist.values())
     for inst, total in routed.items():

@@ -8,9 +8,10 @@ rule objects the ``resolution`` setup runs.  External members run as child
 processes speaking DIMACS on stdin and either a solver result or a
 transformed DIMACS formula on stdout; a member that crashes, times out, or
 talks garbage simply contributes no move.  Each external member is a
-``core.one_move`` rule, so its lift replays it and checks that the replay
-reproduces the move; it keeps its output per formula, so the replay sees
-what the search saw and its child process runs once per formula.
+``core.one_move`` rule: identifying a step checks that the member's output
+is the move, and the lift applies the lift kept with that output.  It keeps
+its output per formula, so path verification sees what the search saw and
+its child process runs once per formula.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class ExternalMember:
     against the input before being trusted), ``s UNSATISFIABLE``, or a
     complete DIMACS formula, which is taken as an identity-lift transform.
     Anything else is a member failure, never a wrong answer.  ``step``
-    keeps its result per formula, so move generation, path verification and
-    lifting all see one run of the child process, and output that changes
-    between runs cannot fail a good path.  ``failures`` holds the reason of
+    keeps its result per formula, so move generation and path verification
+    see one run of the child process, and output that changes between runs
+    cannot fail a good path.  ``failures`` holds the reason of
     each failed run, so callers can report them; it never influences results.
     """
 

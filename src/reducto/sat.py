@@ -256,14 +256,14 @@ def resolution_moves(phi: Formula) -> list[Formula]:
     return moves
 
 
-def _is_resolution_move(phi: Formula, phi2: Formula) -> bool:
-    """Whether ``phi2`` is ``phi`` plus one clause that resolves two clauses of ``phi``."""
+def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
+    """True when ``phi2`` is ``phi`` plus one resolvent of two clauses of ``phi``, else None."""
     cls, cls2 = phi.clauses, phi2.clauses
     if len(cls2) != len(cls) + 1:
-        return False
+        return None
     i = next((i for i, c in enumerate(cls) if c != cls2[i]), len(cls))
     if cls2[i + 1 :] != cls[i:]:
-        return False
+        return None
     # The new clause r (complement-free, as every clause is) is the
     # resolvent of c and d on v when c holds v, d holds -v, and their other
     # literals, all in r, cover r.  Those literals are kept as bits over r.
@@ -277,7 +277,7 @@ def _is_resolution_move(phi: Formula, phi2: Formula) -> bool:
     full = (1 << len(r)) - 1
     return any(
         p | n == full for v, ps in parts.items() if v > 0 for p in ps for n in parts.get(-v, ())
-    )
+    ) or None
 
 
 def subsume(phi: Formula) -> Formula:
@@ -405,10 +405,7 @@ def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
     )
 
 
-def _elimination_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    v = _eliminated_variable(x, x2)
-    if v is None:
-        raise ValueError("target is not an elimination move of the source")
+def _elimination_lift(x: Formula, v: int, y: Assignment) -> Assignment:
     # Complete y over x's other variables first, as _restore_blocked_clauses
     # does: then every resolvent on v is satisfied, so one value of v
     # satisfies all the clauses on it.
@@ -525,10 +522,7 @@ def _flipped_variable(x: Formula, x2: Formula) -> int | None:
     )
 
 
-def _flip_lift(x: Formula, x2: Formula, y: Assignment) -> Assignment:
-    v = _flipped_variable(x, x2)
-    if v is None:
-        raise ValueError("target is not a flip move of the source")
+def _flip_lift(x: Formula, v: int, y: Assignment) -> Assignment:
     return assignment(-l if abs(l) == v else l for l in y)
 
 
@@ -536,14 +530,9 @@ RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift, _is_re
 SUBSUMPTION = one_move("subsumption", lambda phi: (subsume(phi), None))
 BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
 ELIMINATION = SelfReduction(
-    "elimination",
-    elimination_moves,
-    _elimination_lift,
-    lambda x, x2: _eliminated_variable(x, x2) is not None,
+    "elimination", elimination_moves, _elimination_lift, _eliminated_variable
 )
-FLIP = SelfReduction(
-    "flip", flip_moves, _flip_lift, lambda x, x2: _flipped_variable(x, x2) is not None
-)
+FLIP = SelfReduction("flip", flip_moves, _flip_lift, _flipped_variable)
 EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
 UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
 

@@ -77,16 +77,18 @@ def test_criterion_1_self_reduction_contract():
     forward_violations = 0
     lift_violations = 0
     checked_moves = 0
-    # is_move(phi, m) must agree with m in moves(phi) for phi itself and for
-    # every rule's moves.
-    is_move_disagreements = 0
+    # identify(phi, m) must be None exactly when m is not in moves(phi), for
+    # phi itself and for every rule's moves.
+    identify_disagreements = 0
     for _ in range(500):
         phi = random_formula(rng, 8, 20)
         base_sat = oracle_solve(phi).satisfiable
         move_lists = [rule.moves(phi) for rule in rules]
         candidates = {phi}.union(*move_lists)
         for rule, moves in zip(rules, move_lists):
-            is_move_disagreements += sum(rule.is_move(phi, m) != (m in moves) for m in candidates)
+            identify_disagreements += sum(
+                (rule.identify(phi, m) is not None) != (m in moves) for m in candidates
+            )
             for move in moves:
                 checked_moves += 1
                 verdict = oracle_solve(move)
@@ -94,14 +96,14 @@ def test_criterion_1_self_reduction_contract():
                     forward_violations += 1
                     continue
                 if verdict.satisfiable:
-                    lifted = rule.lift(phi, move, verdict.witness)
+                    lifted = rule.lift(phi, rule.identify(phi, move), verdict.witness)
                     if not satisfies(lifted, phi):
                         lift_violations += 1
     elapsed = time.perf_counter() - t0
     ok = (
         forward_violations == 0
         and lift_violations == 0
-        and is_move_disagreements == 0
+        and identify_disagreements == 0
         and elapsed < 60.0
     )
     assert report(
@@ -109,7 +111,7 @@ def test_criterion_1_self_reduction_contract():
         ok,
         f"500 formulas, {checked_moves} moves across {len(rules)} rules/members: "
         f"{forward_violations} forward violations, {lift_violations} lift violations, "
-        f"{is_move_disagreements} is_move disagreements, {elapsed:.1f}s (< 60s)",
+        f"{identify_disagreements} identify disagreements, {elapsed:.1f}s (< 60s)",
     )
 
 

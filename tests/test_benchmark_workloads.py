@@ -4,7 +4,9 @@
 ``cli.main``, whose exit codes and ``v`` lines it parses.  A change to either
 surface that the benchmark does not expect shows up as failed ops.  This test
 loads ``run.py`` (without changing it), cuts each workload down to a few ops
-and runs one pass of each.
+and runs one pass of each.  Its traced run wraps reducto's layers by name
+through ``spans.py``; a cut-down traced ``certify`` pass checks that the path
+check and the lifts are still seen there.
 """
 
 import importlib.util
@@ -45,3 +47,18 @@ def test_one_cut_down_pass_has_no_failed_op(run, monkeypatch, workload):
     times = work.run_pass(tally, run.Speed())
     assert tally.ops == len(work.ops) == len(times)
     assert (tally.failed, tally.wrong, tally.reasons) == (0, [], {})
+
+
+def test_traced_certify_pass_records_path_checks_and_lifts(run):
+    ops = 12
+    work = run.Workload("certify", 1, run.import_reducto())
+    work.ops, work.formulas = work.ops[:ops], work.formulas[:ops]
+    tally, rec = run.Tally(), run.Recorder()
+    spans = sys.modules["spans"]
+    with spans.instrument(rec):
+        work.run_pass(tally, run.Speed(), rec)
+    assert tally.ops == ops
+    assert (tally.failed, tally.wrong, tally.reasons) == (0, [], {})
+    totals = spans.aggregate(rec)
+    for span in ("core.verify_path", "core.lift_solution", "sat.lift"):
+        assert totals[span].calls >= 1, span

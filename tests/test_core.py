@@ -36,6 +36,13 @@ def sat_check(inst, sol):
     return satisfies(sol, inst)
 
 
+def lift_path(setup, path, y, check=None):
+    """Lift ``y`` through the witnesses ``verify_path`` identifies on ``path``."""
+    witnesses = verify_path(setup, path)
+    assert witnesses is not None
+    return lift_solution(setup, path, witnesses, y, check=check)
+
+
 class TestOutcomeTypes:
     def test_variants_are_exclusive(self):
         assert DONT_KNOW == SolveAnswer.dont_know() and not DONT_KNOW.is_easy
@@ -71,56 +78,72 @@ class TestSetup:
 
 class TestVerifyPath:
     def test_zero_length_path_verifies(self):
-        assert verify_path(RES_SETUP, Path(Formula([[1]])))
+        # No step, no witness: [] is falsy, so callers test `is None`.
+        assert verify_path(RES_SETUP, Path(Formula([[1]]))) == []
 
     def test_genuine_flip_move_verifies(self):
         path = Path(Formula([[-1]]), ((("flip"), Formula([[1]])),))
-        assert verify_path(FLIP_SETUP, path)
+        assert verify_path(FLIP_SETUP, path) == [1]
 
     def test_non_move_fails(self):
         path = Path(Formula([[-1]]), (("flip", Formula([[-1], [2]])),))
-        assert not verify_path(FLIP_SETUP, path)
+        assert verify_path(FLIP_SETUP, path) is None
 
     def test_unknown_reduction_id_raises(self):
         path = Path(Formula([[-1]]), (("teleport", Formula([[1]])),))
         with pytest.raises(UnknownReductionError):
             verify_path(FLIP_SETUP, path)
 
-    def test_asks_is_move_and_never_lists_moves(self):
+    def test_asks_identify_and_never_lists_moves(self):
         def no_listing(x):
             raise AssertionError("verify_path listed moves")
 
         rule = SelfReduction(
-            "plus-one", no_listing, lambda x, x2, y: y, is_move=lambda x, x2: x2 == x + 1
+            "plus-one",
+            no_listing,
+            lambda x, w, y: y,
+            identify=lambda x, x2: x if x2 == x + 1 else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(rule,))
-        assert verify_path(setup, Path(1, (("plus-one", 2), ("plus-one", 3))))
-        assert not verify_path(setup, Path(1, (("plus-one", 3),)))
+        assert verify_path(setup, Path(1, (("plus-one", 2), ("plus-one", 3)))) == [1, 2]
+        assert verify_path(setup, Path(1, (("plus-one", 3),))) is None
 
 
-class TestIsMove:
+class TestIdentify:
     def test_default_is_membership_in_moves(self):
-        rule = SelfReduction("r", lambda x: [x + 1, x + 2], lambda x, x2, y: y)
-        assert rule.is_move(1, 3) and not rule.is_move(1, 4)
+        rule = SelfReduction("r", lambda x: [x + 1, x + 2], lambda x, w, y: y)
+        assert rule.identify(1, 3) is True and rule.identify(1, 4) is None
 
     def test_replace_keeps_a_given_check_and_rebinds_the_default(self):
         # perfbench wraps rules with dataclasses.replace(rule, moves=...).
         moves = lambda x: [x + 1]
-        given = SelfReduction("r", moves, lambda x, x2, y: y, is_move=lambda x, x2: True)
-        assert dataclasses.replace(given, moves=lambda x: []).is_move(1, 5)
-        default = SelfReduction("r", moves, lambda x, x2, y: y)
+        given = SelfReduction("r", moves, lambda x, w, y: y, identify=lambda x, x2: "given")
+        assert dataclasses.replace(given, moves=lambda x: []).identify(1, 5) == "given"
+        default = SelfReduction("r", moves, lambda x, w, y: y)
         wrapped = dataclasses.replace(default, moves=lambda x: [x + 2])
-        assert wrapped.is_move(1, 3) and not wrapped.is_move(1, 2)
-        assert wrapped == dataclasses.replace(wrapped) and default.is_move(1, 2)
+        assert wrapped.identify(1, 3) is True and wrapped.identify(1, 2) is None
+        assert wrapped == dataclasses.replace(wrapped) and default.identify(1, 2) is True
+
+    def test_lift_consumes_the_identified_witness(self):
+        # Each step's lift gets its own step's witness, last step first.
+        rule = SelfReduction(
+            "r",
+            lambda x: [x + 1],
+            lambda x, w, y: y + ((x, w),),
+            identify=lambda x, x2: f"{x}->{x2}" if x2 == x + 1 else None,
+        )
+        setup = Setup(easy=easy_trivial, reductions=(rule,))
+        lifted = lift_path(setup, Path(1, (("r", 2), ("r", 3))), ())
+        assert lifted == ((2, "2->3"), (1, "1->2"))
 
 
 class TestLiftSolution:
     def test_zero_length_path_is_identity(self):
-        assert lift_solution(RES_SETUP, Path(TOP), frozenset()) == frozenset()
+        assert lift_solution(RES_SETUP, Path(TOP), [], frozenset()) == frozenset()
 
     def test_flip_lift_negates_the_flipped_literal(self):
         path = Path(Formula([[-1]]), (("flip", Formula([[1]])),))
-        lifted = lift_solution(FLIP_SETUP, path, frozenset([1]), check=sat_check)
+        lifted = lift_path(FLIP_SETUP, path, frozenset([1]), check=sat_check)
         assert lifted == frozenset([-1])
 
     def test_resolution_lift_is_identity(self):
@@ -128,30 +151,30 @@ class TestLiftSolution:
         move = Formula([[1, 2], [-1, 2], [2]])
         path = Path(phi, (("resolution", move),))
         alpha = frozenset([2])
-        assert lift_solution(RES_SETUP, path, alpha, check=sat_check) == alpha
+        assert lift_path(RES_SETUP, path, alpha, check=sat_check) == alpha
 
     def test_integrity_error_identifies_the_offending_step(self):
         bad = SelfReduction(
             "bad",
             moves=lambda phi: [TOP],
-            lift=lambda x, x2, y: frozenset([99]),
+            lift=lambda x, w, y: frozenset([99]),
         )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
         path = Path(Formula([[1], [2]]), (("bad", TOP),))
         with pytest.raises(LiftIntegrityError) as err:
-            lift_solution(setup, path, frozenset(), check=sat_check)
+            lift_path(setup, path, frozenset(), check=sat_check)
         assert err.value.step == 1
         assert err.value.reduction_id == "bad"
 
     def test_exception_inside_a_lift_becomes_integrity_error(self):
-        def broken(x, x2, y):
+        def broken(x, w, y):
             raise RuntimeError("boom")
 
         bad = SelfReduction("bad", moves=lambda phi: [TOP], lift=broken)
         setup = Setup(easy=easy_trivial, reductions=(bad,))
         path = Path(Formula([[1]]), (("bad", TOP),))
         with pytest.raises(LiftIntegrityError):
-            lift_solution(setup, path, frozenset())
+            lift_path(setup, path, frozenset())
 
     def test_composed_path_equals_composing_halves(self):
         rng = random.Random(29)
@@ -172,8 +195,8 @@ class TestLiftSolution:
             whole = Path(phi, ((rid1, x1), (rid2, x2)))
             front = Path(phi, ((rid1, x1),))
             back = Path(x1, ((rid2, x2),))
-            composed = lift_solution(RES_SETUP, front, lift_solution(RES_SETUP, back, y))
-            assert lift_solution(RES_SETUP, whole, y) == composed
+            composed = lift_path(RES_SETUP, front, lift_path(RES_SETUP, back, y))
+            assert lift_path(RES_SETUP, whole, y) == composed
 
 
 class TestEnumerateMoves:
@@ -222,7 +245,7 @@ class TestContractProperties:
                 verdict = oracle_solve(move)
                 if not verdict.satisfiable:
                     continue
-                lifted = lift_solution(RES_SETUP, Path(phi, ((rid, move),)), verdict.witness)
+                lifted = lift_path(RES_SETUP, Path(phi, ((rid, move),)), verdict.witness)
                 assert satisfies(lifted, phi)
 
     def test_forward_solvability(self):
@@ -247,7 +270,7 @@ class TestContractProperties:
                 steps.append(moves[0])
                 cur = moves[0][1]
             path = Path(phi, tuple(steps))
-            assert verify_path(RES_SETUP, path)
+            assert verify_path(RES_SETUP, path) is not None
             if steps:
                 corrupted = Path(phi, tuple(steps[:-1]) + ((steps[-1][0], Formula([[7], [-7]])),))
-                assert not verify_path(RES_SETUP, corrupted)
+                assert verify_path(RES_SETUP, corrupted) is None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reducto.core import Path, SelfReduction, Setup, verify_path
+from reducto.core import Path, SelfReduction, Setup, one_move, verify_path
 from reducto.driver import (
     BENCH_HEADER,
     SETUP_NAMES,
@@ -27,6 +27,7 @@ from reducto.sat import (
     flip_variable,
     oracle_solve,
     satisfies,
+    unit_propagate_fixpoint,
 )
 from reducto.search import QualityData, SearchConfig, SearchResult, SearchStats, ams_search
 from reducto.core import SolveAnswer
@@ -168,7 +169,7 @@ class TestDeriveAnswer:
         lying = SelfReduction(
             "lying",
             moves=lambda phi: [TOP],
-            lift=lambda x, x2, y: frozenset([99]),
+            lift=lambda x, w, y: frozenset([99]),
         )
         setup = Setup(easy=easy_trivial, reductions=(lying,))
         phi = Formula([[1], [2]])
@@ -190,6 +191,28 @@ class TestDeriveAnswer:
         answer, diagnostics = derive_answer(setup, phi, fake)
         assert answer.kind == "dont_know"
         assert diagnostics
+
+    def test_each_step_is_identified_once(self):
+        # The path check identifies the step, and the lift consumes its
+        # witness instead of running the step again.
+        calls = []
+
+        def step(phi):
+            calls.append(phi)
+            return unit_propagate_fixpoint(phi)
+
+        rule = one_move("counted", step, lambda x, forced, y: frozenset(y | set(forced)))
+        setup = Setup(easy=easy_trivial, reductions=(rule,))
+        phi = Formula([[1], [-1, 2]])
+        result = SearchResult(
+            path=Path(phi, (("counted", TOP),)),
+            terminal=SolveAnswer.solution(frozenset()),
+            quality=QualityData(),
+            stats=SearchStats(0, 0, 0.0),
+        )
+        answer, diagnostics = derive_answer(setup, phi, result)
+        assert (answer, diagnostics) == (SolveAnswer.solution(frozenset([1, 2])), [])
+        assert calls == [phi]
 
 
 def _uniform_evaluator():
@@ -251,7 +274,7 @@ class TestSelfcheckEngine:
     def test_non_moves_of_each_fast_rule_are_caught(self, rid, x, non_move):
         setup = Setup(easy=easy_trivial, reductions=(RESOLUTION, ELIMINATION, FLIP))
         assert non_move not in setup.reduction(rid).moves(x)
-        assert not verify_path(setup, Path(x, ((rid, non_move),)))
+        assert verify_path(setup, Path(x, ((rid, non_move),))) is None
         bogus = QualityData(values={x: (1.0, 2)}, distributions={(x, rid): {non_move: 2}})
         assert f"counted non-move for {rid} at {x.digest}" in check_quality_data(bogus, setup)
 

@@ -42,13 +42,14 @@ class TestUnitPropagation:
     def test_lift_readds_propagated_literals(self):
         phi = Formula([[1], [-1, 2]])
         assert UNIT_PROPAGATION.moves(phi) == [TOP]
-        lifted = UNIT_PROPAGATION.lift(phi, TOP, frozenset())
+        assert UNIT_PROPAGATION.identify(phi, TOP) == (1, 2)
+        lifted = UNIT_PROPAGATION.lift(phi, (1, 2), frozenset())
         assert lifted == frozenset([1, 2])
         assert satisfies(lifted, phi)
 
     def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
-        with pytest.raises(ValueError):
-            UNIT_PROPAGATION.lift(Formula([[1], [-1, 2]]), Formula([[2]]), frozenset([2]))
+        # A lift takes the identified literals, so identify rejects the target.
+        assert UNIT_PROPAGATION.identify(Formula([[1], [-1, 2]]), Formula([[2]])) is None
 
     def test_conflicting_units_leave_empty_clause(self):
         fix, _ = unit_propagate_fixpoint(Formula([[1], [-1]]))
@@ -149,9 +150,9 @@ class TestExternalMembers:
         phi = Formula([[1]])
         rule = portfolio_setup((external(FAKE_SAT),)).reduction("ext")
         assert rule.moves(phi) == [TOP]
-        assert rule.lift(phi, TOP, frozenset()) == frozenset([1])
-        with pytest.raises(ValueError):
-            rule.lift(phi, BOTTOM, frozenset())
+        assert rule.lift(phi, rule.identify(phi, TOP), frozenset()) == frozenset([1])
+        # A lift takes the member's kept lift, so identify rejects the target.
+        assert rule.identify(phi, BOTTOM) is None
 
     def test_member_output_is_kept_per_formula(self, tmp_path):
         # SAT with a genuine witness on the first run, a crash on every later
@@ -178,7 +179,8 @@ class TestExternalMembers:
         answer, diagnostics = derive_answer(setup, phi, result)
         assert answer.kind == "solution" and diagnostics == []
         assert satisfies(answer.value, phi)
-        assert setup.reduction("flaky").lift(phi, TOP, frozenset()) == frozenset([-1, -2, -3])
+        flaky = setup.reduction("flaky")
+        assert flaky.lift(phi, flaky.identify(phi, TOP), frozenset()) == frozenset([-1, -2, -3])
         assert runs.read_text() == "x"
         assert member.failures == []
         # A second formula is a second run, which crashes: no move.
@@ -190,8 +192,9 @@ class TestExternalMembers:
         phi = Formula([[1, 2], [1, -2], [1, 3]])
         setup = portfolio_setup((external(FAKE_SAT, member_id="oracle"),))
         path = Path(phi, (("oracle", TOP),))
-        assert verify_path(setup, path)
-        lifted = lift_solution(setup, path, frozenset())
+        witnesses = verify_path(setup, path)
+        assert witnesses is not None
+        lifted = lift_solution(setup, path, witnesses, frozenset())
         assert satisfies(lifted, phi)
 
 
@@ -224,10 +227,11 @@ class TestPortfolioMoves:
         ]
         for rid, target in moves:
             path = Path(phi, ((rid, target),))
-            assert verify_path(setup, path)
+            witnesses = verify_path(setup, path)
+            assert witnesses is not None
             witness = brute_force(target)
             assert witness is not None
-            assert satisfies(lift_solution(setup, path, witness), phi), rid
+            assert satisfies(lift_solution(setup, path, witnesses, witness), phi), rid
 
 
 class TestPortfolioContract:
@@ -242,7 +246,8 @@ class TestPortfolioContract:
                     witness = brute_force(transformed)
                     assert (witness is not None) == sat, (member.id, phi)
                     if witness is not None:
-                        assert satisfies(member.lift(phi, transformed, witness), phi), (member.id, phi)
+                        step = member.identify(phi, transformed)
+                        assert satisfies(member.lift(phi, step, witness), phi), (member.id, phi)
 
 
 class TestPortfolioSetup:

@@ -44,14 +44,25 @@ from reducto.sat import (
 from reducto.driver import random_formula
 
 
-def brute_force(phi):
-    """Independent oracle: try all sign patterns over the occurring variables."""
+def lift_move(rule, phi, move, y):
+    """Lift ``y`` through the witness ``rule.identify`` returns for the move."""
+    witness = rule.identify(phi, move)
+    assert witness is not None, (rule.id, phi, move)
+    return rule.lift(phi, witness, y)
+
+
+def solutions(phi):
+    """Every total assignment over the occurring variables that satisfies ``phi``."""
     vs = phi.variables
     for signs in itertools.product((1, -1), repeat=len(vs)):
         alpha = frozenset(s * v for s, v in zip(signs, vs))
         if satisfies(alpha, phi):
-            return alpha
-    return None
+            yield alpha
+
+
+def brute_force(phi):
+    """Independent oracle: try all sign patterns over the occurring variables."""
+    return next(solutions(phi), None)
 
 
 # Variable ids for sparse formulas: small ones, ids above 64 (past one machine
@@ -206,7 +217,7 @@ class TestBlockedClause:
 
     def test_lift_of_the_empty_assignment_is_total_and_satisfies(self):
         phi = Formula([[1, 4], [-1, -4]])
-        lifted = BLOCKED_CLAUSE.lift(phi, TOP, frozenset())
+        lifted = lift_move(BLOCKED_CLAUSE, phi, TOP, frozenset())
         assert {abs(l) for l in lifted} == set(phi.variables)
         assert satisfies(lifted, phi)
 
@@ -214,9 +225,9 @@ class TestBlockedClause:
         assert BLOCKED_CLAUSE.moves(Formula([[1], [-1]])) == []
 
     def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
+        # A lift takes the identified witness, so identify rejects the target.
         phi = Formula([[1, 4], [-1, -4]])
-        with pytest.raises(ValueError):
-            BLOCKED_CLAUSE.lift(phi, Formula([[1, 4]]), frozenset([1]))
+        assert BLOCKED_CLAUSE.identify(phi, Formula([[1, 4]])) is None
 
     def test_fixpoint_has_no_blocked_clause_and_no_pure_literal(self):
         rng = random.Random(23)
@@ -278,15 +289,15 @@ class TestElimination:
                 gone = set(phi.variables) - set(move.variables)
                 for extra in ((), tuple(gone), tuple(-v for v in gone)):
                     y = assignment(verdict.witness | set(extra))
-                    assert satisfies(ELIMINATION.lift(phi, move, y), phi), (phi, move, y)
+                    assert satisfies(lift_move(ELIMINATION, phi, move, y), phi), (phi, move, y)
         assert lifted_moves > 100
 
     def test_lift_to_a_non_move_target_raises(self):
         phi = Formula([[1, 2], [-1, 3], [-2, -3]])
         assert Formula([[2, 3]]) not in elimination_moves(phi)
+        # A lift takes the identified variable, so identify rejects the target.
         for target in (Formula([[2, 3]]), phi, TOP, BOTTOM, Formula([[2, 3], [-2, -3], [4]])):
-            with pytest.raises(ValueError):
-                ELIMINATION.lift(phi, target, frozenset())
+            assert ELIMINATION.identify(phi, target) is None, target
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +340,8 @@ class TestFlip:
     def test_single_flip_and_lift(self):
         phi = Formula([[-1]])
         assert flip_moves(phi) == [Formula([[1]])]
-        lifted = FLIP.lift(phi, Formula([[1]]), frozenset([1]))
+        assert FLIP.identify(phi, Formula([[1]])) == 1
+        lifted = FLIP.lift(phi, 1, frozenset([1]))
         assert lifted == frozenset([-1])
         assert satisfies(lifted, phi)
 
@@ -350,7 +362,7 @@ class TestFlip:
         phi = Formula([[-1, -2], [1, 2]])
         moves = FLIP.moves(phi)
         assert moves == [Formula([[1, -2], [-1, 2]])]
-        lifted = FLIP.lift(phi, moves[0], brute_force(moves[0]))
+        lifted = lift_move(FLIP, phi, moves[0], brute_force(moves[0]))
         assert satisfies(lifted, phi)
 
     def test_full_polarity_swap_both_directions(self):
@@ -442,7 +454,7 @@ class TestRuleContracts:
                     witness = brute_force(move)
                     if witness is None:
                         continue
-                    lifted = rule.lift(phi, move, witness)
+                    lifted = lift_move(rule, phi, move, witness)
                     assert satisfies(lifted, phi), (rule.id, phi, move)
 
     def test_subsumption_output_has_no_proper_superset_pair(self):
@@ -464,20 +476,25 @@ UNRELATED = Formula([[10**7, -(10**7 + 1)]])
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)))
-def test_is_move_accepts_exactly_the_moves(phi):
+def test_identify_accepts_exactly_the_moves(phi):
     # ALL_RULES holds every builtin rule, UNIT_PROPAGATION included.
     move_lists = {rule.id: rule.moves(phi) for rule in ALL_RULES}
     for rule in ALL_RULES:
         moves = move_lists[rule.id]
         for move in moves:
-            assert rule.is_move(phi, move), (rule.id, phi, move)
+            witness = rule.identify(phi, move)
+            assert witness is not None, (rule.id, phi, move)
+            # The lift needs nothing but the witness to map a solution back.
+            for y in itertools.islice(solutions(move), 4):
+                assert satisfies(rule.lift(phi, witness, y), phi), (rule.id, phi, move, y)
         others = {m for ms in move_lists.values() for m in ms if m not in moves}
         for non_move in others | {phi, UNRELATED}:
-            assert not rule.is_move(phi, non_move), (rule.id, phi, non_move)
+            assert rule.identify(phi, non_move) is None, (rule.id, phi, non_move)
         # Two steps of the rule, such as two resolvents added, are a move
         # only when one step reaches the same formula.
         for two_steps in {m2 for m in moves[:3] for m2 in rule.moves(m)[:3]}:
-            assert rule.is_move(phi, two_steps) == (two_steps in moves), (rule.id, phi)
+            identified = rule.identify(phi, two_steps) is not None
+            assert identified == (two_steps in moves), (rule.id, phi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -709,13 +726,12 @@ class TestReferenceEquivalence:
             y = assignment(v if rng.random() < 0.5 else -v for v in phi.variables)
             moves = flip_moves(phi)
             for move in moves:
-                assert FLIP.lift(phi, move, y) == ref_flip_lift(phi, move, y)
+                assert lift_move(FLIP, phi, move, y) == ref_flip_lift(phi, move, y)
                 lifts += 1
             # Non-moves: the formula itself, and a resolution move.
             for other in [phi] + resolution_moves(phi)[:1]:
                 if other not in moves:
-                    with pytest.raises(ValueError):
-                        FLIP.lift(phi, other, y)
+                    assert FLIP.identify(phi, other) is None
         assert lifts > 500
 
     def test_sparse_ids(self):

@@ -52,7 +52,7 @@ def toy_setup(moves_map, easy_set):
     def easy(x):
         return SolveAnswer.solution(x) if x in easy_set else DONT_KNOW
 
-    reduction = SelfReduction("r", lambda x: moves_map.get(x, []), lambda x, x2, y: y)
+    reduction = SelfReduction("r", lambda x: moves_map.get(x, []), lambda x, w, y: y)
     return Setup(easy=easy, reductions=(reduction,))
 
 
@@ -120,7 +120,7 @@ class TestHorizon:
         cfg = SearchConfig(horizon=4, budget=48)
         result = ams_search(phi, RES_SETUP, fresh_evaluator(), cfg)
         assert result.terminal.kind == "no_solution"
-        assert verify_path(RES_SETUP, result.path)
+        assert verify_path(RES_SETUP, result.path) is not None
 
 
 class TestDeterminism:
@@ -152,7 +152,7 @@ class TestSearchInvariants:
             phi = random_formula(rng, 4, 6)
             cfg = SearchConfig(horizon=5, budget=10)
             result = ams_search(phi, RES_SETUP, fresh_evaluator(), cfg)
-            assert verify_path(RES_SETUP, result.path)
+            assert verify_path(RES_SETUP, result.path) is not None
             assert len(result.path) <= cfg.horizon
             assert check_quality_data(result.quality, RES_SETUP) == []
             for value, visits in result.quality.values.values():
@@ -205,7 +205,7 @@ class TestFirstEasyInstance:
                 continue
             won += 1
             assert result.terminal.is_easy, phi
-            assert verify_path(setup, result.path)
+            assert verify_path(setup, result.path) is not None
             insts = [result.path.start] + [inst for _, inst in result.path.steps]
             assert len(insts) == len(set(insts))
         assert won > 0
