@@ -19,6 +19,7 @@ from __future__ import annotations
 # OpenSSL's _hashlib, which costs megabytes of memory and nothing here uses.
 from _blake2 import blake2b
 from bisect import bisect_left
+from math import inf
 from typing import Iterable, Iterator
 
 from .core import DONT_KNOW, NO_SOLUTION, SelfReduction, SolveAnswer, identity_lift, one_move
@@ -365,12 +366,15 @@ def _restore_blocked_clauses(
     return assignment(alpha)
 
 
-def _eliminations(phi: Formula, vs: Iterable[int]) -> Iterator[tuple[int, Formula]]:
+def _eliminations(
+    phi: Formula, vs: Iterable[int], bound: float = inf
+) -> Iterator[tuple[int, Formula | None]]:
     """``(v, phi with v eliminated)`` for each variable ``v`` of ``phi`` in ``vs``, in order.
 
     Eliminating ``v`` (Davis and Putnam, JACM 1960) drops every clause on
     ``v`` and adds all their non-tautological resolvents on ``v``; the result
-    is satisfiable exactly when ``phi`` is.
+    is satisfiable exactly when ``phi`` is.  Building a result stops as soon
+    as its distinct clauses outnumber ``bound``, and None stands for it.
     """
     lits, bits, even, masks = _clause_masks(phi)
     decoded: dict[int, tuple[list[int], Clause]] = {}
@@ -382,27 +386,63 @@ def _eliminations(phi: Formula, vs: Iterable[int]) -> Iterator[tuple[int, Formul
             if p & pv:
                 p ^= pv
                 out.update([r for n in negs if not (r := p | n) & (r >> 1) & even])
-        fresh = [m for m in out if m not in decoded]
-        for m, pos in zip(fresh, _positions(fresh)):
-            decoded[m] = (pos, tuple([lits[i] for i in pos]))
-        ranked = sorted([decoded[m] for m in out])
-        yield v, Formula._make(tuple([c for _, c in ranked]))
+                if len(out) > bound:
+                    yield v, None
+                    break
+        else:
+            fresh = [m for m in out if m not in decoded]
+            for m, pos in zip(fresh, _positions(fresh)):
+                decoded[m] = (pos, tuple([lits[i] for i in pos]))
+            ranked = sorted([decoded[m] for m in out])
+            yield v, Formula._make(tuple([c for _, c in ranked]))
+
+
+def _fallback_variable(phi: Formula) -> int:
+    """The variable whose elimination can grow ``phi`` the least, the lowest on a tie.
+
+    Eliminating ``v`` removes its ``|pos|`` positive and ``|neg|`` negative
+    clauses and adds at most ``|pos|·|neg|`` resolvents, so the growth is at
+    most ``|pos|·|neg| − |pos| − |neg|``.
+    """
+    occ: dict[int, int] = {}
+    for c in phi.clauses:
+        for l in c:
+            occ[l] = occ.get(l, 0) + 1
+    return min(
+        phi.variables,
+        key=lambda v: ((p := occ.get(v, 0)) * (n := occ.get(-v, 0)) - p - n, v),
+    )
 
 
 def elimination_moves(phi: Formula) -> list[Formula]:
-    """One move per variable of ``phi``: the formula with that variable eliminated."""
+    """Bounded variable elimination (Eén and Biere, SAT 2005).
+
+    One move per variable of ``phi`` whose elimination leaves at most
+    ``len(phi)`` distinct clauses.  When no variable qualifies, the one move
+    eliminates ``_fallback_variable(phi)``, so every formula with a variable
+    has a move, and at most ``n`` moves reach ⊤ or ⊥.
+    """
     # Two variables can give the same formula: {(1 2)} gives ⊤ for both.
-    return sorted({f for _, f in _eliminations(phi, phi.variables)}, key=lambda f: f.clauses)
+    moves = {f for _, f in _eliminations(phi, phi.variables, len(phi)) if f is not None}
+    if not moves and phi.variables:
+        moves = {f for _, f in _eliminations(phi, [_fallback_variable(phi)])}
+    return sorted(moves, key=lambda f: f.clauses)
 
 
 def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
-    """The variable whose elimination turns ``x`` into ``x2``, if there is one."""
+    """The variable whose elimination is a move from ``x`` to ``x2``, if there is one.
+
+    A target of at most ``len(x)`` clauses is a move when eliminating one of
+    the variables it lacks gives it.  A larger target is a move only when no
+    variable of ``x`` qualifies and eliminating the fallback variable gives it.
+    """
+    if len(x2) > len(x):
+        # Only the fallback move is larger than its source, and then it is the only move.
+        return _fallback_variable(x) if elimination_moves(x) == [x2] else None
     # It occurs in x and not in x2.
     left = set(x2.variables)
-    return next(
-        (v for v, f in _eliminations(x, [u for u in x.variables if u not in left]) if f == x2),
-        None,
-    )
+    gone = [u for u in x.variables if u not in left]
+    return next((v for v, f in _eliminations(x, gone, len(x2)) if f == x2), None)
 
 
 def _elimination_lift(x: Formula, v: int, y: Assignment) -> Assignment:

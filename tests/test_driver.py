@@ -45,6 +45,8 @@ NON_MOVES = [
     ("elimination", CHAIN, Formula([[3, 4]])),
     ("flip", NEGATIVE, flip_variable(NEGATIVE, 2)),
 ]
+# Eliminating 1 gives 2·3 = 6 resolvents for these 5 clauses; 2..6 qualify.
+GROWING = Formula([[1, 2], [1, 3], [-1, 4], [-1, 5], [-1, 6]])
 
 
 class TestSetupRegistry:
@@ -189,6 +191,26 @@ class TestDeriveAnswer:
             stats=SearchStats(0, 0, 0.0),
         )
         answer, diagnostics = derive_answer(setup, phi, fake)
+        assert answer.kind == "dont_know"
+        assert diagnostics
+
+    def test_a_growing_elimination_step_yields_dont_know(self):
+        # Eliminating 1 turns GROWING's 5 clauses into 6, while eliminating
+        # 2..6 qualifies, so that step is no move, though it keeps
+        # satisfiability and its target is easy under the portfolio.
+        setup = make_setup("portfolio")
+        grown = Formula([[2, 4], [2, 5], [2, 6], [3, 4], [3, 5], [3, 6]])
+        assert ELIMINATION.identify(GROWING, grown) is None
+        forged = Path(GROWING, (("elimination", grown),))
+        assert verify_path(setup, forged) is None
+        result = SearchResult(
+            path=forged,
+            terminal=setup.easy(grown),
+            quality=QualityData(),
+            stats=SearchStats(0, 0, 0.0),
+        )
+        assert result.terminal.kind == "solution"
+        answer, diagnostics = derive_answer(setup, GROWING, result)
         assert answer.kind == "dont_know"
         assert diagnostics
 

@@ -299,6 +299,89 @@ class TestElimination:
         for target in (Formula([[2, 3]]), phi, TOP, BOTTOM, Formula([[2, 3], [-2, -3], [4]])):
             assert ELIMINATION.identify(phi, target) is None, target
 
+    def test_without_a_qualifying_variable_the_one_move_is_the_fallback(self):
+        # Eliminating any variable of NO_BOUNDED grows it.  Variables 2, 4 and
+        # 5 tie at the smallest |pos|·|neg| − |pos| − |neg|, 3, and the lowest
+        # of them is the fallback.
+        assert all(len(ref_eliminate(NO_BOUNDED, v)) > 13 for v in NO_BOUNDED.variables)
+        assert ref_fallback(NO_BOUNDED) == 2
+        grown = ref_eliminate(NO_BOUNDED, 2)
+        assert elimination_moves(NO_BOUNDED) == [grown]
+        assert ELIMINATION.identify(NO_BOUNDED, grown) == 2
+        # Growing eliminations of the other variables are no moves.
+        for v in (1, 3, 4, 5):
+            assert ELIMINATION.identify(NO_BOUNDED, ref_eliminate(NO_BOUNDED, v)) is None, v
+
+    def test_a_growing_elimination_is_no_move_while_another_variable_qualifies(self):
+        grown = ref_eliminate(GROWING, 1)
+        assert len(grown) == 6 > len(GROWING)
+        assert grown not in elimination_moves(GROWING)
+        assert ELIMINATION.identify(GROWING, grown) is None
+        # Variable 2 occurs only positively, so eliminating it qualifies.
+        assert ELIMINATION.identify(GROWING, ref_eliminate(GROWING, 2)) == 2
+
+    def test_a_formula_without_variables_has_no_move(self):
+        for phi in (TOP, BOTTOM):
+            assert elimination_moves(phi) == []
+            assert ELIMINATION.identify(phi, Formula([[1]])) is None
+
+
+# No elimination of a variable of NO_BOUNDED leaves at most 13 clauses.
+NO_BOUNDED = Formula(
+    [[1, -2, 4], [1, -2, -4], [1, -2, -5], [1, 3, 5], [1, -3, -4], [1, 5], [-1, -2, 3],
+     [-1, -4], [2, -3], [2, -5], [-2, -3], [3, 4, -5], [-3, 4, 5]]
+)
+# Eliminating 1 from GROWING gives 2·3 = 6 resolvents for its 5 clauses.
+GROWING = Formula([[1, 2], [1, 3], [-1, 4], [-1, 5], [-1, 6]])
+
+
+def ref_eliminate(phi, v):
+    """Davis–Putnam elimination of ``v``, spelled out over literal sets."""
+    rest = [c for c in phi.clauses if v not in c and -v not in c]
+    resolvents = [
+        (set(p) - {v}) | (set(n) - {-v})
+        for p in phi.clauses if v in p
+        for n in phi.clauses if -v in n
+    ]
+    return Formula(rest + [r for r in resolvents if not any(-l in r for l in r)])
+
+
+def ref_fallback(phi):
+    """The variable with the smallest |pos|·|neg| − |pos| − |neg|, the lowest on a tie."""
+
+    def growth(v):
+        p = sum(v in c for c in phi.clauses)
+        n = sum(-v in c for c in phi.clauses)
+        return p * n - p - n, v
+
+    return min(phi.variables, key=growth)
+
+
+# Random formulas have a qualifying variable almost always; joined with
+# NO_BOUNDED, more than half have none.
+ELIMINATION_INPUTS = st.one_of(
+    formulas(5, 8),
+    formulas(6, 12, sparse=True),
+    formulas(5, 8).map(lambda phi: Formula(phi.clauses + NO_BOUNDED.clauses)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELIMINATION_INPUTS)
+def test_elimination_moves_are_bounded(phi):
+    moves = elimination_moves(phi)
+    for move in moves:
+        assert set(move.variables) < set(phi.variables), (phi, move)
+    bounded = {f for v in phi.variables if len(f := ref_eliminate(phi, v)) <= len(phi)}
+    if bounded or not phi.variables:
+        assert set(moves) == bounded
+    else:
+        # Only when no variable qualifies is there one, larger, move: the
+        # fallback's elimination.
+        fallback = ref_fallback(phi)
+        assert moves == [ref_eliminate(phi, fallback)]
+        assert ELIMINATION.identify(phi, moves[0]) == fallback
+
 
 @settings(max_examples=60, deadline=None)
 @given(formulas())
