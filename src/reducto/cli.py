@@ -159,6 +159,8 @@ def _cmd_solve(args) -> int:
     print(f"c nodes-expanded {report.stats.nodes_expanded}")
     print(f"c evaluator-calls {report.stats.evaluator_calls}")
     print(f"c samples {report.stats.samples}")
+    if report.loss_before is not None:
+        print(f"c train-loss {report.loss_before:.6f} {report.loss_after:.6f}")
     for diag in report.diagnostics:
         print(f"c diagnostic {diag}", file=sys.stderr)
     if answer.kind == "solution":

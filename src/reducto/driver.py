@@ -33,9 +33,9 @@ from .learner import (
     LinearEvaluator,
     ParamStore,
     ValueRecord,
+    fit,
     merge_window,
     quality_records,
-    train,
 )
 from .portfolio import portfolio_setup
 from .sat import (
@@ -92,6 +92,9 @@ class RunReport:
     # The run's ``training_quality`` as log records; built only by a run that
     # trains.
     records: tuple[ValueRecord | DistRecord, ...] = ()
+    # The replay window's training loss before and after; None unless it trained.
+    loss_before: float | None = None
+    loss_after: float | None = None
 
 
 def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[SolveAnswer, list[str]]:
@@ -153,8 +156,9 @@ def solve(
     ``history`` is the quality store of previous runs; it is merged with
     this run's ``training_quality`` in place.  Training fits the run's
     records plus the newest ``learner.REPLAY_WINDOW`` records of history
-    (``merge_window``), so its cost does not grow with the history.  With
-    ``train_after`` false the parameters are returned unchanged.
+    (``merge_window``), so its cost does not grow with the history, and the
+    report carries that window's loss before and after (``learner.fit``).
+    With ``train_after`` false the parameters are returned unchanged.
     """
     setup = make_setup(setup_name)
     evaluator = LinearEvaluator(theta)
@@ -163,11 +167,12 @@ def solve(
 
     theta_after = theta
     records: list[ValueRecord | DistRecord] = []
+    loss_before = loss_after = None
     if train_after:
         records = quality_records(training_quality(result), evaluator.features)
         window = merge_window(history if history is not None else DeltaStore(), records)
         if not window.is_empty:
-            theta_after = train(
+            theta_after, loss_before, loss_after = fit(
                 theta, window, epochs=epochs, learning_rate=learning_rate, curriculum=curriculum
             )
 
@@ -177,6 +182,8 @@ def solve(
         quality=result.quality,
         diagnostics=tuple(diagnostics),
         records=tuple(records),
+        loss_before=loss_before,
+        loss_after=loss_after,
     )
     return answer, theta_after, report
 

@@ -372,6 +372,9 @@ def merge_window(history: DeltaStore, records: Sequence[ValueRecord | DistRecord
 
 # Bytes read per backward step when only the end of a log is wanted.
 _TAIL_BLOCK = 1 << 16
+# Bound once: the log reader checks every feature of every record.
+_FEATURE_DIM = len(FEATURE_NAMES)
+_isfinite = math.isfinite
 
 
 def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
@@ -419,13 +422,13 @@ def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -
 def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
     kind = doc["kind"]
     if kind == "value":
-        features = tuple(float(f) for f in doc["features"])
+        features = tuple(map(float, doc["features"]))
         value = float(doc["value"])
         visits = int(doc["visits"])
         if (
-            len(features) != len(FEATURE_NAMES)
-            or not all(map(math.isfinite, features))
-            or not math.isfinite(value)
+            len(features) != _FEATURE_DIM
+            or not all(map(_isfinite, features))
+            or not _isfinite(value)
             or visits < 1
         ):
             raise ValueError("non-finite or invalid value record")
@@ -433,15 +436,12 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
     if kind == "dist":
         moves = {}
         for m in doc["moves"]:
-            features = tuple(float(f) for f in m["features"])
+            digest = m["digest"]
+            features = tuple(map(float, m["features"]))
             count = int(m["count"])
-            if (
-                len(features) != len(FEATURE_NAMES)
-                or not all(map(math.isfinite, features))
-                or count < 0
-            ):
+            if len(features) != _FEATURE_DIM or not all(map(_isfinite, features)) or count < 0:
                 raise ValueError("non-finite or invalid move stat")
-            moves[m["digest"]] = MoveStat(m["digest"], features, count)
+            moves[digest] = MoveStat(digest, features, count)
         return DistRecord(doc["digest"], doc["reduction"], int(doc["n_vars"]), moves)
     raise ValueError(f"unknown record kind {kind!r}")
 
@@ -504,127 +504,151 @@ def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaSto
 # ---------------------------------------------------------------------------
 
 
-def _check_dims(theta: ParamStore, store: DeltaStore) -> None:
-    dim = theta.dim
-    for rec in store.values.values():
-        if len(rec.features) != dim:
-            raise ParamVersionError("store feature dimension does not match the parameters")
-    for rec in store.dists.values():
-        for m in rec.moves.values():
-            if len(m.features) != dim:
-                raise ParamVersionError("store feature dimension does not match the parameters")
+def _example_key(rec: ValueRecord | DistRecord, curriculum: bool) -> tuple:
+    if isinstance(rec, ValueRecord):
+        key = ("value", rec.digest, "")
+    else:
+        key = ("dist", rec.digest, rec.reduction)
+    return (rec.n_vars,) + key if curriculum else key
 
 
-def _dist_targets(rec: DistRecord) -> list[tuple[MoveStat, float]]:
+def _row(rec: ValueRecord | DistRecord) -> tuple:
+    if isinstance(rec, ValueRecord):
+        return None, ((rec.features, rec.value),)
     stats = sorted(rec.moves.values(), key=lambda m: m.digest)
     total = sum(m.count for m in stats)
-    if total == 0:
-        return [(m, 1.0 / len(stats)) for m in stats]
-    return [(m, m.count / total) for m in stats]
+    n = len(stats)
+    return rec.reduction, tuple((m.features, m.count / total if total else 1.0 / n) for m in stats)
 
 
-def _record_terms(
-    theta: ParamStore, rec: ValueRecord | DistRecord, total: float
-) -> tuple[float, list[float], list[tuple[tuple[float, ...], float]]]:
-    """The forward pass of one record: its loss, the head it trains, its logit derivatives.
+class _Window:
+    """A quality store compiled for training; ``fit`` builds one per call.
 
-    Returns ``total`` with the record's loss terms added one at a time, so
-    that a running sum over records rounds the same however the records are
-    split; the weight vector of the record's head (a fresh zero vector for a
-    reduction ``theta`` has no head for); and, for each feature vector of the
-    record, the derivative of the record's loss with respect to that logit.
+    A row is ``(head, pairs)``: ``head`` is None for a value record, else the
+    reduction id, and ``pairs`` holds ``(features, target)`` per logit, a
+    distribution's sorted by move digest.  ``value_rows`` and ``dist_rows``
+    keep store order, which the losses sum in; ``examples`` is SGD's order.
+    ``columns`` maps each head to its feature columns (over its rows' pairs
+    in row order) and their length.
     """
-    if isinstance(rec, ValueRecord):
-        weights = theta.value_weights
-        v = _sigmoid(_dot(weights, rec.features))
-        dz = 2.0 * (v - rec.value) * v * (1.0 - v)
-        return total + (v - rec.value) ** 2, weights, [(rec.features, dz)]
-    weights = theta.prior_weights.get(rec.reduction)
-    if weights is None:
-        weights = [0.0] * (theta.dim + 1)
-    targets = _dist_targets(rec)
-    probs = _softmax([_dot(weights, m.features) for m, _ in targets])
-    dlogits = []
-    for (m, target), q in zip(targets, probs):
+
+    def __init__(self, store: DeltaStore, dim: int, curriculum: bool = False):
+        records = [*store.values.values(), *store.dists.values()]
+        rows = [_row(rec) for rec in records]
+        self.value_rows, self.dist_rows = rows[: len(store.values)], rows[len(store.values) :]
+        order = sorted(range(len(rows)), key=lambda i: _example_key(records[i], curriculum))
+        self.examples = [rows[i] for i in order]
+        vectors: dict[str | None, list[tuple[float, ...]]] = {}
+        for head, pairs in rows:
+            vectors.setdefault(head, []).extend(f for f, _ in pairs)
+        if any(len(f) != dim for fs in vectors.values() for f in fs):
+            raise ParamVersionError("store feature dimension does not match the parameters")
+        self.columns = {head: (list(zip(*fs)), len(fs)) for head, fs in vectors.items()}
+        cols = [c for cs, _ in self.columns.values() for c in cs]
+        self.max_feature = max((max(map(abs, c)) for c in cols), default=0.0)
+        self.max_target = max((abs(pairs[0][1]) for _, pairs in self.value_rows), default=0.0)
+
+    def loss_is_finite(self, theta: ParamStore) -> bool:
+        """True only if the loss of ``theta`` over the window is finite.
+
+        If every value target is in [-1, 1] and each head's summed |weights|
+        (bias included) times max(1, F), F the largest |feature|, is at most
+        300, every logit is in [-300, 300], every softmax probability exceeds
+        exp(-600) / (moves) > 0, and every loss term is finite.  NaN fails.
+        """
+        scale = max(1.0, self.max_feature)
+        return self.max_target <= 1.0 and all(
+            sum(map(abs, theta.value_weights if h is None else theta.prior_weights.get(h, ())))
+            * scale <= 300.0
+            for h in self.columns
+        )
+
+
+def _row_terms(head, pairs: tuple, logits: list[float], total: float) -> tuple[float, list]:
+    """The row's loss terms added to ``total`` one at a time, and d(loss)/d(logit) per pair."""
+    if head is None:
+        ((_, target),) = pairs
+        v = _sigmoid(logits[0])
+        return total + (v - target) ** 2, [2.0 * (v - target) * v * (1.0 - v)]
+    dz = []
+    for (_, target), q in zip(pairs, _softmax(logits)):
         if target > 0.0:
             total -= target * math.log(q) if q > 0.0 else -math.inf
-        dlogits.append((m.features, q - target))
-    return total, weights, dlogits
+        dz.append(q - target)
+    return total, dz
 
 
-def _add_scaled(weights: list[float], dlogits: list, step: float) -> None:
-    """weights += step * d(logit)/d(weights) * d(loss)/d(logit), summed over logits."""
-    for features, dz in dlogits:
-        dz = step * dz
+def _add_scaled(weights: list[float], pairs: tuple, dz: list[float], step: float) -> None:
+    """weights += step * d(logit)/d(weights) * d(loss)/d(logit), summed over the row's logits."""
+    for (features, _), d in zip(pairs, dz):
+        d = step * d
         for j, f in enumerate(features):
-            weights[j] += dz * f
-        weights[-1] += dz
+            weights[j] += d * f
+        weights[-1] += d
+
+
+def _loss_sums(theta: ParamStore, window: _Window, grads: dict | None = None) -> list[float]:
+    """Summed value and distribution losses; with ``grads``, adds each row's gradient,
+    over the number of rows of its kind, into ``grads[head]``."""
+    zeros = [0.0] * (theta.dim + 1)
+    logits = {}
+    for head, (columns, n) in window.columns.items():
+        weights = theta.value_weights if head is None else theta.prior_weights.get(head, zeros)
+        # A column at a time, each logit summing _dot's terms in _dot's order.
+        z = [weights[-1]] * n
+        for w, column in zip(weights, columns):
+            z = [a + w * f for a, f in zip(z, column)]
+        logits[head] = iter(z)
+    sums = []
+    for rows in (window.value_rows, window.dist_rows):
+        total = 0.0
+        for head, pairs in rows:
+            total, dz = _row_terms(head, pairs, list(islice(logits[head], len(pairs))), total)
+            if grads is not None:
+                _add_scaled(grads.setdefault(head, list(zeros)), pairs, dz, 1.0 / len(rows))
+        sums.append(total)
+    return sums
+
+
+def _window_loss(theta: ParamStore, window: _Window) -> float:
+    sq, ce = _loss_sums(theta, window)
+    loss = 0.0
+    if window.value_rows:
+        loss += sq / len(window.value_rows)
+    if window.dist_rows:
+        loss += ce / len(window.dist_rows)
+    return loss
 
 
 def store_loss(theta: ParamStore, store: DeltaStore) -> float:
     """Mean squared value error plus mean cross-entropy of the prior heads."""
-    loss = 0.0
-    if store.values:
-        sq = 0.0
-        for rec in store.values.values():
-            sq = _record_terms(theta, rec, sq)[0]
-        loss += sq / len(store.values)
-    if store.dists:
-        ce = 0.0
-        for rec in store.dists.values():
-            ce = _record_terms(theta, rec, ce)[0]
-        loss += ce / len(store.dists)
-    return loss
+    return _window_loss(theta, _Window(store, theta.dim))
 
 
 def loss_gradients(
     theta: ParamStore, store: DeltaStore
 ) -> tuple[float, list[float], dict[str, list[float]]]:
     """Batch loss and its analytic gradients for the value and prior heads."""
-    dim = theta.dim
-    value_grad = [0.0] * (dim + 1)
-    prior_grads: dict[str, list[float]] = {}
+    window = _Window(store, theta.dim)
+    grads: dict = {None: [0.0] * (theta.dim + 1)}
+    sq, ce = _loss_sums(theta, window, grads)
+    # Scaled by 1/n like the gradients; store_loss's division may round differently.
     loss = 0.0
-    if store.values:
-        scale = 1.0 / len(store.values)
-        sq = 0.0
-        for rec in store.values.values():
-            sq, _, dlogits = _record_terms(theta, rec, sq)
-            _add_scaled(value_grad, dlogits, scale)
-        loss += sq * scale
-    if store.dists:
-        scale = 1.0 / len(store.dists)
-        ce = 0.0
-        for rec in store.dists.values():
-            ce, _, dlogits = _record_terms(theta, rec, ce)
-            _add_scaled(prior_grads.setdefault(rec.reduction, [0.0] * (dim + 1)), dlogits, scale)
-        loss += ce * scale
-    return loss, value_grad, prior_grads
-
-
-def _ordered_examples(store: DeltaStore, curriculum: bool) -> list[ValueRecord | DistRecord]:
-    examples: list[ValueRecord | DistRecord] = list(store.values.values())
-    examples.extend(store.dists.values())
-
-    def base_key(rec) -> tuple:
-        if isinstance(rec, ValueRecord):
-            return ("value", rec.digest, "")
-        return ("dist", rec.digest, rec.reduction)
-
-    if curriculum:
-        examples.sort(key=lambda rec: (rec.n_vars,) + base_key(rec))
-    else:
-        examples.sort(key=base_key)
-    return examples
+    if window.value_rows:
+        loss += sq * (1.0 / len(window.value_rows))
+    if window.dist_rows:
+        loss += ce * (1.0 / len(window.dist_rows))
+    return loss, grads.pop(None), grads
 
 
 def _sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
-    for rec in examples:
-        _, weights, dlogits = _record_terms(theta, rec, 0.0)
-        if isinstance(rec, DistRecord):
-            # A reduction without a head gets the fresh zero head it was scored with.
-            theta.prior_weights.setdefault(rec.reduction, weights)
-        _add_scaled(weights, dlogits, -learning_rate)
+    for head, pairs in examples:
+        if head is None:
+            weights = theta.value_weights
+        else:  # a reduction without a head gets a fresh zero head
+            weights = theta.prior_weights.setdefault(head, [0.0] * (theta.dim + 1))
+        _, dz = _row_terms(head, pairs, [_dot(weights, f) for f, _ in pairs], 0.0)
+        _add_scaled(weights, pairs, dz, -learning_rate)
 
 
 def train(
@@ -641,7 +665,8 @@ def train(
     parameters never have higher training loss than the input ones: if a
     learning rate overshoots, it is halved and the epochs rerun, falling back
     to the unchanged weights as a last resort.  A non-finite loss aborts with
-    TrainDivergedError and leaves ``theta`` untouched.
+    TrainDivergedError and leaves ``theta`` untouched.  See ``fit`` for what
+    a call costs.
     """
     return fit(theta, store, epochs, learning_rate, curriculum)[0]
 
@@ -655,33 +680,37 @@ def fit(
 ) -> tuple[ParamStore, float, float]:
     """``train``, also returning the training loss before and after.
 
-    The losses are the ones training computes anyway, so a caller that
-    reports them needs no extra pass over the store.  With ``epochs`` 0 the
-    parameters come back unchanged and both losses are the loss of ``theta``.
+    The store is compiled once (``_Window``).  The loss before is one loss
+    pass, and an attempt is its epochs of SGD plus one after the last; after
+    an earlier epoch the loss is computed only if ``_Window.loss_is_finite``
+    fails, so TrainDivergedError still names the first non-finite epoch.
+    With ``epochs`` 0 the parameters come back unchanged and both losses are
+    the loss of ``theta``.
     """
     if store.is_empty:
         raise ValueError("quality store is empty")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    _check_dims(theta, store)
-    loss_before = store_loss(theta, store)
+    window = _Window(store, theta.dim, curriculum)
+    loss_before = _window_loss(theta, window)
     if epochs == 0:
         return theta.copy(), loss_before, loss_before
     if not math.isfinite(loss_before):
         raise TrainDivergedError(f"initial loss is not finite: {loss_before}")
 
-    examples = _ordered_examples(store, curriculum)
     lr = learning_rate
     result: ParamStore | None = None
     final_loss = loss_before
     for _ in range(4):
         candidate = theta.copy()
-        for epoch in range(epochs):
-            _sgd_epoch(candidate, examples, lr)
-            candidate_loss = store_loss(candidate, store)
+        for epoch in range(1, epochs + 1):
+            _sgd_epoch(candidate, window.examples, lr)
+            if epoch < epochs and window.loss_is_finite(candidate):
+                continue
+            candidate_loss = _window_loss(candidate, window)
             if not math.isfinite(candidate_loss):
                 raise TrainDivergedError(
-                    f"loss became non-finite in epoch {epoch + 1} at learning rate {lr}"
+                    f"loss became non-finite in epoch {epoch} at learning rate {lr}"
                 )
         if candidate_loss <= loss_before:
             result = candidate
@@ -691,6 +720,6 @@ def fit(
     if result is None:
         result = theta.copy()
 
-    result.examples_seen = theta.examples_seen + len(examples) * epochs
+    result.examples_seen = theta.examples_seen + len(window.examples) * epochs
     result.last_loss = final_loss
     return result, loss_before, final_loss

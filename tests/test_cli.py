@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -172,6 +173,17 @@ class TestSolveCommand:
                            "--params", "p.json")
         assert code == 20
         assert "c samples 1" in out.splitlines()
+
+    def test_prints_the_training_loss_only_when_it_trains(self, workdir, capsys):
+        cnf = write(workdir / "f.cnf", SAT_TEXT)
+        code, out, _ = run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
+        assert code == 10
+        lines = [l for l in out.splitlines() if l.startswith("c train-loss ")]
+        assert len(lines) == 1
+        assert re.fullmatch(r"c train-loss \d+\.\d{6} \d+\.\d{6}", lines[0])
+        code, out, _ = run(capsys, "solve", cnf, "--setup", "flip", "--no-train", "--params", "p.json")
+        assert code == 10
+        assert "train-loss" not in out
 
     def test_output_is_deterministic(self, workdir, capsys):
         cnf = write(workdir / "f.cnf", SAT_TEXT)

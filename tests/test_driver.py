@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -16,7 +17,15 @@ from reducto.driver import (
     run_selfcheck,
     solve,
 )
-from reducto.learner import DeltaStore, DistRecord, ValueRecord, init_params, params_text
+from reducto.learner import (
+    DeltaStore,
+    DistRecord,
+    ValueRecord,
+    init_params,
+    merge_window,
+    params_text,
+    store_loss,
+)
 from reducto.sat import (
     ELIMINATION,
     FLIP,
@@ -130,6 +139,22 @@ class TestSolve:
         assert check_quality_data(report.quality, make_setup("resolution")) == []
         _, theta, _ = solve(Formula([[-1], [1]]), "resolution", theta, CFG, history=history)
         assert history.record_count >= first > 0
+
+    def test_report_carries_the_window_losses(self):
+        rng = random.Random(71)
+        history = DeltaStore()
+        theta = init_params()
+        for _ in range(6):
+            phi = random_ksat(rng, 5, 18)
+            before = copy.deepcopy(history)
+            _, theta_after, report = solve(phi, "flip", theta, CFG, history=history, epochs=2)
+            window = merge_window(before, report.records)
+            assert report.loss_before == store_loss(theta, window)
+            assert report.loss_after == store_loss(theta_after, window)
+            theta = theta_after
+        assert report.loss_after < report.loss_before
+        _, _, report = solve(phi, "flip", theta, CFG, train_after=False)
+        assert report.loss_before is None and report.loss_after is None
 
 
 class TestTrainingRecords:

@@ -35,10 +35,8 @@ from reducto.learner import (
     save_params,
     store_loss,
     train,
-    _check_dims,
-    _dist_targets,
+    _Window,
     _dot,
-    _ordered_examples,
     _sgd_epoch,
     _sigmoid,
     _softmax,
@@ -385,8 +383,14 @@ class TestQualityLog:
             ):
                 # json writes the non-finite floats as NaN, -Infinity and Infinity.
                 handle.write(json.dumps(doc) + "\n")
+        good = json.dumps({"kind": "value", "digest": "s", "n_vars": 1,
+                           "features": [0.5] * dim, "value": 0.5, "visits": 1})
+        with open(path, "ab") as handle:
+            # A record whose bytes are not UTF-8, and one with a feature json reads as inf.
+            handle.write(good.encode().replace(b'"s"', b'"\xff"') + b"\n")
+            handle.write(good.replace("[0.5", "[1e999", 1).encode() + b"\n")
         store, skipped = load_quality_log(path)
-        assert skipped == 7
+        assert skipped == 9
         assert len(store.values) == 1
         assert not store.dists
 
@@ -603,7 +607,7 @@ class TestLossAndGradients:
             ):
                 _, value_grad, prior_grads = loss_gradients(theta, store)
                 stepped = theta.copy()
-                _sgd_epoch(stepped, _ordered_examples(store, curriculum=False), lr)
+                _sgd_epoch(stepped, _Window(store, theta.dim).examples, lr)
                 zeros = [0.0] * (theta.dim + 1)
                 heads = [(theta.value_weights, stepped.value_weights, value_grad)]
                 for rid, grad in prior_grads.items():
@@ -618,6 +622,48 @@ class TestLossAndGradients:
         theta = init_params()
         expected = sum((0.5 - rec.value) ** 2 for rec in store.values.values()) / 3
         assert abs(store_loss(theta, store) - expected) < 1e-12
+
+
+class TestLossPasses:
+    """``fit`` runs a loss pass before training and after each attempt's last
+    epoch, and after an earlier epoch only when the weight bound fails."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = {"loss passes": 0, "epochs": 0}
+        loss_sums, sgd_epoch = learner._loss_sums, learner._sgd_epoch
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(learner, "_loss_sums", counted("loss passes", loss_sums))
+        monkeypatch.setattr(learner, "_sgd_epoch", counted("epochs", sgd_epoch))
+        return calls
+
+    @pytest.mark.parametrize("epochs", [2, 20])
+    def test_a_bounded_attempt_takes_two_loss_passes(self, monkeypatch, epochs):
+        store = random_store(random.Random(79), n_values=4, n_dists=3)
+        calls = self.count(monkeypatch)
+        _, before, after = learner.fit(init_params(), store, epochs=epochs)
+        assert after < before
+        assert calls == {"loss passes": 2, "epochs": epochs}
+
+    @pytest.mark.parametrize("feature, learning_rate", [(1e6, 1e-12), (0.5, 1e18)])
+    def test_unbounded_training_takes_a_loss_pass_per_epoch(
+        self, monkeypatch, feature, learning_rate
+    ):
+        # Value records only: their loss stays finite however large the weights.
+        rng = random.Random(83)
+        store = random_store(rng, n_values=4, n_dists=0)
+        rec = store.values["v0"]
+        rec.features = (feature,) + rec.features[1:]
+        calls = self.count(monkeypatch)
+        learner.fit(random_params(rng), store, epochs=5, learning_rate=learning_rate)
+        assert calls["epochs"] >= 5
+        assert calls["loss passes"] == 1 + calls["epochs"]
 
 
 class TestTrain:
@@ -668,8 +714,13 @@ class TestTrain:
     def test_curriculum_orders_examples_by_variable_count(self):
         rng = random.Random(43)
         store = random_store(rng, n_values=6, n_dists=4)
-        ordered = _ordered_examples(store, curriculum=True)
-        sizes = [rec.n_vars for rec in ordered]
+        # Every feature vector is random, so a row's first vector names its record.
+        n_vars = {rec.features: rec.n_vars for rec in store.values.values()}
+        for rec in store.dists.values():
+            n_vars.update((m.features, rec.n_vars) for m in rec.moves.values())
+        examples = _Window(store, len(FEATURE_NAMES), curriculum=True).examples
+        sizes = [n_vars[pairs[0][0]] for _, pairs in examples]
+        assert len(sizes) == store.record_count
         assert sizes == sorted(sizes)
 
     def test_training_is_deterministic(self):
@@ -767,10 +818,9 @@ class TestReferenceEquivalence:
             kinds["missing head"] += any(rid == "extension" for _, rid in store.dists)
             assert store_loss(theta, store) == ref_store_loss(theta, store)
             assert loss_gradients(theta, store) == ref_loss_gradients(theta, store)
-            examples = _ordered_examples(store, curriculum=False)
             a, b = theta.copy(), theta.copy()
-            _sgd_epoch(a, examples, 0.3)
-            ref_sgd_epoch(b, examples, 0.3)
+            _sgd_epoch(a, _Window(store, theta.dim).examples, 0.3)
+            ref_sgd_epoch(b, ref_ordered_examples(store, curriculum=False), 0.3)
             assert params_text(a) == params_text(b)
             learning_rate = rng.choice([0.05, 0.5, 5.0, 1e18])
             for curriculum in (False, True):
@@ -778,6 +828,45 @@ class TestReferenceEquivalence:
                 outcome = train_outcome(train, theta, store, **kwargs)
                 assert outcome == train_outcome(ref_train, theta, store, **kwargs)
                 kinds["diverged"] += outcome.startswith("diverged")
+        assert all(kinds.values()), kinds
+
+    def test_training_matches_reference_at_every_epoch_count(self, monkeypatch):
+        # Learning rates at which the weight bound of _Window.loss_is_finite
+        # holds throughout, fails after some epochs (300 does on these stores
+        # at 20 epochs) or fails at once; and stores with a feature far above
+        # 1, which fail it from the start.
+        rng = random.Random(73)
+        bound = learner._Window.loss_is_finite
+        answers: list[bool] = []
+
+        def spy(window, theta):
+            answers.append(bound(window, theta))
+            return answers[-1]
+
+        monkeypatch.setattr(learner._Window, "loss_is_finite", spy)
+        kinds = {"bound held": 0, "bound failed after holding": 0, "large feature": 0, "diverged": 0}
+        for i in range(30):
+            store = varied_store(rng)
+            if i % 3 == 2:
+                rec = rng.choice([*store.values.values(), *store.dists.values()])
+                if isinstance(rec, DistRecord):
+                    rec = rng.choice(list(rec.moves.values()))
+                rec.features = (1e6,) + rec.features[1:]
+                kinds["large feature"] += 1
+            theta = random_params(rng)
+            for epochs in (1, 2, 20):
+                for learning_rate in (0.05, 5.0, 50.0, 300.0, 1e18):
+                    kwargs = dict(epochs=epochs, learning_rate=learning_rate, curriculum=i % 2 == 1)
+                    answers.clear()
+                    outcome = train_outcome(train, theta, store, **kwargs)
+                    assert outcome == train_outcome(ref_train, theta, store, **kwargs)
+                    if i % 3 == 2:
+                        assert not any(answers)
+                    kinds["bound held"] += any(answers)
+                    kinds["bound failed after holding"] += any(
+                        a and not b for a, b in zip(answers, answers[1:])
+                    )
+                    kinds["diverged"] += outcome.startswith("diverged")
         assert all(kinds.values()), kinds
 
     def test_merging_and_logging_match_reference(self, tmp_path):
@@ -881,6 +970,41 @@ def ref_delta_records(delta: QualityData) -> Iterable[dict]:
         }
 
 
+def ref_check_dims(theta: ParamStore, store: DeltaStore) -> None:
+    dim = theta.dim
+    for rec in store.values.values():
+        if len(rec.features) != dim:
+            raise ParamVersionError("store feature dimension does not match the parameters")
+    for rec in store.dists.values():
+        for m in rec.moves.values():
+            if len(m.features) != dim:
+                raise ParamVersionError("store feature dimension does not match the parameters")
+
+
+def ref_dist_targets(rec: DistRecord) -> list[tuple[MoveStat, float]]:
+    stats = sorted(rec.moves.values(), key=lambda m: m.digest)
+    total = sum(m.count for m in stats)
+    if total == 0:
+        return [(m, 1.0 / len(stats)) for m in stats]
+    return [(m, m.count / total) for m in stats]
+
+
+def ref_ordered_examples(store: DeltaStore, curriculum: bool) -> list[ValueRecord | DistRecord]:
+    examples: list[ValueRecord | DistRecord] = list(store.values.values())
+    examples.extend(store.dists.values())
+
+    def base_key(rec) -> tuple:
+        if isinstance(rec, ValueRecord):
+            return ("value", rec.digest, "")
+        return ("dist", rec.digest, rec.reduction)
+
+    if curriculum:
+        examples.sort(key=lambda rec: (rec.n_vars,) + base_key(rec))
+    else:
+        examples.sort(key=base_key)
+    return examples
+
+
 def ref_store_loss(theta: ParamStore, store: DeltaStore) -> float:
     """Mean squared value error plus mean cross-entropy of the prior heads."""
     loss = 0.0
@@ -895,7 +1019,7 @@ def ref_store_loss(theta: ParamStore, store: DeltaStore) -> float:
         ce = 0.0
         for rec in store.dists.values():
             weights = theta.prior_weights.get(rec.reduction, zeros)
-            targets = _dist_targets(rec)
+            targets = ref_dist_targets(rec)
             probs = _softmax([_dot(weights, m.features) for m, _ in targets])
             for (_, target), q in zip(targets, probs):
                 if target > 0.0:
@@ -930,7 +1054,7 @@ def ref_loss_gradients(
         for rec in store.dists.values():
             weights = theta.prior_weights.get(rec.reduction, zeros)
             grad = prior_grads.setdefault(rec.reduction, [0.0] * (dim + 1))
-            targets = _dist_targets(rec)
+            targets = ref_dist_targets(rec)
             probs = _softmax([_dot(weights, m.features) for m, _ in targets])
             for (m, target), q in zip(targets, probs):
                 if target > 0.0:
@@ -955,7 +1079,7 @@ def ref_sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> No
             w[dim] -= learning_rate * dz
         else:
             w = theta.prior_weights.setdefault(rec.reduction, [0.0] * (dim + 1))
-            targets = _dist_targets(rec)
+            targets = ref_dist_targets(rec)
             probs = _softmax([_dot(w, m.features) for m, _ in targets])
             for (m, target), q in zip(targets, probs):
                 dz = q - target
@@ -984,11 +1108,11 @@ def ref_train(
         raise ValueError("quality store is empty")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    _check_dims(theta, store)
+    ref_check_dims(theta, store)
     if epochs == 0:
         return theta.copy()
 
-    examples = _ordered_examples(store, curriculum)
+    examples = ref_ordered_examples(store, curriculum)
     loss_before = ref_store_loss(theta, store)
     if not math.isfinite(loss_before):
         raise TrainDivergedError(f"initial loss is not finite: {loss_before}")
