@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -252,6 +253,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# Built once per process: parse_args leaves the parser as it was, and a
+# trained solve is one main call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reducto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -133,10 +133,11 @@ def one_move(
     """A self-reduction whose only move, if any, is the successor ``step`` makes.
 
     ``step(x)`` returns ``(successor, witness)``; a successor equal to ``x``
-    is no move.  ``identify(x, x2)`` runs ``step(x)`` once and, when it
-    makes ``x2``, returns its witness (True for a witness of None), which
-    ``lift(x, witness, y)`` then consumes.  Without ``lift`` the reduction
-    keeps the solution as it is (``identity_lift``).
+    is no move, and a step that moves returns a witness that is not None.
+    ``identify(x, x2)`` runs ``step(x)`` once and, when it makes ``x2``,
+    returns its witness, which ``lift(x, witness, y)`` then consumes.
+    Without ``lift`` the reduction keeps the solution as it is
+    (``identity_lift``).
     """
 
     def moves(x: Instance) -> list[Instance]:
@@ -145,9 +146,7 @@ def one_move(
 
     def identify(x: Instance, x2: Instance) -> Any:
         successor, witness = step(x)
-        if successor != x2 or x2 == x:
-            return None
-        return True if witness is None else witness
+        return None if successor != x2 or x2 == x else witness
 
     return SelfReduction(reduction_id, moves, lift, identify)
 

@@ -46,7 +46,6 @@ from .sat import (
     ORACLE_VAR_LIMIT,
     Formula,
     RESOLUTION,
-    SUBSUMPTION,
     clause,
     easy_all_positive,
     easy_trivial,
@@ -67,12 +66,12 @@ def make_setup(name: str) -> Setup:
     if name == "resolution":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, ELIMINATION),
+            reductions=(RESOLUTION, BLOCKED_CLAUSE, ELIMINATION),
         )
     if name == "resolution-ext":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION),
+            reductions=(RESOLUTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION),
         )
     if name == "flip":
         return Setup(easy=easy_all_positive, reductions=(FLIP,))

@@ -281,23 +281,6 @@ def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
     ) or None
 
 
-def subsume(phi: Formula) -> Formula:
-    """``phi`` without every clause that properly contains another of its clauses."""
-    cls = phi.clauses
-    if phi.has_empty_clause:
-        return phi if len(cls) == 1 else BOTTOM
-    # A proper subset of c has its first literal in c, so each clause is filed
-    # under its first literal and c is checked against those filed under its own.
-    sets = [frozenset(c) for c in cls]
-    first: dict[int, list[frozenset[int]]] = {}
-    for c, s in zip(cls, sets):
-        first.setdefault(c[0], []).append(s)
-    keep = tuple(
-        c for c, s in zip(cls, sets) if not any(d < s for l in c for d in first.get(l, ()))
-    )
-    return phi if len(keep) == len(cls) else Formula._make(keep)
-
-
 def _blocking_literal(c: Clause, occ: dict[int, set[Clause]]) -> int | None:
     """First literal ``l`` of ``c`` on which every resolvent with ``occ[-l]`` is tautological."""
     # One set of the clause's negations serves every candidate: while ``l`` is
@@ -567,7 +550,6 @@ def _flip_lift(x: Formula, v: int, y: Assignment) -> Assignment:
 
 
 RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift, _is_resolution_move)
-SUBSUMPTION = one_move("subsumption", lambda phi: (subsume(phi), None))
 BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
 ELIMINATION = SelfReduction(
     "elimination", elimination_moves, _elimination_lift, _eliminated_variable

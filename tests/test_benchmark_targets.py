@@ -20,6 +20,7 @@ KNOWN_STALE = {
     "reducto.portfolio:Portfolio.lift",
     "reducto.portfolio:BuiltinMember.transform",
     "reducto.sat:PURE_LITERAL",
+    "reducto.sat:SUBSUMPTION",
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -363,3 +364,22 @@ class TestUsageErrors:
 
     def test_bad_flag(self, capsys):
         assert main(["solve", "x.cnf", "--bogus"]) == 1
+
+    def test_calls_share_one_parser_and_parse_independently(self, workdir, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        cnf = write(workdir / "f.cnf", UNSAT_TEXT)
+        # flip cannot decide the instance; the later call's default setup can.
+        code, out, _ = run(capsys, "solve", cnf, "--setup", "flip", "--no-train")
+        assert code == 0 and "s UNKNOWN" in out
+        assert main(["solve", cnf, "--bogus"]) == 1
+        code, out, _ = run(capsys, "solve", cnf, "--no-train")
+        assert code == 20 and "s UNSATISFIABLE" in out
+        assert len(parsers) == 3
+        assert all(p is cli.build_parser() for p in parsers)

@@ -67,13 +67,11 @@ class TestSetupRegistry:
     def test_reduction_lists(self):
         assert [r.id for r in make_setup("resolution").reductions] == [
             "resolution",
-            "subsumption",
             "blocked-clause",
             "elimination",
         ]
         assert [r.id for r in make_setup("resolution-ext").reductions] == [
             "resolution",
-            "subsumption",
             "blocked-clause",
             "elimination",
             "extension",

@@ -19,7 +19,6 @@ from reducto.sat import (
     Formula,
     OracleLimitError,
     RESOLUTION,
-    SUBSUMPTION,
     TOP,
     UNIT_PROPAGATION,
     assignment,
@@ -38,7 +37,6 @@ from reducto.sat import (
     oracle_solve,
     resolution_moves,
     satisfies,
-    subsume,
     unit_propagate_fixpoint,
 )
 from reducto.driver import random_formula
@@ -179,27 +177,6 @@ class TestResolutionMoves:
     def test_existing_resolvent_not_offered(self):
         phi = Formula([[1, 2], [-1, 2], [2]])
         assert resolution_moves(phi) == []
-
-
-class TestSubsumption:
-    def test_removes_proper_superset(self):
-        assert SUBSUMPTION.moves(Formula([[2], [1, 2]])) == [Formula([[2]])]
-
-    def test_empty_clause_subsumes_everything(self):
-        assert SUBSUMPTION.moves(Formula([[], [1]])) == [BOTTOM]
-
-    def test_no_subset_relation_is_a_noop(self):
-        assert SUBSUMPTION.moves(Formula([[1], [2]])) == []
-
-    def test_equal_clauses_are_not_proper_subsets(self):
-        assert SUBSUMPTION.moves(Formula([[1, 2], [2, 1]])) == []
-
-    def test_subset_with_a_different_first_literal(self):
-        assert SUBSUMPTION.moves(Formula([[2, 3], [1, 2, 3]])) == [Formula([[2, 3]])]
-
-    def test_subsumption_free_formula_is_returned_as_is(self):
-        phi = Formula([[1, 2], [-1, 3], [2, -3]])
-        assert subsume(phi) is phi
 
 
 def pure_literals(phi):
@@ -514,7 +491,7 @@ class TestOracle:
 
 
 ALL_RULES = (
-    RESOLUTION, SUBSUMPTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION, FLIP, UNIT_PROPAGATION,
+    RESOLUTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION, FLIP, UNIT_PROPAGATION,
 )
 
 
@@ -539,18 +516,6 @@ class TestRuleContracts:
                         continue
                     lifted = lift_move(rule, phi, move, witness)
                     assert satisfies(lifted, phi), (rule.id, phi, move)
-
-    def test_subsumption_output_has_no_proper_superset_pair(self):
-        rng = random.Random(19)
-        for _ in range(50):
-            phi = random_formula(rng, 4, 6)
-            for move in SUBSUMPTION.moves(phi):
-                sets = [frozenset(c) for c in move.clauses]
-                assert not any(
-                    i != j and sets[i] < sets[j]
-                    for i in range(len(sets))
-                    for j in range(len(sets))
-                )
 
 
 # No rule's move from a formula over small variable ids reaches this one.
@@ -691,17 +656,6 @@ def ref_extension_moves(phi: Formula, pair_cap: int = 16) -> list[Formula]:
     return moves
 
 
-def ref_subsume(phi: Formula) -> Formula:
-    """``phi`` without every clause that properly contains another of its clauses."""
-    cls = phi.clauses
-    sets = [frozenset(c) for c in cls]
-    keep = tuple(
-        c for i, c in enumerate(cls)
-        if not any(j != i and sets[j] < sets[i] for j in range(len(cls)))
-    )
-    return phi if keep == cls else Formula._make(keep)
-
-
 def ref_flip_variable(phi: Formula, v: int) -> Formula:
     """Swap the polarity of variable ``v`` everywhere in ``phi``."""
     return Formula(tuple(-l if abs(l) == v else l for l in c) for c in phi.clauses)
@@ -735,7 +689,7 @@ def ref_unit_propagate_fixpoint(phi: Formula) -> tuple[Formula, tuple[int, ...]]
 
 # Inputs of the simplifier references: dense and sparse formulas, the same
 # with the empty clause, and a formula plus all its new resolvents: the wide
-# clauses that resolution steps leave for subsumption.
+# clauses that resolution steps add.
 SIMPLIFIER_INPUTS = st.one_of(
     formulas(6, 9),
     formulas(6, 9, sparse=True),
@@ -779,13 +733,6 @@ class TestReferenceEquivalence:
         expected = tuple(sorted({clause(c) for c in raw}, key=_clause_key))
         assert Formula(raw).clauses == expected
         assert Formula(reversed(raw)).clauses == expected
-
-    @settings(max_examples=400, deadline=None)
-    @given(SIMPLIFIER_INPUTS)
-    def test_subsume_matches_reference(self, phi):
-        out, ref = subsume(phi), ref_subsume(phi)
-        assert out.clauses == ref.clauses
-        assert (out is phi) == (ref is phi)
 
     @settings(max_examples=300, deadline=None)
     @given(SIMPLIFIER_INPUTS, st.data())
