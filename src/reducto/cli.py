@@ -178,15 +178,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_train(args) -> int:
     params_path = _default_params_path(args)
-    if not os.path.exists(args.delta_log):
-        print(f"error: no quality log at {args.delta_log}", file=sys.stderr)
-        return EXIT_ERROR
     store, skipped = load_quality_log(args.delta_log)
     if skipped:
         print(f"c skipped {skipped} corrupt quality records", file=sys.stderr)
     if store.is_empty:
-        print("error: quality log holds no usable records", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("quality log holds no usable records")
     with _advisory_lock(params_path):
         theta = _load_or_init_params(params_path)
         theta_after, first_loss, last_loss = fit(
@@ -234,8 +230,7 @@ def _cmd_selfcheck(args) -> int:
 def _cmd_bench(args) -> int:
     names = [s.strip() for s in args.setups.split(",") if s.strip()]
     if not names:
-        print("error: no setups given", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("no setups given")
     theta = load_params(args.params) if args.params else None
     cfg = _search_config(args)
     rows = run_bench(

@@ -39,7 +39,6 @@ from .learner import (
 )
 from .portfolio import portfolio_setup
 from .sat import (
-    BLOCKED_CLAUSE,
     ELIMINATION,
     EXTENSION,
     FLIP,
@@ -66,12 +65,12 @@ def make_setup(name: str) -> Setup:
     if name == "resolution":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, BLOCKED_CLAUSE, ELIMINATION),
+            reductions=(RESOLUTION, ELIMINATION),
         )
     if name == "resolution-ext":
         return Setup(
             easy=easy_trivial,
-            reductions=(RESOLUTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION),
+            reductions=(RESOLUTION, ELIMINATION, EXTENSION),
         )
     if name == "flip":
         return Setup(easy=easy_all_positive, reductions=(FLIP,))

@@ -3,8 +3,8 @@
 Every member is an ordinary self-reduction, so per-instance algorithm
 selection falls out of the ordinary path search, and a path step names the
 member that made it.  The builtin members are the ``sat.py`` rules unit
-propagation, blocked-clause elimination and variable elimination, the same
-rule objects the ``resolution`` setup runs.  External members run as child
+propagation and variable elimination; the latter is the rule object the
+``resolution`` setup runs too.  External members run as child
 processes speaking DIMACS on stdin and either a solver result or a
 transformed DIMACS formula on stdout; a member that crashes, times out, or
 talks garbage simply contributes no move.  Each external member is a
@@ -24,7 +24,6 @@ from .core import Setup, one_move
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .sat import (
     Assignment,
-    BLOCKED_CLAUSE,
     BOTTOM,
     ELIMINATION,
     Formula,
@@ -129,5 +128,5 @@ def portfolio_setup(externals: Sequence[ExternalMember] = ()) -> Setup:
     members = [one_move(m.id, m.step, lambda x, lift, y: lift(y)) for m in externals]
     return Setup(
         easy=easy_combined,
-        reductions=(UNIT_PROPAGATION, BLOCKED_CLAUSE, ELIMINATION, *members),
+        reductions=(UNIT_PROPAGATION, ELIMINATION, *members),
     )

@@ -281,74 +281,6 @@ def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
     ) or None
 
 
-def _blocking_literal(c: Clause, occ: dict[int, set[Clause]]) -> int | None:
-    """First literal ``l`` of ``c`` on which every resolvent with ``occ[-l]`` is tautological."""
-    # One set of the clause's negations serves every candidate: while ``l`` is
-    # tried it lacks ``-l``, so it holds the negations of the other literals.
-    negations = {-m for m in c}
-    for l in c:
-        negations.discard(-l)
-        for d in occ.get(-l, ()):
-            if negations.isdisjoint(d):
-                break
-        else:
-            return l
-        negations.add(-l)
-    return None
-
-
-def blocked_clause_fixpoint(phi: Formula) -> tuple[Formula, tuple[tuple[Clause, int], ...]]:
-    """Iterate blocked-clause deletion to a fixpoint.
-
-    A clause is blocked by one of its literals ``l`` when every resolvent on
-    ``l`` with the other clauses is tautological (Järvisalo, Biere and Heule,
-    TACAS 2010); deleting it preserves satisfiability in both directions.
-    Blocked-clause elimination is confluent, so the fixpoint is unique.
-    Returns it together with the deleted (clause, blocking literal) pairs, in
-    deletion order; the lift replays them backwards.
-    """
-    occ: dict[int, set[Clause]] = {}
-    for c in phi.clauses:
-        for l in c:
-            occ.setdefault(l, set()).add(c)
-    alive = set(phi.clauses)
-    eliminated: list[tuple[Clause, int]] = []
-    # Only a clause that lost a resolution partner can become blocked, so
-    # each pass rechecks just those, in canonical order.
-    pending: set[Clause] = set(phi.clauses)
-    while pending:
-        touched: set[Clause] = set()
-        for c in phi.clauses:
-            if c not in pending or c not in alive:
-                continue
-            l = _blocking_literal(c, occ)
-            if l is None:
-                continue
-            alive.discard(c)
-            eliminated.append((c, l))
-            for m in c:
-                occ[m].discard(c)
-                touched.update(occ.get(-m, ()))
-        pending = touched
-    return Formula._make(tuple(c for c in phi.clauses if c in alive)), tuple(eliminated)
-
-
-def _restore_blocked_clauses(
-    x: Formula, eliminated: tuple[tuple[Clause, int], ...], y: Assignment
-) -> Assignment:
-    """Lift of blocked-clause elimination: satisfy the deleted clauses, last first."""
-    # Solutions are partial: complete y over the source's variables first, so
-    # that making a blocking literal true cannot falsify a clause that relied
-    # on an unassigned variable.
-    alpha = set(y)
-    alpha.update(-v for v in x.variables if v not in alpha and -v not in alpha)
-    for c, l in reversed(eliminated):
-        if not alpha.intersection(c):
-            alpha.discard(-l)
-            alpha.add(l)
-    return assignment(alpha)
-
-
 def _eliminations(
     phi: Formula, vs: Iterable[int], bound: float = inf
 ) -> Iterator[tuple[int, Formula | None]]:
@@ -429,9 +361,9 @@ def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
 
 
 def _elimination_lift(x: Formula, v: int, y: Assignment) -> Assignment:
-    # Complete y over x's other variables first, as _restore_blocked_clauses
-    # does: then every resolvent on v is satisfied, so one value of v
-    # satisfies all the clauses on it.
+    # Solutions are partial: complete y over x's other variables first.  Then
+    # every resolvent on v is satisfied, so one value of v satisfies all the
+    # clauses on it.
     alpha = set(y)
     alpha.difference_update((v, -v))
     alpha.update(-u for u in x.variables if u != v and u not in alpha and -u not in alpha)
@@ -550,7 +482,6 @@ def _flip_lift(x: Formula, v: int, y: Assignment) -> Assignment:
 
 
 RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift, _is_resolution_move)
-BLOCKED_CLAUSE = one_move("blocked-clause", blocked_clause_fixpoint, _restore_blocked_clauses)
 ELIMINATION = SelfReduction(
     "elimination", elimination_moves, _elimination_lift, _eliminated_variable
 )

@@ -36,7 +36,6 @@ from reducto.learner import (
     train,
 )
 from reducto.sat import (
-    BLOCKED_CLAUSE,
     ELIMINATION,
     EXTENSION,
     FLIP,
@@ -61,7 +60,7 @@ def report(criterion, passed, detail):
 # -------------------------------------------------------------------------
 
 
-RULES = [RESOLUTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION, FLIP]
+RULES = [RESOLUTION, ELIMINATION, EXTENSION, FLIP]
 
 
 def member_reductions():

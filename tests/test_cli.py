@@ -325,10 +325,13 @@ class TestErrorLines:
                      id="delta-log-in-missing-dir"),
         pytest.param(["train", "--delta-log", "a-directory", "--params", "p.json"],
                      id="delta-log-is-a-directory"),
+        pytest.param(["train", "--delta-log", "missing.jsonl", "--params", "p.json"],
+                     id="delta-log-missing"),
         pytest.param(["selfcheck", "--instances", "10", "--max-vars", "40", "--seed", "1",
                       "--budget", "1", "--horizon", "1"], id="max-vars-above-oracle-limit"),
         pytest.param(["selfcheck", "--instances", "-1"], id="selfcheck-negative-instances"),
         pytest.param(["bench", "--instances", "-1"], id="bench-negative-instances"),
+        pytest.param(["bench", "--setups", ","], id="bench-no-setups"),
         # Each of these settings was accepted, or overflowed, before any check.
         pytest.param(["solve", "f.cnf", "--no-train", "--exploration", "nan"], id="exploration-nan"),
         pytest.param(["solve", "f.cnf", "--no-train", "--exploration", "inf"], id="exploration-inf"),

@@ -67,19 +67,16 @@ class TestSetupRegistry:
     def test_reduction_lists(self):
         assert [r.id for r in make_setup("resolution").reductions] == [
             "resolution",
-            "blocked-clause",
             "elimination",
         ]
         assert [r.id for r in make_setup("resolution-ext").reductions] == [
             "resolution",
-            "blocked-clause",
             "elimination",
             "extension",
         ]
         assert [r.id for r in make_setup("flip").reductions] == ["flip"]
         assert [r.id for r in make_setup("portfolio").reductions] == [
             "unit-propagation",
-            "blocked-clause",
             "elimination",
         ]
 
@@ -299,6 +296,13 @@ class TestSelfcheckEngine:
     def test_flip_setup_never_claims_unsat(self):
         report = run_selfcheck(30, 5, 79, "flip", cfg=CFG)
         assert report.no_solutions == 0
+
+    def test_portfolio_decides_every_instance(self):
+        report = run_selfcheck(500, 8, 424242, "portfolio")
+        assert report.passed, (report.contradictions, report.quality_violations)
+        assert report.solutions + report.no_solutions == 500, (
+            report.solutions, report.no_solutions, report.dont_know
+        )
 
     def test_zero_instances_trivially_pass(self):
         report = run_selfcheck(0, 5, 83, "resolution", cfg=CFG)

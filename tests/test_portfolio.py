@@ -11,7 +11,6 @@ from reducto.driver import derive_answer, random_formula, run_selfcheck
 from reducto.learner import LinearEvaluator, init_params
 from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
 from reducto.sat import (
-    BLOCKED_CLAUSE,
     BOTTOM,
     ELIMINATION,
     Formula,
@@ -132,7 +131,7 @@ class TestExternalMembers:
         mumbler = external(FAKE_GARBAGE, member_id="mumbler")
         moves = enumerate_moves(portfolio_setup((crasher, mumbler)), phi)
         assert ("unit-propagation", TOP) in moves
-        assert {rid for rid, _ in moves} <= {"unit-propagation", "blocked-clause", "elimination"}
+        assert {rid for rid, _ in moves} <= {"unit-propagation", "elimination"}
         assert len(crasher.failures) == 1 and crasher.failures[0].startswith("crasher:")
         assert len(mumbler.failures) == 1 and mumbler.failures[0].startswith("mumbler:")
 
@@ -215,7 +214,7 @@ class TestPortfolioMoves:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            portfolio_setup((external(FAKE_SAT, member_id="blocked-clause"),))
+            portfolio_setup((external(FAKE_SAT, member_id="elimination"),))
 
     def test_lift_dispatches_to_the_producing_member(self):
         phi = Formula([[1], [-1, 2], [3, 4]])
@@ -223,7 +222,7 @@ class TestPortfolioMoves:
         moves = enumerate_moves(setup, phi)
         # Eliminating 3 or 4 gives the same formula, which is one move.
         assert [rid for rid, _ in moves] == [
-            "unit-propagation", "blocked-clause", "elimination", "elimination", "elimination"
+            "unit-propagation", "elimination", "elimination", "elimination"
         ]
         for rid, target in moves:
             path = Path(phi, ((rid, target),))
@@ -253,11 +252,11 @@ class TestPortfolioContract:
 class TestPortfolioSetup:
     def test_setup_shape(self):
         setup = portfolio_setup()
-        assert [r.id for r in setup.reductions] == ["unit-propagation", "blocked-clause", "elimination"]
+        assert [r.id for r in setup.reductions] == ["unit-propagation", "elimination"]
         # The same rule objects as the resolution setup runs.
-        assert setup.reductions == (UNIT_PROPAGATION, BLOCKED_CLAUSE, ELIMINATION)
+        assert setup.reductions == (UNIT_PROPAGATION, ELIMINATION)
         setup = portfolio_setup((external(FAKE_SAT, member_id="a"), external(FAKE_UNSAT, member_id="b")))
-        assert [r.id for r in setup.reductions][3:] == ["a", "b"]
+        assert [r.id for r in setup.reductions][2:] == ["a", "b"]
 
     def test_solves_through_driver(self):
         from reducto.driver import solve

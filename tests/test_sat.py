@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from reducto import sat
 from reducto.sat import (
-    BLOCKED_CLAUSE,
     BOTTOM,
     ELIMINATION,
     EXTENSION,
@@ -22,7 +21,6 @@ from reducto.sat import (
     TOP,
     UNIT_PROPAGATION,
     assignment,
-    blocked_clause_fixpoint,
     clause,
     condition,
     easy_all_positive,
@@ -39,7 +37,8 @@ from reducto.sat import (
     satisfies,
     unit_propagate_fixpoint,
 )
-from reducto.driver import random_formula
+from reducto.core import enumerate_moves
+from reducto.driver import make_setup, random_formula
 
 
 def lift_move(rule, phi, move, y):
@@ -179,57 +178,22 @@ class TestResolutionMoves:
         assert resolution_moves(phi) == []
 
 
-def pure_literals(phi):
-    """Literals of ``phi`` whose complement does not occur in it."""
-    occurring = {l for c in phi.clauses for l in c}
-    return {l for l in occurring if -l not in occurring}
-
-
-class TestBlockedClause:
-    def test_equivalence_core_moves_to_the_empty_formula(self):
-        # Resolution yields only tautologies here and no literal is pure.
-        phi = Formula([[1, 4], [-1, -4]])
-        assert resolution_moves(phi) == [] and not pure_literals(phi)
-        assert BLOCKED_CLAUSE.moves(phi) == [TOP]
-
-    def test_lift_of_the_empty_assignment_is_total_and_satisfies(self):
-        phi = Formula([[1, 4], [-1, -4]])
-        lifted = lift_move(BLOCKED_CLAUSE, phi, TOP, frozenset())
-        assert {abs(l) for l in lifted} == set(phi.variables)
-        assert satisfies(lifted, phi)
-
-    def test_unit_conflict_has_no_move(self):
-        assert BLOCKED_CLAUSE.moves(Formula([[1], [-1]])) == []
-
-    def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
-        # A lift takes the identified witness, so identify rejects the target.
-        phi = Formula([[1, 4], [-1, -4]])
-        assert BLOCKED_CLAUSE.identify(phi, Formula([[1, 4]])) is None
-
-    def test_fixpoint_has_no_blocked_clause_and_no_pure_literal(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            phi = random_formula(rng, 4, 6)
-            fix, eliminated = blocked_clause_fixpoint(phi)
-            assert len(fix) + len(eliminated) == len(phi)
-            assert BLOCKED_CLAUSE.moves(fix) == []
-            assert not pure_literals(fix)
-            for c, l in eliminated:
-                assert l in c
-
-
-@settings(max_examples=200, deadline=None)
-@given(formulas(5, 8))
-def test_blocked_clause_fixpoint_has_no_pure_literal(phi):
-    # Every clause with a pure literal is blocked by it, so blocked-clause
-    # elimination removes every clause that pure-literal elimination removes.
-    assert not pure_literals(blocked_clause_fixpoint(phi)[0])
-
-
 class TestElimination:
     def test_one_clause_eliminates_to_top_for_both_variables(self):
         # Both variables give the same formula, which is one move.
         assert elimination_moves(Formula([[1, 2]])) == [TOP]
+
+    def test_equivalence_core_moves_to_the_empty_formula(self):
+        # Resolution yields only tautologies here and no literal is pure, yet
+        # eliminating either variable empties the formula: the resolution
+        # setup offers that one move.
+        phi = Formula([[1, 4], [-1, -4]])
+        assert resolution_moves(phi) == []
+        assert ELIMINATION.moves(phi) == [TOP]
+        assert enumerate_moves(make_setup("resolution"), phi) == [("elimination", TOP)]
+        lifted = lift_move(ELIMINATION, phi, TOP, frozenset())
+        assert {abs(l) for l in lifted} == set(phi.variables)
+        assert satisfies(lifted, phi)
 
     def test_unit_conflict_eliminates_to_bottom(self):
         assert elimination_moves(Formula([[1], [-1]])) == [BOTTOM]
@@ -491,7 +455,7 @@ class TestOracle:
 
 
 ALL_RULES = (
-    RESOLUTION, BLOCKED_CLAUSE, ELIMINATION, EXTENSION, FLIP, UNIT_PROPAGATION,
+    RESOLUTION, ELIMINATION, EXTENSION, FLIP, UNIT_PROPAGATION,
 )
 
 
