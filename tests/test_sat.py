@@ -178,22 +178,39 @@ class TestResolutionMoves:
         assert resolution_moves(phi) == []
 
 
-class TestElimination:
-    def test_one_clause_eliminates_to_top_for_both_variables(self):
-        # Both variables give the same formula, which is one move.
-        assert elimination_moves(Formula([[1, 2]])) == [TOP]
+class TestBlockedClause:
+    """The equivalence core {1, 4}, {-1, -4}: every clause is blocked, and
+    elimination empties it, so no dedicated blocked-clause rule is needed."""
+
+    PHI = Formula([[1, 4], [-1, -4]])
 
     def test_equivalence_core_moves_to_the_empty_formula(self):
         # Resolution yields only tautologies here and no literal is pure, yet
         # eliminating either variable empties the formula: the resolution
         # setup offers that one move.
-        phi = Formula([[1, 4], [-1, -4]])
+        phi = self.PHI
+        occurring = {l for c in phi.clauses for l in c}
         assert resolution_moves(phi) == []
+        assert all(-l in occurring for l in occurring)
         assert ELIMINATION.moves(phi) == [TOP]
         assert enumerate_moves(make_setup("resolution"), phi) == [("elimination", TOP)]
+
+    def test_lift_of_the_empty_assignment_is_total_and_satisfies(self):
+        phi = self.PHI
         lifted = lift_move(ELIMINATION, phi, TOP, frozenset())
         assert {abs(l) for l in lifted} == set(phi.variables)
         assert satisfies(lifted, phi)
+
+    def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
+        # A lift takes the identified witness, so identify rejects a target
+        # that is no move: dropping one clause is not an elimination.
+        assert ELIMINATION.identify(self.PHI, Formula([[1, 4]])) is None
+
+
+class TestElimination:
+    def test_one_clause_eliminates_to_top_for_both_variables(self):
+        # Both variables give the same formula, which is one move.
+        assert elimination_moves(Formula([[1, 2]])) == [TOP]
 
     def test_unit_conflict_eliminates_to_bottom(self):
         assert elimination_moves(Formula([[1], [-1]])) == [BOTTOM]
