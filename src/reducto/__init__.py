@@ -23,7 +23,6 @@ from .learner import (
     init_params,
     load_params,
     save_params,
-    train,
 )
 from .portfolio import ExternalMember, MemberFailure, portfolio_setup
 from .sat import (

@@ -93,9 +93,7 @@ class SelfReduction:
     step: it returns a witness of the move, anything but None, exactly when
     ``x2 in moves(x)``, and None otherwise.  ``lift(x, witness, y)`` maps a
     solution ``y`` of that successor back to a solution of ``x``, using the
-    witness ``identify`` returned instead of working the step out again.  A
-    rule that has a cheaper check than listing its moves passes
-    ``identify``; the default is that membership test, with witness True.
+    witness ``identify`` returned instead of working the step out again.
     ``verify_path`` and the quality-data check ask ``identify`` and never
     list moves.  All three must be pure functions of their arguments.
     """
@@ -103,21 +101,11 @@ class SelfReduction:
     id: str
     moves: Callable[[Instance], Sequence[Instance]]
     lift: Callable[[Instance, Any, Solution], Solution]
-    identify: Callable[[Instance, Instance], Any] | None = field(
-        default=None, compare=False, repr=False
-    )
+    identify: Callable[[Instance, Instance], Any] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("reduction id must be non-empty")
-        # dataclasses.replace carries the default over from the old rule, so
-        # it is rebound here to ask this rule's own moves.
-        default = getattr(self.identify, "__func__", None) is SelfReduction._in_moves
-        if self.identify is None or default:
-            object.__setattr__(self, "identify", self._in_moves)
-
-    def _in_moves(self, x: Instance, x2: Instance) -> bool | None:
-        return True if x2 in self.moves(x) else None
 
 
 def identity_lift(x: Instance, witness: Any, y: Solution) -> Solution:
@@ -128,7 +116,7 @@ def identity_lift(x: Instance, witness: Any, y: Solution) -> Solution:
 def one_move(
     reduction_id: str,
     step: Callable[[Instance], tuple[Instance, Any]],
-    lift: Callable[[Instance, Any, Solution], Solution] = identity_lift,
+    lift: Callable[[Instance, Any, Solution], Solution],
 ) -> SelfReduction:
     """A self-reduction whose only move, if any, is the successor ``step`` makes.
 
@@ -136,8 +124,6 @@ def one_move(
     is no move, and a step that moves returns a witness that is not None.
     ``identify(x, x2)`` runs ``step(x)`` once and, when it makes ``x2``,
     returns its witness, which ``lift(x, witness, y)`` then consumes.
-    Without ``lift`` the reduction keeps the solution as it is
-    (``identity_lift``).
     """
 
     def moves(x: Instance) -> list[Instance]:

@@ -62,6 +62,7 @@ CHECK_CONFIG = SearchConfig(horizon=8, budget=12)
 
 def make_setup(name: str) -> Setup:
     """Named setups: the three rule systems plus the builtin portfolio."""
+    # Not cached: perfbench times rules by rebinding their names after import.
     if name == "resolution":
         return Setup(
             easy=easy_trivial,
@@ -191,15 +192,15 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def random_ksat(rng: random.Random, n_vars: int, n_clauses: int, k: int = 3) -> Formula:
-    """Fixed-width random CNF: ``n_clauses`` distinct clauses of width ``min(k, n_vars)``.
+def random_ksat(rng: random.Random, n_vars: int, n_clauses: int) -> Formula:
+    """Random 3-SAT: ``n_clauses`` distinct clauses of width ``min(3, n_vars)``.
 
     May return fewer clauses when the requested count exceeds what distinct
     sampling can find within a bounded number of attempts.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
-    width = min(k, n_vars)
+    width = min(3, n_vars)
     clauses: set[tuple[int, ...]] = set()
     attempts = 0
     while len(clauses) < n_clauses and attempts < 50 * (n_clauses + 1):

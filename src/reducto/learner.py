@@ -47,6 +47,7 @@ FEATURE_NAMES = (
     "frac_positive_occurrences",
     "clause_var_ratio",
 )
+_FEATURE_DIM = len(FEATURE_NAMES)
 
 
 class ParamVersionError(ValueError):
@@ -92,7 +93,7 @@ class ParamStore:
     ``FEATURE_NAMES``, the only layout of ``PARAMS_VERSION``.
     """
 
-    value_weights: list[float] = field(default_factory=lambda: [0.0] * (len(FEATURE_NAMES) + 1))
+    value_weights: list[float] = field(default_factory=lambda: [0.0] * (_FEATURE_DIM + 1))
     prior_weights: dict[str, list[float]] = field(default_factory=dict)
     examples_seen: int = 0
     last_loss: float | None = None
@@ -104,10 +105,6 @@ class ParamStore:
             examples_seen=self.examples_seen,
             last_loss=self.last_loss,
         )
-
-    @property
-    def dim(self) -> int:
-        return len(FEATURE_NAMES)
 
 
 def init_params() -> ParamStore:
@@ -224,7 +221,7 @@ class LinearEvaluator:
     """
 
     def __init__(self, params: ParamStore):
-        if len(params.value_weights) != params.dim + 1:
+        if len(params.value_weights) != _FEATURE_DIM + 1:
             raise ParamVersionError("value weight length does not match the feature spec")
         self.params = params
         self._features: dict[Formula, tuple[float, ...]] = {}
@@ -373,7 +370,6 @@ def merge_window(history: DeltaStore, records: Sequence[ValueRecord | DistRecord
 # Bytes read per backward step when only the end of a log is wanted.
 _TAIL_BLOCK = 1 << 16
 # Bound once: the log reader checks every feature of every record.
-_FEATURE_DIM = len(FEATURE_NAMES)
 _isfinite = math.isfinite
 
 
@@ -532,7 +528,7 @@ class _Window:
     in row order) and their length.
     """
 
-    def __init__(self, store: DeltaStore, dim: int, curriculum: bool = False):
+    def __init__(self, store: DeltaStore, curriculum: bool = False):
         records = [*store.values.values(), *store.dists.values()]
         rows = [_row(rec) for rec in records]
         self.value_rows, self.dist_rows = rows[: len(store.values)], rows[len(store.values) :]
@@ -541,7 +537,7 @@ class _Window:
         vectors: dict[str | None, list[tuple[float, ...]]] = {}
         for head, pairs in rows:
             vectors.setdefault(head, []).extend(f for f, _ in pairs)
-        if any(len(f) != dim for fs in vectors.values() for f in fs):
+        if any(len(f) != _FEATURE_DIM for fs in vectors.values() for f in fs):
             raise ParamVersionError("store feature dimension does not match the parameters")
         self.columns = {head: (list(zip(*fs)), len(fs)) for head, fs in vectors.items()}
         cols = [c for cs, _ in self.columns.values() for c in cs]
@@ -590,7 +586,7 @@ def _add_scaled(weights: list[float], pairs: tuple, dz: list[float], step: float
 def _loss_sums(theta: ParamStore, window: _Window, grads: dict | None = None) -> list[float]:
     """Summed value and distribution losses; with ``grads``, adds each row's gradient,
     over the number of rows of its kind, into ``grads[head]``."""
-    zeros = [0.0] * (theta.dim + 1)
+    zeros = [0.0] * (_FEATURE_DIM + 1)
     logits = {}
     for head, (columns, n) in window.columns.items():
         weights = theta.value_weights if head is None else theta.prior_weights.get(head, zeros)
@@ -622,15 +618,15 @@ def _window_loss(theta: ParamStore, window: _Window) -> float:
 
 def store_loss(theta: ParamStore, store: DeltaStore) -> float:
     """Mean squared value error plus mean cross-entropy of the prior heads."""
-    return _window_loss(theta, _Window(store, theta.dim))
+    return _window_loss(theta, _Window(store))
 
 
 def loss_gradients(
     theta: ParamStore, store: DeltaStore
 ) -> tuple[float, list[float], dict[str, list[float]]]:
     """Batch loss and its analytic gradients for the value and prior heads."""
-    window = _Window(store, theta.dim)
-    grads: dict = {None: [0.0] * (theta.dim + 1)}
+    window = _Window(store)
+    grads: dict = {None: [0.0] * (_FEATURE_DIM + 1)}
     sq, ce = _loss_sums(theta, window, grads)
     # Scaled by 1/n like the gradients; store_loss's division may round differently.
     loss = 0.0
@@ -646,29 +642,9 @@ def _sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
         if head is None:
             weights = theta.value_weights
         else:  # a reduction without a head gets a fresh zero head
-            weights = theta.prior_weights.setdefault(head, [0.0] * (theta.dim + 1))
+            weights = theta.prior_weights.setdefault(head, [0.0] * (_FEATURE_DIM + 1))
         _, dz = _row_terms(head, pairs, [_dot(weights, f) for f, _ in pairs], 0.0)
         _add_scaled(weights, pairs, dz, -learning_rate)
-
-
-def train(
-    theta: ParamStore,
-    store: DeltaStore,
-    epochs: int = DEFAULT_EPOCHS,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    curriculum: bool = False,
-) -> ParamStore:
-    """Gradient descent on the value and prior losses over a quality store.
-
-    Runs per-example SGD for ``epochs`` passes; with ``curriculum`` the
-    examples are ordered by ascending variable count.  The returned
-    parameters never have higher training loss than the input ones: if a
-    learning rate overshoots, it is halved and the epochs rerun, falling back
-    to the unchanged weights as a last resort.  A non-finite loss aborts with
-    TrainDivergedError and leaves ``theta`` untouched.  See ``fit`` for what
-    a call costs.
-    """
-    return fit(theta, store, epochs, learning_rate, curriculum)[0]
 
 
 def fit(
@@ -678,7 +654,16 @@ def fit(
     learning_rate: float = DEFAULT_LEARNING_RATE,
     curriculum: bool = False,
 ) -> tuple[ParamStore, float, float]:
-    """``train``, also returning the training loss before and after.
+    """Gradient descent on the value and prior losses over a quality store.
+
+    Returns the new parameters and the training loss before and after.
+    Runs per-example SGD for ``epochs`` passes; with ``curriculum`` the
+    examples are ordered by ascending variable count.  The returned
+    parameters never have higher training loss than the input ones: if a
+    learning rate overshoots, it is halved and the epochs rerun, falling back
+    to the unchanged weights as a last resort.  A non-finite loss aborts with
+    TrainDivergedError and leaves ``theta`` untouched.  The learning rate
+    must be finite and positive.
 
     The store is compiled once (``_Window``).  The loss before is one loss
     pass, and an attempt is its epochs of SGD plus one after the last; after
@@ -691,7 +676,9 @@ def fit(
         raise ValueError("quality store is empty")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    window = _Window(store, theta.dim, curriculum)
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning rate must be finite and positive, got {learning_rate}")
+    window = _Window(store, curriculum)
     loss_before = _window_loss(theta, window)
     if epochs == 0:
         return theta.copy(), loss_before, loss_before

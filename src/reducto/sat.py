@@ -19,6 +19,7 @@ from __future__ import annotations
 # OpenSSL's _hashlib, which costs megabytes of memory and nothing here uses.
 from _blake2 import blake2b
 from bisect import bisect_left
+from itertools import combinations, islice
 from math import inf
 from typing import Iterable, Iterator
 
@@ -29,7 +30,7 @@ Clause = tuple  # tuple[int, ...] in canonical order
 Assignment = frozenset  # frozenset[int] without complementary pairs
 
 ORACLE_VAR_LIMIT = 24
-DEFAULT_PAIR_CAP = 16
+PAIR_CAP = 16
 
 
 class OracleLimitError(RuntimeError):
@@ -401,11 +402,11 @@ def _add_literals(x: Formula, literals: tuple[int, ...], y: Assignment) -> Assig
     return assignment(set(y) | set(literals))
 
 
-def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Formula]:
+def extension_moves(phi: Formula) -> list[Formula]:
     """Definitional extension: for literal pairs {a, b} over variables of ``phi``,
     add clauses {a, -v}, {b, -v}, {-a, -b, v} with ``v`` the smallest unused variable.
 
-    Pairs enumerate in canonical order and stop after ``pair_cap`` of them.
+    Pairs enumerate in canonical order and stop after ``PAIR_CAP`` of them.
     """
     vars_ = phi.variables
     if not vars_:
@@ -416,23 +417,18 @@ def extension_moves(phi: Formula, pair_cap: int = DEFAULT_PAIR_CAP) -> list[Form
         fresh += 1
     lits = [s * v for v in vars_ for s in (1, -1)]
     codes = [_clause_code(c) for c in phi.clauses]
+    pairs = ((a, b) for a, b in combinations(lits, 2) if abs(a) != abs(b))
     moves = []
-    taken = 0
-    for i in range(len(lits)):
-        if taken >= pair_cap:
-            break
-        for j in range(i + 1, len(lits)):
-            a, b = lits[i], lits[j]
-            if abs(a) == abs(b):
-                continue
-            # Every new clause holds the fresh variable, so none is in phi yet.
-            new = (clause((a, -fresh)), clause((b, -fresh)), clause((-a, -b, fresh)))
-            moves.append(Formula._make(_insert_clauses(phi.clauses, codes, new)))
-            taken += 1
-            if taken >= pair_cap:
-                break
+    for a, b in islice(pairs, PAIR_CAP):
+        # Every new clause holds the fresh variable, so none is in phi yet.
+        new = (clause((a, -fresh)), clause((b, -fresh)), clause((-a, -b, fresh)))
+        moves.append(Formula._make(_insert_clauses(phi.clauses, codes, new)))
     moves.sort(key=lambda f: f.clauses)
     return moves
+
+
+def _is_extension_move(x: Formula, x2: Formula) -> bool | None:
+    return True if x2 in extension_moves(x) else None
 
 
 def flip_variable(phi: Formula, v: int) -> Formula:
@@ -486,7 +482,7 @@ ELIMINATION = SelfReduction(
     "elimination", elimination_moves, _elimination_lift, _eliminated_variable
 )
 FLIP = SelfReduction("flip", flip_moves, _flip_lift, _flipped_variable)
-EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
+EXTENSION = SelfReduction("extension", extension_moves, identity_lift, _is_extension_move)
 UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
 
 
@@ -569,15 +565,15 @@ def condition(clauses: list[Clause], lit: int) -> list[Clause]:
     return out
 
 
-def oracle_solve(phi: Formula, var_limit: int = ORACLE_VAR_LIMIT) -> OracleVerdict:
+def oracle_solve(phi: Formula) -> OracleVerdict:
     """Backtracking search over the variables of ``phi``; for verification only.
 
     Deliberately naive (unit propagation plus first-variable branching) and
-    refuses instances with more than ``var_limit`` variables.
+    refuses instances with more than ``ORACLE_VAR_LIMIT`` variables.
     """
-    if len(phi.variables) > var_limit:
+    if len(phi.variables) > ORACLE_VAR_LIMIT:
         raise OracleLimitError(
-            f"{len(phi.variables)} variables exceed the oracle limit of {var_limit}"
+            f"{len(phi.variables)} variables exceed the oracle limit of {ORACLE_VAR_LIMIT}"
         )
 
     def search(clauses: list[Clause], trail: list[int]) -> list[int] | None:

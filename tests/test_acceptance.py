@@ -28,12 +28,12 @@ from reducto.learner import (
     MoveStat,
     ParamStore,
     ValueRecord,
+    fit,
     init_params,
     loss_gradients,
     params_text,
     parse_params,
     store_loss,
-    train,
 )
 from reducto.sat import (
     ELIMINATION,
@@ -404,9 +404,9 @@ def _random_store(rng):
 
 def _random_theta(rng):
     theta = ParamStore()
-    theta.value_weights = [rng.uniform(-1, 1) for _ in range(theta.dim + 1)]
+    theta.value_weights = [rng.uniform(-1, 1) for _ in range(len(FEATURE_NAMES) + 1)]
     for rid in ("resolution", "flip", "extension"):
-        theta.prior_weights[rid] = [rng.uniform(-1, 1) for _ in range(theta.dim + 1)]
+        theta.prior_weights[rid] = [rng.uniform(-1, 1) for _ in range(len(FEATURE_NAMES) + 1)]
     return theta
 
 
@@ -431,12 +431,12 @@ def test_criterion_7_learner_numerics():
         def close(a, b):
             return abs(a - b) <= max(1e-7, rel_tol * max(abs(a), abs(b)))
 
-        for j in range(theta.dim + 1):
+        for j in range(len(FEATURE_NAMES) + 1):
             n = numeric(lambda t, e, j=j: t.value_weights.__setitem__(j, t.value_weights[j] + e))
             if not close(value_grad[j], n):
                 grad_failures += 1
         for rid, grad in prior_grads.items():
-            for j in range(theta.dim + 1):
+            for j in range(len(FEATURE_NAMES) + 1):
                 def bump(t, e, rid=rid, j=j):
                     t.prior_weights[rid][j] += e
                 if not close(grad[j], numeric(bump)):
@@ -444,7 +444,7 @@ def test_criterion_7_learner_numerics():
 
         # Training never increases loss on its own store.
         before = store_loss(theta, store)
-        after = store_loss(train(theta, store), store)
+        after = store_loss(fit(theta, store)[0], store)
         if after > before + 1e-12:
             train_failures += 1
 

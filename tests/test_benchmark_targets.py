@@ -16,6 +16,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 KNOWN_STALE = {
     "reducto.driver:_solve_full",
     "reducto.learner:merge_quality",
+    "reducto.learner:train",
     "reducto.portfolio:Portfolio.moves",
     "reducto.portfolio:Portfolio.lift",
     "reducto.portfolio:BuiltinMember.transform",

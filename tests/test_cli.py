@@ -339,6 +339,10 @@ class TestErrorLines:
         pytest.param(["selfcheck", "--instances", "3", "--ratio", "-1"], id="selfcheck-ratio-negative"),
         pytest.param(["selfcheck", "--instances", "3", "--ratio", "0"], id="selfcheck-ratio-zero"),
         pytest.param(["bench", "--instances", "3", "--ratio", "-1"], id="bench-ratio-negative"),
+        pytest.param(["solve", "f.cnf", "--setup", "flip", "--params", "p.json", "--lr", "0"],
+                     id="solve-lr-zero"),
+        pytest.param(["solve", "f.cnf", "--setup", "flip", "--params", "p.json", "--lr", "-0.05"],
+                     id="solve-lr-negative"),
     ])
     def test_failure_is_one_error_line(self, workdir, capsys, argv):
         write(workdir / "f.cnf", SAT_TEXT)

@@ -110,19 +110,11 @@ class TestVerifyPath:
 
 
 class TestIdentify:
-    def test_default_is_membership_in_moves(self):
-        rule = SelfReduction("r", lambda x: [x + 1, x + 2], lambda x, w, y: y)
-        assert rule.identify(1, 3) is True and rule.identify(1, 4) is None
-
-    def test_replace_keeps_a_given_check_and_rebinds_the_default(self):
+    def test_replace_keeps_the_rules_own_identify(self):
         # perfbench wraps rules with dataclasses.replace(rule, moves=...).
         moves = lambda x: [x + 1]
         given = SelfReduction("r", moves, lambda x, w, y: y, identify=lambda x, x2: "given")
         assert dataclasses.replace(given, moves=lambda x: []).identify(1, 5) == "given"
-        default = SelfReduction("r", moves, lambda x, w, y: y)
-        wrapped = dataclasses.replace(default, moves=lambda x: [x + 2])
-        assert wrapped.identify(1, 3) is True and wrapped.identify(1, 2) is None
-        assert wrapped == dataclasses.replace(wrapped) and default.identify(1, 2) is True
 
     def test_lift_consumes_the_identified_witness(self):
         # Each step's lift gets its own step's witness, last step first.
@@ -158,6 +150,7 @@ class TestLiftSolution:
             "bad",
             moves=lambda phi: [TOP],
             lift=lambda x, w, y: frozenset([99]),
+            identify=lambda x, x2: True if x2 == TOP else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
         path = Path(Formula([[1], [2]]), (("bad", TOP),))
@@ -170,7 +163,12 @@ class TestLiftSolution:
         def broken(x, w, y):
             raise RuntimeError("boom")
 
-        bad = SelfReduction("bad", moves=lambda phi: [TOP], lift=broken)
+        bad = SelfReduction(
+            "bad",
+            moves=lambda phi: [TOP],
+            lift=broken,
+            identify=lambda x, x2: True if x2 == TOP else None,
+        )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
         path = Path(Formula([[1]]), (("bad", TOP),))
         with pytest.raises(LiftIntegrityError):

@@ -192,6 +192,7 @@ class TestDeriveAnswer:
             "lying",
             moves=lambda phi: [TOP],
             lift=lambda x, w, y: frozenset([99]),
+            identify=lambda x, x2: True if x2 == TOP else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(lying,))
         phi = Formula([[1], [2]])
@@ -266,14 +267,14 @@ def _uniform_evaluator():
 class TestGenerators:
     def test_ksat_width_and_count(self):
         rng = random.Random(67)
-        phi = random_ksat(rng, 6, 12, k=3)
+        phi = random_ksat(rng, 6, 12)
         assert len(phi.clauses) == 12
         assert all(len(c) == 3 for c in phi.clauses)
         assert max(phi.variables) <= 6
 
     def test_ksat_width_clamped_to_variables(self):
         rng = random.Random(71)
-        phi = random_ksat(rng, 2, 3, k=3)
+        phi = random_ksat(rng, 2, 3)
         assert all(len(c) == 2 for c in phi.clauses)
 
     def test_generators_are_seed_deterministic(self):

@@ -24,6 +24,7 @@ from reducto.learner import (
     ValueRecord,
     append_quality_log,
     featurize,
+    fit,
     init_params,
     load_params,
     load_quality_log,
@@ -34,7 +35,6 @@ from reducto.learner import (
     quality_records,
     save_params,
     store_loss,
-    train,
     _Window,
     _dot,
     _sgd_epoch,
@@ -70,11 +70,11 @@ def random_store(rng, n_values=3, n_dists=2, dim=len(FEATURE_NAMES)):
 
 def random_params(rng):
     theta = ParamStore()
-    theta.value_weights = [rng.uniform(-1, 1) for _ in range(theta.dim + 1)]
+    theta.value_weights = [rng.uniform(-1, 1) for _ in range(len(FEATURE_NAMES) + 1)]
     theta.prior_weights = {
-        "resolution": [rng.uniform(-1, 1) for _ in range(theta.dim + 1)],
-        "flip": [rng.uniform(-1, 1) for _ in range(theta.dim + 1)],
-        "pure-literal": [rng.uniform(-1, 1) for _ in range(theta.dim + 1)],
+        "resolution": [rng.uniform(-1, 1) for _ in range(len(FEATURE_NAMES) + 1)],
+        "flip": [rng.uniform(-1, 1) for _ in range(len(FEATURE_NAMES) + 1)],
+        "pure-literal": [rng.uniform(-1, 1) for _ in range(len(FEATURE_NAMES) + 1)],
     }
     theta.examples_seen = rng.randint(0, 100)
     theta.last_loss = rng.random()
@@ -551,7 +551,7 @@ class TestReplayWindow:
 class TestLossAndGradients:
     def finite_difference(self, theta, store, eps=1e-6):
         grads = {"value": [], "prior": {}}
-        for j in range(theta.dim + 1):
+        for j in range(len(FEATURE_NAMES) + 1):
             up = theta.copy()
             down = theta.copy()
             up.value_weights[j] += eps
@@ -560,11 +560,11 @@ class TestLossAndGradients:
         rids = {rid for _, rid in store.dists}
         for rid in rids:
             grads["prior"][rid] = []
-            for j in range(theta.dim + 1):
+            for j in range(len(FEATURE_NAMES) + 1):
                 up = theta.copy()
                 down = theta.copy()
-                up.prior_weights.setdefault(rid, [0.0] * (theta.dim + 1))
-                down.prior_weights.setdefault(rid, [0.0] * (theta.dim + 1))
+                up.prior_weights.setdefault(rid, [0.0] * (len(FEATURE_NAMES) + 1))
+                down.prior_weights.setdefault(rid, [0.0] * (len(FEATURE_NAMES) + 1))
                 up.prior_weights[rid] = list(up.prior_weights[rid])
                 down.prior_weights[rid] = list(down.prior_weights[rid])
                 up.prior_weights[rid][j] += eps
@@ -607,8 +607,8 @@ class TestLossAndGradients:
             ):
                 _, value_grad, prior_grads = loss_gradients(theta, store)
                 stepped = theta.copy()
-                _sgd_epoch(stepped, _Window(store, theta.dim).examples, lr)
-                zeros = [0.0] * (theta.dim + 1)
+                _sgd_epoch(stepped, _Window(store).examples, lr)
+                zeros = [0.0] * (len(FEATURE_NAMES) + 1)
                 heads = [(theta.value_weights, stepped.value_weights, value_grad)]
                 for rid, grad in prior_grads.items():
                     heads.append((theta.prior_weights.get(rid, zeros), stepped.prior_weights[rid], grad))
@@ -671,13 +671,19 @@ class TestTrain:
         rng = random.Random(37)
         store = random_store(rng)
         theta = random_params(rng)
-        theta2 = train(theta, store, epochs=0)
+        theta2 = fit(theta, store, epochs=0)[0]
         assert theta2 == theta
         assert theta2 is not theta
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
-            train(init_params(), DeltaStore())
+            fit(init_params(), DeltaStore())[0]
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.05, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, learning_rate):
+        store = random_store(random.Random(39))
+        with pytest.raises(ValueError, match="learning rate"):
+            fit(init_params(), store, learning_rate=learning_rate)
 
     def test_loss_never_increases(self):
         rng = random.Random(41)
@@ -685,7 +691,7 @@ class TestTrain:
             store = random_store(rng, n_values=4, n_dists=3)
             theta = random_params(rng)
             before = store_loss(theta, store)
-            theta2 = train(theta, store)
+            theta2 = fit(theta, store)[0]
             assert store_loss(theta2, store) <= before + 1e-12
 
     def test_easy_value_targets_drive_value_up_monotonically(self):
@@ -694,7 +700,7 @@ class TestTrain:
         theta = init_params()
         last = 0.5
         for _ in range(10):
-            theta = train(theta, store, epochs=1)
+            theta = fit(theta, store, epochs=1)[0]
             current = LinearEvaluator(theta).value(phi)
             assert current >= last - 1e-12
             last = current
@@ -707,7 +713,7 @@ class TestTrain:
         assert featurize(a) != featurize(b)
         delta = quality_from({}, {(phi, "flip"): {a: 9, b: 1}})
         store = merge(DeltaStore(), delta)
-        theta = train(init_params(), store, epochs=50, learning_rate=0.2)
+        theta = fit(init_params(), store, epochs=50, learning_rate=0.2)[0]
         priors = LinearEvaluator(theta).priors(phi, "flip", [a, b])
         assert priors[0] > 0.6
 
@@ -718,7 +724,7 @@ class TestTrain:
         n_vars = {rec.features: rec.n_vars for rec in store.values.values()}
         for rec in store.dists.values():
             n_vars.update((m.features, rec.n_vars) for m in rec.moves.values())
-        examples = _Window(store, len(FEATURE_NAMES), curriculum=True).examples
+        examples = _Window(store, curriculum=True).examples
         sizes = [n_vars[pairs[0][0]] for _, pairs in examples]
         assert len(sizes) == store.record_count
         assert sizes == sorted(sizes)
@@ -727,8 +733,8 @@ class TestTrain:
         rng = random.Random(47)
         store = random_store(rng, n_values=4, n_dists=2)
         theta = random_params(rng)
-        t1 = train(theta, store, epochs=5)
-        t2 = train(theta, store, epochs=5)
+        t1 = fit(theta, store, epochs=5)[0]
+        t2 = fit(theta, store, epochs=5)[0]
         assert params_text(t1) == params_text(t2)
 
     def test_diverging_loss_raises_and_leaves_theta_unchanged(self):
@@ -748,14 +754,14 @@ class TestTrain:
         theta = init_params()
         before = params_text(theta)
         with pytest.raises(TrainDivergedError):
-            train(theta, store, epochs=3, learning_rate=1e18)
+            fit(theta, store, epochs=3, learning_rate=1e18)[0]
         assert params_text(theta) == before
 
     def test_feature_dimension_mismatch_rejected(self):
         rng = random.Random(53)
         store = random_store(rng, dim=3)
         with pytest.raises(ParamVersionError):
-            train(init_params(), store)
+            fit(init_params(), store)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -819,13 +825,15 @@ class TestReferenceEquivalence:
             assert store_loss(theta, store) == ref_store_loss(theta, store)
             assert loss_gradients(theta, store) == ref_loss_gradients(theta, store)
             a, b = theta.copy(), theta.copy()
-            _sgd_epoch(a, _Window(store, theta.dim).examples, 0.3)
+            _sgd_epoch(a, _Window(store).examples, 0.3)
             ref_sgd_epoch(b, ref_ordered_examples(store, curriculum=False), 0.3)
             assert params_text(a) == params_text(b)
             learning_rate = rng.choice([0.05, 0.5, 5.0, 1e18])
             for curriculum in (False, True):
                 kwargs = dict(epochs=3, learning_rate=learning_rate, curriculum=curriculum)
-                outcome = train_outcome(train, theta, store, **kwargs)
+                outcome = train_outcome(
+                    lambda *a, **k: fit(*a, **k)[0], theta, store, **kwargs
+                )
                 assert outcome == train_outcome(ref_train, theta, store, **kwargs)
                 kinds["diverged"] += outcome.startswith("diverged")
         assert all(kinds.values()), kinds
@@ -858,7 +866,9 @@ class TestReferenceEquivalence:
                 for learning_rate in (0.05, 5.0, 50.0, 300.0, 1e18):
                     kwargs = dict(epochs=epochs, learning_rate=learning_rate, curriculum=i % 2 == 1)
                     answers.clear()
-                    outcome = train_outcome(train, theta, store, **kwargs)
+                    outcome = train_outcome(
+                        lambda *a, **k: fit(*a, **k)[0], theta, store, **kwargs
+                    )
                     assert outcome == train_outcome(ref_train, theta, store, **kwargs)
                     if i % 3 == 2:
                         assert not any(answers)
@@ -971,7 +981,7 @@ def ref_delta_records(delta: QualityData) -> Iterable[dict]:
 
 
 def ref_check_dims(theta: ParamStore, store: DeltaStore) -> None:
-    dim = theta.dim
+    dim = len(FEATURE_NAMES)
     for rec in store.values.values():
         if len(rec.features) != dim:
             raise ParamVersionError("store feature dimension does not match the parameters")
@@ -1015,7 +1025,7 @@ def ref_store_loss(theta: ParamStore, store: DeltaStore) -> float:
             sq += (v - rec.value) ** 2
         loss += sq / len(store.values)
     if store.dists:
-        zeros = [0.0] * (theta.dim + 1)
+        zeros = [0.0] * (len(FEATURE_NAMES) + 1)
         ce = 0.0
         for rec in store.dists.values():
             weights = theta.prior_weights.get(rec.reduction, zeros)
@@ -1032,7 +1042,7 @@ def ref_loss_gradients(
     theta: ParamStore, store: DeltaStore
 ) -> tuple[float, list[float], dict[str, list[float]]]:
     """Batch loss and its analytic gradients for the value and prior heads."""
-    dim = theta.dim
+    dim = len(FEATURE_NAMES)
     value_grad = [0.0] * (dim + 1)
     prior_grads: dict[str, list[float]] = {}
     loss = 0.0
@@ -1068,7 +1078,7 @@ def ref_loss_gradients(
 
 
 def ref_sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
-    dim = theta.dim
+    dim = len(FEATURE_NAMES)
     for rec in examples:
         if isinstance(rec, ValueRecord):
             w = theta.value_weights

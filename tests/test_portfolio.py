@@ -7,7 +7,7 @@ import pytest
 
 from reducto.core import Path, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
-from reducto.driver import derive_answer, random_formula, run_selfcheck
+from reducto.driver import derive_answer, random_formula
 from reducto.learner import LinearEvaluator, init_params
 from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
 from reducto.sat import (
@@ -280,10 +280,3 @@ class TestPortfolioSetup:
             phi, "portfolio", init_params(), SearchConfig(horizon=4, budget=8)
         )
         assert answer.kind == "no_solution"
-
-    def test_selfcheck_decides_almost_every_instance(self):
-        # With pure-literal elimination and bounded resolution as members,
-        # 260 of these 500 instances were don't-know.
-        report = run_selfcheck(500, 8, 424242, "portfolio")
-        assert report.passed, (report.contradictions, report.quality_violations)
-        assert report.dont_know <= 5, (report.solutions, report.no_solutions, report.dont_know)

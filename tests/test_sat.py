@@ -17,6 +17,7 @@ from reducto.sat import (
     FLIP,
     Formula,
     OracleLimitError,
+    PAIR_CAP,
     RESOLUTION,
     TOP,
     UNIT_PROPAGATION,
@@ -359,21 +360,21 @@ class TestExtension:
 
     def test_clause_template_with_fresh_variable(self):
         phi = Formula([[1, 2]])
-        moves = extension_moves(phi, pair_cap=16)
+        moves = extension_moves(phi)
         expected = Formula([[1, 2], [1, -3], [2, -3], [-1, -2, 3]])
         assert expected in moves
 
     def test_pair_cap_truncates(self):
-        phi = Formula([[1, 2], [3]])
         # 6 literals over 3 variables: 12 cross-variable unordered pairs.
-        assert len(extension_moves(phi, pair_cap=5)) == 5
-        assert len(extension_moves(phi, pair_cap=100)) == 12
+        assert len(extension_moves(Formula([[1, 2], [3]]))) == 12
+        # 8 literals over 4 variables: 24 pairs, cut to the first PAIR_CAP.
+        assert len(extension_moves(Formula([[1, 2], [3, 4]]))) == PAIR_CAP
 
     def test_moves_preserve_satisfiability(self):
         rng = random.Random(11)
         for _ in range(10):
             phi = random_formula(rng, 3, 4)
-            for move in extension_moves(phi, pair_cap=4):
+            for move in extension_moves(phi):
                 assert (brute_force(phi) is not None) == (brute_force(move) is not None)
 
 
@@ -468,7 +469,6 @@ class TestOracle:
         big = Formula([[v] for v in range(1, 26)])
         with pytest.raises(OracleLimitError):
             oracle_solve(big)
-        assert oracle_solve(big, var_limit=25).satisfiable
 
 
 ALL_RULES = (
@@ -701,9 +701,9 @@ class TestReferenceEquivalence:
         assert _exact(resolution_moves(phi)) == _exact(ref_resolution_moves(phi))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)), st.integers(0, 40))
-    def test_extension_moves_match_reference(self, phi, cap):
-        assert _exact(extension_moves(phi, cap)) == _exact(ref_extension_moves(phi, cap))
+    @given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)))
+    def test_extension_moves_match_reference(self, phi):
+        assert _exact(extension_moves(phi)) == _exact(ref_extension_moves(phi, PAIR_CAP))
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(clause_lists(6, 9), clause_lists(6, 9, sparse=True)))

@@ -52,7 +52,12 @@ def toy_setup(moves_map, easy_set):
     def easy(x):
         return SolveAnswer.solution(x) if x in easy_set else DONT_KNOW
 
-    reduction = SelfReduction("r", lambda x: moves_map.get(x, []), lambda x, w, y: y)
+    reduction = SelfReduction(
+        "r",
+        lambda x: moves_map.get(x, []),
+        lambda x, w, y: y,
+        lambda x, x2: True if x2 in moves_map.get(x, []) else None,
+    )
     return Setup(easy=easy, reductions=(reduction,))
 
 
