@@ -36,6 +36,7 @@ from .learner import (
     DeltaStore,
     TrainDivergedError,
     append_quality_log,
+    check_training_settings,
     fit,
     init_params,
     load_params,
@@ -114,6 +115,9 @@ def _add_search_flags(p: argparse.ArgumentParser, defaults: SearchConfig) -> Non
 
 
 def _cmd_solve(args) -> int:
+    # Bad settings fail before the input is read or any file is touched.
+    check_training_settings(args.epochs, args.lr)
+    cfg = _search_config(args)
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -123,7 +127,6 @@ def _cmd_solve(args) -> int:
 
     params_path = _default_params_path(args)
     delta_path = _delta_log_path(args, params_path)
-    cfg = _search_config(args)
 
     # A no-train solve writes nothing, and save_params replaces the file
     # atomically, so its read needs no lock.
@@ -177,6 +180,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    check_training_settings(args.epochs, args.lr)
     params_path = _default_params_path(args)
     store, skipped = load_quality_log(args.delta_log)
     if skipped:

@@ -8,9 +8,11 @@ ends at an easy instance, solutions are recovered by lifting backwards.
 
 Instances are opaque to this module.  They must be hashable and compare by
 canonical form; each move function lists its moves in the canonical order
-of its domain.  The bundled SAT domain satisfies all of this; other domains
-can plug in the same way, and ``one_move`` builds a reduction that makes at
-most one move.
+of its domain.  A successor may defer building its canonical form until it
+is first compared or hashed, as the SAT domain's resolution and extension
+moves do, so an offered move that is never visited costs little.  The
+bundled SAT domain satisfies all of this; other domains can plug in the same
+way, and ``one_move`` builds a reduction that makes at most one move.
 """
 
 from __future__ import annotations

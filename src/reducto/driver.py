@@ -84,9 +84,7 @@ def make_setup(name: str) -> Setup:
 class RunReport:
     """Everything observable about one solve run."""
 
-    path_length: int
-    stats: SearchStats
-    quality: QualityData
+    search: SearchResult = field(repr=False)
     diagnostics: tuple[str, ...] = ()
     # The run's ``training_quality`` as log records; built only by a run that
     # trains.
@@ -94,6 +92,19 @@ class RunReport:
     # The replay window's training loss before and after; None unless it trained.
     loss_before: float | None = None
     loss_after: float | None = None
+
+    @property
+    def path_length(self) -> int:
+        return len(self.search.path)
+
+    @property
+    def stats(self) -> SearchStats:
+        return self.search.stats
+
+    @property
+    def quality(self) -> QualityData:
+        """The search's quality data, built when first read (``SearchResult.quality``)."""
+        return self.search.quality
 
 
 def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[SolveAnswer, list[str]]:
@@ -176,9 +187,7 @@ def solve(
             )
 
     report = RunReport(
-        path_length=len(result.path),
-        stats=result.stats,
-        quality=result.quality,
+        search=result,
         diagnostics=tuple(diagnostics),
         records=tuple(records),
         loss_before=loss_before,

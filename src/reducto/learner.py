@@ -647,6 +647,14 @@ def _sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
         _add_scaled(weights, pairs, dz, -learning_rate)
 
 
+def check_training_settings(epochs: int, learning_rate: float) -> None:
+    """Raise ValueError unless ``epochs`` >= 0 and ``learning_rate`` is finite and positive."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning rate must be finite and positive, got {learning_rate}")
+
+
 def fit(
     theta: ParamStore,
     store: DeltaStore,
@@ -674,10 +682,7 @@ def fit(
     """
     if store.is_empty:
         raise ValueError("quality store is empty")
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning rate must be finite and positive, got {learning_rate}")
+    check_training_settings(epochs, learning_rate)
     window = _Window(store, curriculum)
     loss_before = _window_loss(theta, window)
     if epochs == 0:

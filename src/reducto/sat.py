@@ -198,11 +198,9 @@ def _positions(masks: Iterable[int]) -> list[list[int]]:
     return out
 
 
-def new_resolvents(phi: Formula) -> list[Clause]:
-    """All resolvents of clause pairs of ``phi`` that are not already clauses of it.
-
-    The result is in canonical order.
-    """
+def _new_resolvents(phi: Formula) -> tuple[list[int], list[int], list[list[int]]]:
+    """``phi``'s bit literals and clause masks (``_clause_masks``), and the
+    positions (``_positions``) of its new resolvents in canonical order."""
     lits, bits, even, masks = _clause_masks(phi)
     occ: dict[int, list[int]] = {}
     for c, m in zip(phi.clauses, masks):
@@ -219,43 +217,89 @@ def new_resolvents(phi: Formula) -> list[Clause]:
             m1 &= rest
             out.update([m for m2 in negs if not (m := m1 | m2) & (m >> 1) & even])
     out.difference_update(masks)
-    ranked = sorted(_positions(out))
+    return lits, masks, sorted(_positions(out))
+
+
+def new_resolvents(phi: Formula) -> list[Clause]:
+    """All resolvents of clause pairs of ``phi`` that are not already clauses of it.
+
+    The result is in canonical order.
+    """
+    lits, _, ranked = _new_resolvents(phi)
     return [tuple([lits[i] for i in pos]) for pos in ranked]
 
 
-def _insert_clause(
-    cls: tuple[Clause, ...], codes: list[tuple[int, ...]], c: Clause, code: tuple[int, ...]
-) -> tuple[Clause, ...]:
-    """``cls`` with the clause ``c``, which it lacks, at its canonical place.
+class _Pending(Formula):
+    """A move's successor: the clauses of ``base`` plus ``added``, built on first read.
 
-    ``codes`` holds the ``_clause_code`` of each clause of ``cls`` and ``code``
-    that of ``c``.
+    ``base`` is the source's canonical clause tuple and ``added`` holds
+    ``(i, c)`` for each clause ``c`` the move adds, in canonical order, with
+    ``i`` its insertion index in ``base``.  ``is_empty`` and
+    ``has_empty_clause`` answer from these parts, so an easy check builds
+    nothing.  The slots of ``clauses`` and of ``Formula``'s caches stay unset
+    until one of them is read; then ``__getattr__`` builds the tuple and sets
+    them all, so equality, hashing, ``digest`` and ``variables`` see an
+    ordinary formula from then on.
     """
-    i = bisect_left(codes, code)
-    return cls[:i] + (c,) + cls[i:]
+
+    __slots__ = ("_base", "_added")
+
+    def __init__(self, base: tuple[Clause, ...], added: tuple[tuple[int, Clause], ...]):
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_added", added)
+
+    def __getattr__(self, name: str):
+        # Only called when ordinary lookup fails, as it does for an unset slot.
+        if name not in Formula.__slots__:
+            raise AttributeError(name)
+        cls = self._base
+        # Last first: each insertion index, found in base, then still indexes
+        # the partly extended tuple correctly.
+        for i, c in reversed(self._added):
+            cls = cls[:i] + (c,) + cls[i:]
+        object.__setattr__(self, "clauses", cls)
+        for cache in ("_hash", "_vars", "_digest"):
+            object.__setattr__(self, cache, None)
+        return getattr(self, name)
+
+    @property
+    def is_empty(self) -> bool:
+        return False
+
+    @property
+    def has_empty_clause(self) -> bool:
+        base = self._base
+        return self._added[0][1] == () or (bool(base) and base[0] == ())
 
 
-def _insert_clauses(
-    cls: tuple[Clause, ...], codes: list[tuple[int, ...]], new: Iterable[Clause]
-) -> tuple[Clause, ...]:
-    """``cls`` with the distinct canonical clauses ``new``, none of which it holds."""
-    # Last first: each insertion point, found in the codes of cls, then still
-    # indexes the partly extended tuple correctly.
-    for code, c in sorted([(_clause_code(c), c) for c in new], reverse=True):
-        cls = _insert_clause(cls, codes, c, code)
-    return cls
+def _order_term(cls: tuple[Clause, ...], i: int, c: Clause) -> tuple[int, Clause]:
+    """Where inserting ``c`` at index ``i`` of ``cls`` puts the result in plain tuple order.
+
+    The result first differs from ``cls`` at index ``i``, where it holds
+    ``c``: it sorts below every insertion at a later index when ``c`` is
+    below ``cls[i]`` (or ``i`` is the end), and above every such insertion
+    otherwise.  Sorting successors by the tuple of their terms, one per added
+    clause in canonical order, therefore sorts them by their clause tuples.
+    """
+    m = len(cls)
+    return (i if i == m or c < cls[i] else 2 * m - i, c)
 
 
 def resolution_moves(phi: Formula) -> list[Formula]:
     """Each move adds one new resolvent to ``phi``."""
     cls = phi.clauses
-    codes = [_clause_code(c) for c in cls]
-    moves = [
-        Formula._make(_insert_clause(cls, codes, rc, _clause_code(rc)))
-        for rc in new_resolvents(phi)
-    ]
-    moves.sort(key=lambda f: f.clauses)
-    return moves
+    m = len(cls)
+    lits, masks, ranked = _new_resolvents(phi)
+    # Position lists sort as their clauses do, so they find insertion indices.
+    keys = _positions(masks)
+    keyed = []
+    for pos in ranked:
+        rc = tuple([lits[i] for i in pos])
+        i = bisect_left(keys, pos)
+        # _order_term(cls, i, rc), inlined: this loop runs once per resolvent.
+        keyed.append(((i if i == m or rc < cls[i] else 2 * m - i, rc), i))
+    keyed.sort()
+    return [_Pending(cls, ((i, rc),)) for (_, rc), i in keyed]
 
 
 def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
@@ -402,33 +446,74 @@ def _add_literals(x: Formula, literals: tuple[int, ...], y: Assignment) -> Assig
     return assignment(set(y) | set(literals))
 
 
+def _fresh_variable(phi: Formula) -> int:
+    """The smallest variable that does not occur in ``phi``."""
+    var_set = set(phi.variables)
+    fresh = 1
+    while fresh in var_set:
+        fresh += 1
+    return fresh
+
+
+def _extension_pairs(phi: Formula) -> list[tuple[int, int]]:
+    """The first ``PAIR_CAP`` pairs of literals on two variables of ``phi``, in canonical order."""
+    lits = [s * v for v in phi.variables for s in (1, -1)]
+    return list(islice(((a, b) for a, b in combinations(lits, 2) if abs(a) != abs(b)), PAIR_CAP))
+
+
 def extension_moves(phi: Formula) -> list[Formula]:
     """Definitional extension: for literal pairs {a, b} over variables of ``phi``,
     add clauses {a, -v}, {b, -v}, {-a, -b, v} with ``v`` the smallest unused variable.
 
     Pairs enumerate in canonical order and stop after ``PAIR_CAP`` of them.
     """
-    vars_ = phi.variables
-    if not vars_:
+    if not phi.variables:
         return []
-    var_set = set(vars_)
-    fresh = 1
-    while fresh in var_set:
-        fresh += 1
-    lits = [s * v for v in vars_ for s in (1, -1)]
-    codes = [_clause_code(c) for c in phi.clauses]
-    pairs = ((a, b) for a, b in combinations(lits, 2) if abs(a) != abs(b))
-    moves = []
-    for a, b in islice(pairs, PAIR_CAP):
-        # Every new clause holds the fresh variable, so none is in phi yet.
-        new = (clause((a, -fresh)), clause((b, -fresh)), clause((-a, -b, fresh)))
-        moves.append(Formula._make(_insert_clauses(phi.clauses, codes, new)))
-    moves.sort(key=lambda f: f.clauses)
-    return moves
+    fresh = _fresh_variable(phi)
+    cls = phi.clauses
+    codes = [_clause_code(c) for c in cls]
+
+    def place(lits: tuple[int, ...]) -> tuple:
+        # (code, order term, (index, clause)) of the clause on lits.  Its
+        # variables are distinct, so sorting them makes it canonical, and it
+        # holds the fresh variable, so it is not in phi yet.
+        c = tuple(sorted(lits, key=abs))
+        code = _clause_code(c)
+        i = bisect_left(codes, code)
+        return code, _order_term(cls, i, c), (i, c)
+
+    binary: dict[int, tuple] = {}  # {l, -fresh} for each literal l of a pair
+    keyed = []
+    for a, b in _extension_pairs(phi):
+        for l in (a, b):
+            if l not in binary:
+                binary[l] = place((l, -fresh))
+        new = sorted([binary[a], binary[b], place((-a, -b, fresh))])
+        keyed.append((tuple([t for _, t, _ in new]), tuple([ic for _, _, ic in new])))
+    keyed.sort()
+    return [_Pending(cls, added) for _, added in keyed]
 
 
 def _is_extension_move(x: Formula, x2: Formula) -> bool | None:
-    return True if x2 in extension_moves(x) else None
+    """True when ``x2`` is ``x`` plus the three clauses of one extension move, else None.
+
+    The move's fresh variable is ``x``'s smallest unused one, so ``x2``'s
+    clauses on it are the added ones, and its ternary clause names the pair.
+    """
+    if len(x2) != len(x) + 3:
+        return None
+    fresh = _fresh_variable(x)
+    kept, added = [], []
+    for c in x2.clauses:
+        (added if fresh in c or -fresh in c else kept).append(c)
+    if len(added) != 3 or tuple(kept) != x.clauses:
+        return None
+    ternary = next((c for c in added if fresh in c and len(c) == 3), None)
+    if ternary is None:
+        return None
+    a, b = (-l for l in ternary if l != fresh)
+    defining = {tuple(sorted(c, key=abs)) for c in ((a, -fresh), (b, -fresh), (-a, -b, fresh))}
+    return True if (a, b) in _extension_pairs(x) and set(added) == defining else None
 
 
 def flip_variable(phi: Formula, v: int) -> Formula:

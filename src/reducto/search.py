@@ -15,9 +15,13 @@ al., Science 2018), picks the move with the highest mean return plus an
 exploration bonus proportional to the evaluator's prior; a move not yet
 visited is scored with its parent's mean return.  When no pass within the
 root's budget reaches an easy instance, the path is empty.  Alongside the
-path, a search emits quality data: the visit-count distribution over each
+path, a search offers quality data: the visit-count distribution over each
 explored (instance, reduction) pair and a value estimate for every explored
-instance.  These feed the trainer.
+instance.  These feed the trainer.  The result keeps the node table and
+builds the quality data from it on first read, so a caller that never reads
+it pays nothing for it.  The search itself reads only what it needs of a
+move: the easy check on every child, and the instance itself only when it
+visits the child.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from .core import DEFAULT_MOVE_CAP, Path, Setup, SolveAnswer, enumerate_moves
 
@@ -98,14 +102,31 @@ class SearchStats:
     samples: int = 0
 
 
-@dataclass
 class SearchResult:
-    """Path found, the easy solver's verdict at its end, quality data, and stats."""
+    """Path found, the easy solver's verdict at its end, quality data, and stats.
 
-    path: Path
-    terminal: SolveAnswer
-    quality: QualityData
-    stats: SearchStats
+    ``quality`` may be given as a function that builds it; it is then built
+    on first read, once, so a caller that never reads it pays nothing.
+    """
+
+    def __init__(
+        self,
+        path: Path,
+        terminal: SolveAnswer,
+        quality: QualityData | Callable[[], QualityData],
+        stats: SearchStats,
+    ):
+        self.path = path
+        self.terminal = terminal
+        self.stats = stats
+        self._quality = quality
+
+    @property
+    def quality(self) -> QualityData:
+        q = self._quality
+        if not isinstance(q, QualityData):
+            q = self._quality = q()
+        return q
 
     def canonical_text(self) -> str:
         """Deterministic serialization for comparing runs; excludes wall time."""
@@ -282,12 +303,17 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
                 break
 
     path = Path(x, tuple(node.children[i] for node, i in winning))
-    quality = QualityData()
-    for f, node in tt.items():
-        quality.values[f] = (node_value(node), node.samples if node.samples else 1)
-        if node.children:
-            for i, (rid, m) in enumerate(node.children):
-                quality.distributions.setdefault((f, rid), {})[m] = node.counts[i]
+
+    def quality() -> QualityData:
+        # Every node in the table is easy, a dead end or sampled, so
+        # node_value asks the evaluator nothing here.
+        q = QualityData()
+        for f, node in tt.items():
+            q.values[f] = (node_value(node), node.samples if node.samples else 1)
+            if node.children:
+                for i, (rid, m) in enumerate(node.children):
+                    q.distributions.setdefault((f, rid), {})[m] = node.counts[i]
+        return q
 
     stats = SearchStats(
         nodes_expanded=len(tt),

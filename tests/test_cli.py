@@ -365,6 +365,34 @@ class TestErrorLines:
         assert calls == []
 
 
+class TestTrainingSettings:
+    # These were accepted until training ran, after the search and after the
+    # lock and the quality log had been created.
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["solve", "f.cnf", "--setup", "flip", "--params", "p.json", "--lr", "0"],
+                     "learning rate", id="solve-lr-zero"),
+        pytest.param(["solve", "f.cnf", "--setup", "flip", "--params", "p.json", "--lr", "nan"],
+                     "learning rate", id="solve-lr-nan"),
+        pytest.param(["solve", "f.cnf", "--setup", "flip", "--params", "p.json", "--epochs", "-1"],
+                     "epochs", id="solve-epochs-negative"),
+        pytest.param(["train", "--delta-log", "d.jsonl", "--params", "p.json", "--lr", "0"],
+                     "learning rate", id="train-lr-zero"),
+    ])
+    def test_bad_setting_fails_before_any_file_is_touched(self, workdir, capsys, argv, message):
+        write(workdir / "f.cnf", SAT_TEXT)
+        write(workdir / "d.jsonl", "")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+        assert sorted(os.listdir(workdir)) == ["d.jsonl", "f.cnf"]
+
+    def test_bad_setting_fails_before_the_input_is_read(self, workdir, capsys):
+        code, out, err = run(capsys, "solve", "missing.cnf", "--lr", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: learning rate") and len(err.splitlines()) == 1
+        assert os.listdir(workdir) == []
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 1

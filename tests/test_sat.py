@@ -748,3 +748,113 @@ class TestReferenceEquivalence:
     def test_sparse_ids(self):
         phi = Formula([[1, 10**6], [-(10**6), 70], [-1, -70]])
         assert new_resolvents(phi) == [(1, 70), (-1, -(10**6)), (-70, 10**6)]
+
+
+# ---------------------------------------------------------------------------
+# Pending successors: resolution and extension moves build their clause tuple
+# on first read.
+# ---------------------------------------------------------------------------
+
+
+def is_built(f: Formula) -> bool:
+    """Whether ``f``'s clause tuple exists yet; a pending successor leaves it unset."""
+    try:
+        Formula.clauses.__get__(f)
+    except AttributeError:
+        return False
+    return True
+
+
+PENDING_RULES = (RESOLUTION, EXTENSION)
+# Sparse ids put extension's fresh variable below or between existing ones.
+PENDING_INPUTS = st.one_of(
+    formulas(6, 9),
+    formulas(6, 9, sparse=True),
+    st.one_of(formulas(6, 9), formulas(6, 9, sparse=True)).map(
+        lambda phi: Formula(list(phi.clauses) + [()])
+    ),
+)
+# The first read of each of these builds a pending successor.
+READS = {
+    "clauses": lambda f: f.clauses,
+    "==": lambda f: Formula(f.clauses) == f,
+    "hash": hash,
+    "digest": lambda f: f.digest,
+    "variables": lambda f: f.variables,
+    "len": len,
+    "repr": repr,
+}
+
+
+class TestPendingSuccessors:
+    @settings(max_examples=150, deadline=None)
+    @given(PENDING_INPUTS)
+    def test_a_pending_successor_reads_as_its_built_formula(self, phi):
+        for rule in PENDING_RULES:
+            built = [Formula(m.clauses) for m in rule.moves(phi)]
+            for k, move in enumerate(rule.moves(phi)):
+                assert not is_built(move)
+                # The easy check answers from the parts and builds nothing.
+                assert move.is_empty == built[k].is_empty
+                assert move.has_empty_clause == built[k].has_empty_clause
+                assert easy_trivial(move) == easy_trivial(built[k])
+                assert not is_built(move)
+            for name, read in READS.items():
+                moves = rule.moves(phi)
+                assert [read(m) for m in moves] == [read(b) for b in built], (rule.id, name)
+                assert all(is_built(m) for m in moves)
+            for move, b in zip(rule.moves(phi), built):
+                assert move == b and b == move and hash(move) == hash(b)
+                assert (move.is_empty, move.has_empty_clause) == (b.is_empty, b.has_empty_clause)
+
+    def test_empty_resolvent_is_seen_unbuilt(self):
+        (move,) = resolution_moves(Formula([[1], [-1]]))
+        assert move.has_empty_clause and not move.is_empty
+        assert easy_trivial(move).kind == "no_solution"
+        assert not is_built(move)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PENDING_INPUTS)
+    def test_moves_come_in_the_order_of_their_built_clause_tuples(self, phi):
+        for rule in PENDING_RULES:
+            built = [Formula(m.clauses) for m in rule.moves(phi)]
+            assert _exact(built) == _exact(sorted(built, key=lambda f: f.clauses)), rule.id
+
+    def test_order_on_random_formulas(self):
+        # random_formula draws, and the same with every id shifted up, so the
+        # fresh variable of an extension sits below every existing one.
+        rng = random.Random(23)
+        for _ in range(300):
+            phi = random_formula(rng, 6, 12)
+            shifted = Formula([[l + 5 if l > 0 else l - 5 for l in c] for c in phi.clauses])
+            for f in (phi, shifted):
+                for rule in PENDING_RULES:
+                    moves = [m.clauses for m in rule.moves(f)]
+                    assert moves == sorted(moves), (rule.id, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PENDING_INPUTS)
+def test_extension_identify_agrees_with_membership(phi):
+    moves = extension_moves(phi)
+    for move in moves:
+        assert EXTENSION.identify(phi, move) is True
+    lits = [s * v for v in phi.variables for s in (1, -1)]
+    pairs = [(a, b) for a, b in itertools.combinations(lits, 2) if abs(a) != abs(b)]
+    if not pairs:
+        assert moves == []
+        return
+    fresh = next(v for v in itertools.count(1) if v not in phi.variables)
+
+    def extended(a, b, f, last=None):
+        return Formula(list(phi.clauses) + [[a, -f], [b, -f], last or [-a, -b, f]])
+
+    wrong_fresh = next(v for v in itertools.count(fresh + 1) if v not in phi.variables)
+    a, b = pairs[0]
+    near_misses = [extended(a, b, wrong_fresh), extended(a, b, fresh, [a, -b, fresh])]
+    # Pairs past the cap make the same kind of formula, but are not moves.
+    near_misses += [extended(a, b, fresh) for a, b in pairs[PAIR_CAP:PAIR_CAP + 4]]
+    near_misses += [Formula(list(m.clauses)[1:]) for m in moves[:2]]
+    near_misses += resolution_moves(phi)[:3] + [phi]
+    for other in near_misses:
+        assert (EXTENSION.identify(phi, other) is not None) == (other in moves), other

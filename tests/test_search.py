@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import random
 from collections import deque
 
@@ -16,10 +17,12 @@ from reducto.driver import (
     make_setup,
     random_formula,
     random_ksat,
+    solve,
 )
 from reducto.learner import FEATURE_NAMES, LinearEvaluator, ParamStore
 from reducto.sat import Formula, TOP, easy_trivial
-from reducto.search import SearchConfig, ams_search
+from reducto import search
+from reducto.search import QualityData, SearchConfig, SearchResult, ams_search
 
 FLIP_SETUP = make_setup("flip")
 RES_SETUP = make_setup("resolution")
@@ -144,7 +147,9 @@ class TestDeterminism:
         phi = Formula([[-1]])
         cfg = SearchConfig(budget=2)
         a = ams_search(phi, FLIP_SETUP, fresh_evaluator(), cfg)
-        slow = dataclasses.replace(a, stats=dataclasses.replace(a.stats, wall_time_s=123.25))
+        slow = SearchResult(
+            a.path, a.terminal, a.quality, dataclasses.replace(a.stats, wall_time_s=123.25)
+        )
         assert slow.canonical_text() == a.canonical_text()
         assert "wall_time" not in a.canonical_text()
         assert "123.25" not in slow.canonical_text()
@@ -187,6 +192,97 @@ class TestSearchInvariants:
         via_1, via_2 = quality.distributions[(1, "r")][3], quality.distributions[(2, "r")][3]
         assert via_1 > 0 and via_2 > 0
         assert quality.values[3][1] == via_1 + via_2 == 8
+
+
+def is_built(f: Formula) -> bool:
+    """Whether ``f``'s clause tuple exists yet; a pending successor leaves it unset."""
+    try:
+        Formula.clauses.__get__(f)
+    except AttributeError:
+        return False
+    return True
+
+
+class ValueRecorder:
+    """The fresh evaluator, noting every instance whose value it was asked for."""
+
+    def __init__(self):
+        self.inner = fresh_evaluator()
+        self.valued = []
+
+    def value(self, instance):
+        self.valued.append(instance)
+        return self.inner.value(instance)
+
+    def priors(self, instance, reduction_id, moves):
+        return self.inner.priors(instance, reduction_id, moves)
+
+
+def quality_text(quality: QualityData) -> str:
+    return json.dumps([
+        sorted([f.digest, value, visits] for f, (value, visits) in quality.values.items()),
+        sorted([f.digest, rid, sorted([m.digest, n] for m, n in dist.items())]
+               for (f, rid), dist in quality.distributions.items()),
+    ])
+
+
+class TestBuildOnlyWhatIsRead:
+    @pytest.mark.parametrize("setup_name", ["resolution", "resolution-ext"])
+    def test_unvisited_children_stay_unbuilt(self, setup_name):
+        setup = make_setup(setup_name)
+        offered = []
+
+        def recorded(rule):
+            def moves(x):
+                out = rule.moves(x)
+                offered.extend(out)
+                return out
+
+            return dataclasses.replace(rule, moves=moves)
+
+        pending = [r for r in setup.reductions if r.id in ("resolution", "extension")]
+        setup = Setup(
+            setup.easy, tuple(recorded(r) if r in pending else r for r in setup.reductions)
+        )
+        unbuilt = total = 0
+        for phi in _check_instances(20, 6, 1, 3.0):
+            offered.clear()
+            evaluator = ValueRecorder()
+            result = ams_search(phi, setup, evaluator, CHECK_CONFIG)
+            built = [m for m in offered if is_built(m)]
+            total += len(offered)
+            unbuilt += len(offered) - len(built)
+            # Reading quality builds the rest, so look at it only now.
+            reached = set(result.quality.values) | set(evaluator.valued)
+            assert all(m in reached for m in built), phi
+        assert unbuilt > 0.9 * total
+
+    def test_quality_is_built_once_on_first_read(self, monkeypatch):
+        made = []
+
+        class CountedQuality(QualityData):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(search, "QualityData", CountedQuality)
+        phi = next(_check_instances(1, 6, 1, 3.0))
+        _, _, report = solve(phi, "resolution-ext", ParamStore(), CHECK_CONFIG, train_after=False)
+        assert made == []
+        quality = report.quality
+        assert made == [quality]
+        assert report.quality is quality and report.search.quality is quality
+        assert made == [quality]
+
+    def test_quality_equals_the_eagerly_built_table(self):
+        # sha256 of quality_text over these solves, recorded when every search
+        # built its quality table before returning.
+        h = hashlib.sha256()
+        for name in ("resolution", "resolution-ext"):
+            for phi in _check_instances(12, 6, 3, 3.0):
+                _, _, report = solve(phi, name, ParamStore(), CHECK_CONFIG, train_after=False)
+                h.update(quality_text(report.quality).encode())
+        assert h.hexdigest() == "97812f8e1413a5294f0e18318124eb20b8d5bd25cef74f8286d0791ced2f403c"
 
 
 class TestFirstEasyInstance:
@@ -329,9 +425,9 @@ class TestMemory:
 class TestPinnedOutput:
     # sha256 of the canonical texts and answers below.  A change that alters
     # search output on purpose records the new digest and says why.
-    DIGEST = "81a8d106f69669857b9218775bd29726c18d833e901c899c67c851eef809a3c1"
+    DIGEST = "2944ef2e19a66c868ccd4ad0ae0e6ef658f27701e5c6a5c2082ed9a737df0ea9"
     # Resolution searches at CHECK_CONFIG are the slow ones.
-    COUNTS = {"resolution": 5, "resolution-ext": 5, "flip": 40, "portfolio": 40}
+    COUNTS = {"resolution": 40, "resolution-ext": 40, "flip": 40, "portfolio": 40}
 
     @staticmethod
     def fixed_params():
