@@ -19,9 +19,9 @@ from __future__ import annotations
 # OpenSSL's _hashlib, which costs megabytes of memory and nothing here uses.
 from _blake2 import blake2b
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import combinations, islice
-from math import inf
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import DONT_KNOW, NO_SOLUTION, SelfReduction, SolveAnswer, identity_lift, one_move
 
@@ -198,26 +198,62 @@ def _positions(masks: Iterable[int]) -> list[list[int]]:
     return out
 
 
-def _new_resolvents(phi: Formula) -> tuple[list[int], list[int], list[list[int]]]:
-    """``phi``'s bit literals and clause masks (``_clause_masks``), and the
-    positions (``_positions``) of its new resolvents in canonical order."""
+def _resolvents(pos: Iterable[int], negs: list[int], even: int) -> set[int]:
+    """The non-tautological resolvents on one variable, as masks.
+
+    ``pos`` and ``negs`` are the masks of the clauses holding the variable's
+    positive and negative literal, each without that literal's bit.
+    """
+    out: set[int] = set()
+    for p in pos:
+        out.update([r for n in negs if not (r := p | n) & (r >> 1) & even])
+    return out
+
+
+class _Table(NamedTuple):
+    """What ``phi``'s resolution and elimination moves share (``_resolvent_table``)."""
+
+    lits: list[int]  # the literal of each bit position (_clause_masks)
+    bits: dict[int, int]  # the bit of each literal
+    masks: list[int]  # the mask of each clause of phi
+    keys: list[list[int]]  # the positions (_positions) of each clause of phi
+    on: dict[int, int]  # the number of clauses on each variable
+    new: dict[int, set[int]]  # each variable's resolvents that are not clauses of phi
+    decoded: dict[int, tuple[list[int], Clause]]  # positions and clause of each mask read
+
+
+@lru_cache(maxsize=1)
+def _resolvent_table(phi: Formula) -> _Table:
+    """``phi``'s resolvents on each variable, found once for both rules that read them.
+
+    The resolution rule and the elimination rule of a setup are asked about
+    the same formula one after the other, so one entry is enough.  ``decoded``
+    starts with ``phi``'s own clauses; ``_decode`` adds each resolvent a rule
+    reads, once.
+    """
     lits, bits, even, masks = _clause_masks(phi)
     occ: dict[int, list[int]] = {}
     for c, m in zip(phi.clauses, masks):
         for l in c:
-            occ.setdefault(l, []).append(m)
-    out: set[int] = set()
+            occ.setdefault(l, []).append(m ^ bits[l])
+    known = set(masks)
+    on, new = {}, {}
     for v in phi.variables:
-        with_neg = occ.get(-v)
-        if not with_neg or v not in occ:
-            continue
-        rest = ~(bits[v] | bits[-v])
-        negs = [m & rest for m in with_neg]
-        for m1 in occ[v]:
-            m1 &= rest
-            out.update([m for m2 in negs if not (m := m1 | m2) & (m >> 1) & even])
-    out.difference_update(masks)
-    return lits, masks, sorted(_positions(out))
+        ps, ns = occ.get(v, ()), occ.get(-v, [])
+        on[v] = len(ps) + len(ns)
+        new[v] = _resolvents(ps, ns, even) - known
+    at = {l: i for i, l in enumerate(lits)}
+    keys = [[at[l] for l in c] for c in phi.clauses]
+    return _Table(lits, bits, masks, keys, on, new, dict(zip(masks, zip(keys, phi.clauses))))
+
+
+def _decode(t: _Table, ms: Iterable[int]) -> list[tuple[list[int], Clause]]:
+    """The positions and clause of each mask in ``ms``; sorting them sorts the clauses."""
+    decoded, lits = t.decoded, t.lits
+    fresh = [m for m in ms if m not in decoded]
+    for m, pos in zip(fresh, _positions(fresh)):
+        decoded[m] = (pos, tuple([lits[k] for k in pos]))
+    return [decoded[m] for m in ms]
 
 
 def new_resolvents(phi: Formula) -> list[Clause]:
@@ -225,8 +261,8 @@ def new_resolvents(phi: Formula) -> list[Clause]:
 
     The result is in canonical order.
     """
-    lits, _, ranked = _new_resolvents(phi)
-    return [tuple([lits[i] for i in pos]) for pos in ranked]
+    t = _resolvent_table(phi)
+    return [c for _, c in sorted(_decode(t, set().union(*t.new.values())))]
 
 
 class _Pending(Formula):
@@ -286,16 +322,14 @@ def _order_term(cls: tuple[Clause, ...], i: int, c: Clause) -> tuple[int, Clause
 
 
 def resolution_moves(phi: Formula) -> list[Formula]:
-    """Each move adds one new resolvent to ``phi``."""
+    """Each move adds one new resolvent (``_resolvent_table``) to ``phi``."""
     cls = phi.clauses
     m = len(cls)
-    lits, masks, ranked = _new_resolvents(phi)
-    # Position lists sort as their clauses do, so they find insertion indices.
-    keys = _positions(masks)
+    t = _resolvent_table(phi)
     keyed = []
-    for pos in ranked:
-        rc = tuple([lits[i] for i in pos])
-        i = bisect_left(keys, pos)
+    for pos, rc in _decode(t, set().union(*t.new.values())):
+        # Position lists sort as their clauses do, so they find insertion indices.
+        i = bisect_left(t.keys, pos)
         # _order_term(cls, i, rc), inlined: this loop runs once per resolvent.
         keyed.append(((i if i == m or rc < cls[i] else 2 * m - i, rc), i))
     keyed.sort()
@@ -326,37 +360,6 @@ def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
     ) or None
 
 
-def _eliminations(
-    phi: Formula, vs: Iterable[int], bound: float = inf
-) -> Iterator[tuple[int, Formula | None]]:
-    """``(v, phi with v eliminated)`` for each variable ``v`` of ``phi`` in ``vs``, in order.
-
-    Eliminating ``v`` (Davis and Putnam, JACM 1960) drops every clause on
-    ``v`` and adds all their non-tautological resolvents on ``v``; the result
-    is satisfiable exactly when ``phi`` is.  Building a result stops as soon
-    as its distinct clauses outnumber ``bound``, and None stands for it.
-    """
-    lits, bits, even, masks = _clause_masks(phi)
-    decoded: dict[int, tuple[list[int], Clause]] = {}
-    for v in vs:
-        pv, nv = bits[v], bits[-v]
-        negs = [m ^ nv for m in masks if m & nv]
-        out = {m for m in masks if not m & (pv | nv)}
-        for p in masks:
-            if p & pv:
-                p ^= pv
-                out.update([r for n in negs if not (r := p | n) & (r >> 1) & even])
-                if len(out) > bound:
-                    yield v, None
-                    break
-        else:
-            fresh = [m for m in out if m not in decoded]
-            for m, pos in zip(fresh, _positions(fresh)):
-                decoded[m] = (pos, tuple([lits[i] for i in pos]))
-            ranked = sorted([decoded[m] for m in out])
-            yield v, Formula._make(tuple([c for _, c in ranked]))
-
-
 def _fallback_variable(phi: Formula) -> int:
     """The variable whose elimination can grow ``phi`` the least, the lowest on a tie.
 
@@ -377,16 +380,27 @@ def _fallback_variable(phi: Formula) -> int:
 def elimination_moves(phi: Formula) -> list[Formula]:
     """Bounded variable elimination (Eén and Biere, SAT 2005).
 
-    One move per variable of ``phi`` whose elimination leaves at most
-    ``len(phi)`` distinct clauses.  When no variable qualifies, the one move
-    eliminates ``_fallback_variable(phi)``, so every formula with a variable
-    has a move, and at most ``n`` moves reach ⊤ or ⊥.
+    Eliminating ``v`` (Davis and Putnam, JACM 1960) drops every clause on
+    ``v`` and adds all their non-tautological resolvents on ``v``; the result
+    is satisfiable exactly when ``phi`` is.  One move per variable of ``phi``
+    whose elimination leaves at most ``len(phi)`` distinct clauses, that is,
+    adds no more new resolvents (``_resolvent_table``) than it drops clauses.
+    When no variable qualifies, the one move eliminates
+    ``_fallback_variable(phi)``, so every formula with a variable has a move,
+    and at most ``n`` moves reach ⊤ or ⊥.
     """
+    t = _resolvent_table(phi)
+    vs = [v for v in phi.variables if len(t.new[v]) <= t.on[v]]
+    if not vs and phi.variables:
+        vs = [_fallback_variable(phi)]
     # Two variables can give the same formula: {(1 2)} gives ⊤ for both.
-    moves = {f for _, f in _eliminations(phi, phi.variables, len(phi)) if f is not None}
-    if not moves and phi.variables:
-        moves = {f for _, f in _eliminations(phi, [_fallback_variable(phi)])}
-    return sorted(moves, key=lambda f: f.clauses)
+    out = set()
+    for v in vs:
+        gone = t.bits[v] | t.bits[-v]
+        ms = [m for m in t.masks if not m & gone]
+        ms += t.new[v]
+        out.add(tuple([c for _, c in sorted(_decode(t, ms))]))
+    return [Formula._make(cls) for cls in sorted(out)]
 
 
 def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
@@ -395,14 +409,39 @@ def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
     A target of at most ``len(x)`` clauses is a move when eliminating one of
     the variables it lacks gives it.  A larger target is a move only when no
     variable of ``x`` qualifies and eliminating the fallback variable gives it.
+    Eliminations are compared as sets of ``x``'s clause masks, so a target
+    with a variable ``x`` lacks is no move.
     """
+    if not x.variables:
+        return None
+    _, bits, even, masks = _clause_masks(x)
+    try:
+        target = {sum([bits[l] for l in c]) for c in x2.clauses}
+    except KeyError:
+        return None
+
+    def eliminate(v: int) -> set[int]:
+        pv, nv = bits[v], bits[-v]
+        negs = [m ^ nv for m in masks if m & nv]
+        out = {m for m in masks if not m & (pv | nv)}
+        return out | _resolvents([m ^ pv for m in masks if m & pv], negs, even)
+
     if len(x2) > len(x):
         # Only the fallback move is larger than its source, and then it is the only move.
-        return _fallback_variable(x) if elimination_moves(x) == [x2] else None
-    # It occurs in x and not in x2.
-    left = set(x2.variables)
-    gone = [u for u in x.variables if u not in left]
-    return next((v for v, f in _eliminations(x, gone, len(x2)) if f == x2), None)
+        v = _fallback_variable(x)
+        if eliminate(v) != target or any(len(eliminate(u)) <= len(x) for u in x.variables):
+            return None
+        return v
+    left = 0
+    for m in target:
+        left |= m
+    for v in x.variables:
+        gone = bits[v] | bits[-v]
+        # It occurs in x and not in x2, and x2 keeps every clause of x not on it.
+        if not gone & left and all(m in target for m in masks if not m & gone):
+            if eliminate(v) == target:
+                return v
+    return None
 
 
 def _elimination_lift(x: Formula, v: int, y: Assignment) -> Assignment:

@@ -342,15 +342,77 @@ def test_elimination_moves_are_bounded(phi):
         assert ELIMINATION.identify(phi, moves[0]) == fallback
 
 
-@settings(max_examples=60, deadline=None)
-@given(formulas())
+def ref_elimination_moves(phi):
+    """The qualifying eliminations, or the fallback's, sorted by clause tuple."""
+    bounded = {f for v in phi.variables if len(f := ref_eliminate(phi, v)) <= len(phi)}
+    if not bounded and phi.variables:
+        bounded = {ref_eliminate(phi, ref_fallback(phi))}
+    return sorted(bounded, key=lambda f: f.clauses)
+
+
+# Gapped ids: a clause on several variables can sort by a literal whose
+# rank differs from its id, and negative literals sort after positive ones.
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(formulas(), ELIMINATION_INPUTS, formulas(6, 10, sparse=True)))
 def test_elimination_moves_are_canonical_and_distinct(phi):
     moves = elimination_moves(phi)
     for move in moves:
         assert Formula(move.clauses).clauses == move.clauses
     assert all(a.clauses < b.clauses for a, b in zip(moves, moves[1:]))
+    assert [m.clauses for m in moves] == [f.clauses for f in ref_elimination_moves(phi)]
     assert phi not in moves
     assert len(moves) <= len(phi.variables)
+
+
+class TestResolventTable:
+    """Both rules read one memoised resolvent table per formula."""
+
+    def test_the_memo_keeps_one_table(self):
+        assert sat._resolvent_table.cache_info().maxsize == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(ELIMINATION_INPUTS, ELIMINATION_INPUTS)
+    def test_moves_do_not_depend_on_what_was_asked_before(self, phi, other):
+        sat._resolvent_table.cache_clear()
+        alone = elimination_moves(phi)
+        witnesses = [ELIMINATION.identify(phi, move) for move in alone]
+        assert None not in witnesses
+        resolvents = new_resolvents(phi)
+
+        def same(x):
+            assert _exact(elimination_moves(x)) == _exact(alone)
+            assert [ELIMINATION.identify(x, move) for move in alone] == witnesses
+            assert new_resolvents(x) == resolvents
+
+        resolution_moves(phi)
+        same(phi)
+        sat._resolvent_table.cache_clear()
+        resolution_moves(other)
+        same(phi)
+        # An equal formula that is another object reads the same table.
+        sat._resolvent_table.cache_clear()
+        resolution_moves(phi)
+        same(Formula(phi.clauses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ELIMINATION_INPUTS)
+def test_elimination_identify_accepts_exactly_the_moves(phi):
+    moves = elimination_moves(phi)
+    fresh = max(phi.variables, default=0) + 1
+    targets = list(moves)
+    for v in phi.variables:
+        # Every elimination, growing ones and the fallback's included; and
+        # phi without v's clauses, the resolvents on v left out.
+        targets.append(ref_eliminate(phi, v))
+        targets.append(Formula([c for c in phi.clauses if v not in c and -v not in c]))
+    # A target with a literal phi lacks.
+    targets += [Formula(t.clauses + ((fresh,),)) for t in list(targets)]
+    for x2 in targets:
+        witness = ELIMINATION.identify(phi, x2)
+        assert (witness is not None) == (x2 in moves), (phi, x2)
+        if witness is not None:
+            assert ref_eliminate(phi, witness) == x2, (phi, x2, witness)
 
 
 class TestExtension:
