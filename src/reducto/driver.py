@@ -219,6 +219,14 @@ def random_ksat(rng: random.Random, n_vars: int, n_clauses: int) -> Formula:
     return Formula(clauses)
 
 
+def _check_stream_args(count: int, ratio: float) -> None:
+    """Raise ``ValueError`` unless ``_check_instances`` can take ``count`` and ``ratio``."""
+    if count < 0:
+        raise ValueError(f"instance count must be non-negative, got {count}")
+    if not (0.0 < ratio < math.inf):
+        raise ValueError(f"clause ratio must be finite and positive, got {ratio}")
+
+
 def _check_instances(count: int, max_vars: int, seed: int, ratio: float) -> Iterator[Formula]:
     """The seeded random 3-SAT instances of selfcheck and bench."""
     rng = random.Random(seed)
@@ -303,10 +311,7 @@ def run_selfcheck(
     ``n_instances`` is negative, ``ratio`` is not finite and positive, or
     ``max_vars`` is above the oracle's limit.
     """
-    if n_instances < 0:
-        raise ValueError(f"instance count must be non-negative, got {n_instances}")
-    if not (0.0 < ratio < math.inf):
-        raise ValueError(f"clause ratio must be finite and positive, got {ratio}")
+    _check_stream_args(n_instances, ratio)
     # An instance has at most max_vars variables, so no oracle call below can
     # refuse one.
     if max_vars > ORACLE_VAR_LIMIT:
@@ -372,10 +377,7 @@ def run_bench(
     Raises ``ValueError`` before any solve when ``n_instances`` is negative or
     ``ratio`` is not finite and positive.
     """
-    if n_instances < 0:
-        raise ValueError(f"instance count must be non-negative, got {n_instances}")
-    if not (0.0 < ratio < math.inf):
-        raise ValueError(f"clause ratio must be finite and positive, got {ratio}")
+    _check_stream_args(n_instances, ratio)
     theta = theta if theta is not None else ParamStore()
     for name in setup_names:
         make_setup(name)  # validate early

@@ -147,7 +147,7 @@ def parse_params(text: str) -> ParamStore:
         examples_seen = int(stats.get("examples_seen", 0))
         last_loss = stats.get("last_loss")
         last_loss = None if last_loss is None else float(last_loss)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParamVersionError(f"malformed parameter document: {exc!r}") from exc
     if spec != FEATURE_NAMES:
         raise ParamVersionError(f"feature spec {list(spec)} is not {list(FEATURE_NAMES)}")
@@ -476,7 +476,7 @@ def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
             continue
         try:
             rec = _record_from_json(json.loads(line))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, OverflowError):
             skipped += 1
             continue
         _merge_record(store, rec)
@@ -606,8 +606,9 @@ def _loss_sums(theta: ParamStore, window: _Window, grads: dict | None = None) ->
     return sums
 
 
-def _window_loss(theta: ParamStore, window: _Window) -> float:
-    sq, ce = _loss_sums(theta, window)
+def _window_loss(theta: ParamStore, window: _Window, grads: dict | None = None) -> float:
+    """Mean squared value error plus mean cross-entropy; ``grads`` as in ``_loss_sums``."""
+    sq, ce = _loss_sums(theta, window, grads)
     loss = 0.0
     if window.value_rows:
         loss += sq / len(window.value_rows)
@@ -627,13 +628,7 @@ def loss_gradients(
     """Batch loss and its analytic gradients for the value and prior heads."""
     window = _Window(store)
     grads: dict = {None: [0.0] * (_FEATURE_DIM + 1)}
-    sq, ce = _loss_sums(theta, window, grads)
-    # Scaled by 1/n like the gradients; store_loss's division may round differently.
-    loss = 0.0
-    if window.value_rows:
-        loss += sq * (1.0 / len(window.value_rows))
-    if window.dist_rows:
-        loss += ce * (1.0 / len(window.dist_rows))
+    loss = _window_loss(theta, window, grads)
     return loss, grads.pop(None), grads
 
 

@@ -217,7 +217,7 @@ class _Table(NamedTuple):
     bits: dict[int, int]  # the bit of each literal
     masks: list[int]  # the mask of each clause of phi
     keys: list[list[int]]  # the positions (_positions) of each clause of phi
-    on: dict[int, int]  # the number of clauses on each variable
+    on: dict[int, tuple[int, int]]  # each variable's number of positive and of negative clauses
     new: dict[int, set[int]]  # each variable's resolvents that are not clauses of phi
     decoded: dict[int, tuple[list[int], Clause]]  # positions and clause of each mask read
 
@@ -240,7 +240,7 @@ def _resolvent_table(phi: Formula) -> _Table:
     on, new = {}, {}
     for v in phi.variables:
         ps, ns = occ.get(v, ()), occ.get(-v, [])
-        on[v] = len(ps) + len(ns)
+        on[v] = (len(ps), len(ns))
         new[v] = _resolvents(ps, ns, even) - known
     at = {l: i for i, l in enumerate(lits)}
     keys = [[at[l] for l in c] for c in phi.clauses]
@@ -337,44 +337,35 @@ def resolution_moves(phi: Formula) -> list[Formula]:
 
 
 def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
-    """True when ``phi2`` is ``phi`` plus one resolvent of two clauses of ``phi``, else None."""
+    """True when ``phi2`` is ``phi`` plus one new resolvent (``_resolvent_table``), else None."""
     cls, cls2 = phi.clauses, phi2.clauses
     if len(cls2) != len(cls) + 1:
         return None
     i = next((i for i, c in enumerate(cls) if c != cls2[i]), len(cls))
     if cls2[i + 1 :] != cls[i:]:
         return None
-    # The new clause r (complement-free, as every clause is) is the
-    # resolvent of c and d on v when c holds v, d holds -v, and their other
-    # literals, all in r, cover r.  Those literals are kept as bits over r.
-    r = cls2[i]
-    bit = {l: 1 << k for k, l in enumerate(r)}
-    parts: dict[int, set[int]] = {}
-    for c in cls:
-        out = [l for l in c if l not in bit]
-        if len(out) == 1:
-            parts.setdefault(out[0], set()).add(sum([bit[l] for l in c if l in bit]))
-    full = (1 << len(r)) - 1
-    return any(
-        p | n == full for v, ps in parts.items() if v > 0 for p in ps for n in parts.get(-v, ())
-    ) or None
+    t = _resolvent_table(phi)
+    try:
+        r = sum([t.bits[l] for l in cls2[i]])
+    except KeyError:  # a literal phi lacks
+        return None
+    return any(r in new for new in t.new.values()) or None
 
 
-def _fallback_variable(phi: Formula) -> int:
-    """The variable whose elimination can grow ``phi`` the least, the lowest on a tie.
+def _eliminable(phi: Formula, t: _Table) -> list[int]:
+    """The variables whose elimination is a move from ``phi``; ``t`` is its table.
 
-    Eliminating ``v`` removes its ``|pos|`` positive and ``|neg|`` negative
-    clauses and adds at most ``|pos|·|neg|`` resolvents, so the growth is at
-    most ``|pos|·|neg| − |pos| − |neg|``.
+    Those whose new resolvents are no more than the clauses on them, or else
+    the fallback: the variable whose elimination can grow ``phi`` the least,
+    the lowest on a tie.  Eliminating ``v`` removes its ``|pos|`` positive and
+    ``|neg|`` negative clauses and adds at most ``|pos|·|neg|`` resolvents, so
+    the growth is at most ``|pos|·|neg| − |pos| − |neg|``.
     """
-    occ: dict[int, int] = {}
-    for c in phi.clauses:
-        for l in c:
-            occ[l] = occ.get(l, 0) + 1
-    return min(
-        phi.variables,
-        key=lambda v: ((p := occ.get(v, 0)) * (n := occ.get(-v, 0)) - p - n, v),
-    )
+    on, new = t.on, t.new
+    vs = [v for v in phi.variables if len(new[v]) <= sum(on[v])]
+    if vs or not phi.variables:
+        return vs
+    return [min(phi.variables, key=lambda v: ((p := on[v][0]) * (n := on[v][1]) - p - n, v))]
 
 
 def elimination_moves(phi: Formula) -> list[Formula]:
@@ -385,17 +376,14 @@ def elimination_moves(phi: Formula) -> list[Formula]:
     is satisfiable exactly when ``phi`` is.  One move per variable of ``phi``
     whose elimination leaves at most ``len(phi)`` distinct clauses, that is,
     adds no more new resolvents (``_resolvent_table``) than it drops clauses.
-    When no variable qualifies, the one move eliminates
-    ``_fallback_variable(phi)``, so every formula with a variable has a move,
-    and at most ``n`` moves reach ⊤ or ⊥.
+    When no variable qualifies, the one move eliminates the fallback variable
+    (``_eliminable``), so every formula with a variable has a move, and at
+    most ``n`` moves reach ⊤ or ⊥.
     """
     t = _resolvent_table(phi)
-    vs = [v for v in phi.variables if len(t.new[v]) <= t.on[v]]
-    if not vs and phi.variables:
-        vs = [_fallback_variable(phi)]
     # Two variables can give the same formula: {(1 2)} gives ⊤ for both.
     out = set()
-    for v in vs:
+    for v in _eliminable(phi, t):
         gone = t.bits[v] | t.bits[-v]
         ms = [m for m in t.masks if not m & gone]
         ms += t.new[v]
@@ -407,8 +395,8 @@ def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
     """The variable whose elimination is a move from ``x`` to ``x2``, if there is one.
 
     A target of at most ``len(x)`` clauses is a move when eliminating one of
-    the variables it lacks gives it.  A larger target is a move only when no
-    variable of ``x`` qualifies and eliminating the fallback variable gives it.
+    the variables it lacks gives it.  A larger target can only be the
+    fallback's move (``_eliminable``), offered when no variable qualifies.
     Eliminations are compared as sets of ``x``'s clause masks, so a target
     with a variable ``x`` lacks is no move.
     """
@@ -419,27 +407,19 @@ def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
         target = {sum([bits[l] for l in c]) for c in x2.clauses}
     except KeyError:
         return None
-
-    def eliminate(v: int) -> set[int]:
-        pv, nv = bits[v], bits[-v]
-        negs = [m ^ nv for m in masks if m & nv]
-        out = {m for m in masks if not m & (pv | nv)}
-        return out | _resolvents([m ^ pv for m in masks if m & pv], negs, even)
-
-    if len(x2) > len(x):
-        # Only the fallback move is larger than its source, and then it is the only move.
-        v = _fallback_variable(x)
-        if eliminate(v) != target or any(len(eliminate(u)) <= len(x) for u in x.variables):
-            return None
-        return v
+    # Every qualifying elimination leaves at most len(x) clauses, so a larger
+    # target is tried only against the variables _eliminable offers.  Smaller
+    # ones, common on paths, are tried per variable and build no table.
+    vs = _eliminable(x, _resolvent_table(x)) if len(x2) > len(x) else x.variables
     left = 0
     for m in target:
         left |= m
-    for v in x.variables:
-        gone = bits[v] | bits[-v]
+    for v in vs:
+        pv, nv = bits[v], bits[-v]
         # It occurs in x and not in x2, and x2 keeps every clause of x not on it.
-        if not gone & left and all(m in target for m in masks if not m & gone):
-            if eliminate(v) == target:
+        if not (pv | nv) & left and (kept := {m for m in masks if not m & (pv | nv)}) <= target:
+            negs = [m ^ nv for m in masks if m & nv]
+            if kept | _resolvents([m ^ pv for m in masks if m & pv], negs, even) == target:
                 return v
     return None
 

@@ -226,13 +226,14 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         node.priors = priors
 
     def node_value(node: _Node) -> float:
+        # Every node in the table is easy, a dead end or sampled: any other
+        # node is expanded where a descent reaches it, and one with moves
+        # selects one there and is backed up.
         if node.easy:
             return 1.0
-        if node.children is not None and not node.children:
+        if not node.children:
             return 0.0
-        if node.samples:
-            return sum(node.totals) / node.samples
-        return eval_value(node.instance)
+        return sum(node.totals) / node.samples
 
     def select(node: _Node) -> int:
         # ``won`` is the first easy child, or -1: taking it wins the game, so a
@@ -294,9 +295,10 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
     root = ensure_node(x, root_answer.is_easy)
     if not root.easy:
         expand(root)
-        # A descent that comes back to the root is backed up there twice, so
-        # the root's visits can reach the budget before its passes do.
-        while root.children and passes < cfg.budget and root.samples < cfg.budget:
+        # Every pass backs up at the root at least once, and again each time
+        # its descent comes back to it, so its visits are never fewer than
+        # its passes and alone keep the passes within the budget.
+        while root.children and root.samples < cfg.budget:
             passes += 1
             winning = sample(x)
             if winning:
@@ -305,8 +307,6 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
     path = Path(x, tuple(node.children[i] for node, i in winning))
 
     def quality() -> QualityData:
-        # Every node in the table is easy, a dead end or sampled, so
-        # node_value asks the evaluator nothing here.
         q = QualityData()
         for f, node in tt.items():
             q.values[f] = (node_value(node), node.samples if node.samples else 1)

@@ -10,6 +10,7 @@ from reducto.cli import main
 from reducto.dimacs import parse_dimacs
 from reducto.learner import (
     REPLAY_WINDOW,
+    ParamStore,
     ValueRecord,
     append_quality_log,
     load_params,
@@ -21,6 +22,10 @@ from reducto.sat import satisfies
 
 SAT_TEXT = "p cnf 2 2\n1 -2 0\n2 0\n"
 UNSAT_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
+INFINITE_COUNT_PARAMS = params_text(ParamStore()).replace(
+    '"examples_seen":0', '"examples_seen":1e400'
+)
+assert "1e400" in INFINITE_COUNT_PARAMS
 
 
 @pytest.fixture
@@ -139,7 +144,12 @@ class TestSolveCommand:
             assert code == 10
             assert "c skipped 1 corrupt quality records" in err
 
-    @pytest.mark.parametrize("text", ["[1]", '{"version": 1}', "{"])
+    # The last document is well formed but for a count json reads as infinity,
+    # which int() cannot convert.
+    @pytest.mark.parametrize(
+        "text",
+        ["[1]", '{"version": 1}', "{", pytest.param(INFINITE_COUNT_PARAMS, id="infinite-count")],
+    )
     def test_malformed_params_file_is_one_error_line(self, workdir, capsys, text):
         cnf = write(workdir / "f.cnf", SAT_TEXT)
         params = write(workdir / "bad.json", text)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from reducto.core import Path, SelfReduction, Setup, one_move, verify_path
 from reducto.driver import (
     BENCH_HEADER,
+    CHECK_CONFIG,
     SETUP_NAMES,
+    _check_instances,
     bench_row_text,
     check_quality_data,
     derive_answer,
@@ -20,6 +23,7 @@ from reducto.driver import (
 from reducto.learner import (
     DeltaStore,
     DistRecord,
+    ParamStore,
     ValueRecord,
     init_params,
     merge_window,
@@ -256,6 +260,27 @@ class TestDeriveAnswer:
         answer, diagnostics = derive_answer(setup, phi, result)
         assert (answer, diagnostics) == (SolveAnswer.solution(frozenset([1, 2])), [])
         assert calls == [phi]
+
+
+class TestPinnedAnswers:
+    # sha256 of the answers that lifting each path's witnesses gives, through
+    # the driver's own solve, on larger and denser instances than those of
+    # TestPinnedOutput in test_search.py.
+    DIGEST = "ff2c9cc8d822dd763ab86dfc85af5c6b07ba436284d4f0eff7a60f7ceaf3a80d"
+
+    def test_lifted_answers_are_unchanged(self):
+        h = hashlib.sha256()
+        for name in ("resolution", "portfolio", "flip"):
+            lifted = 0
+            for phi in _check_instances(30, 8, 7919, 4.0):
+                answer, _, run = solve(phi, name, ParamStore(), CHECK_CONFIG, train_after=False)
+                sol = sorted(answer.value) if answer.value is not None else None
+                h.update(f"{name} {answer.kind} {sol}\n".encode())
+                if answer.kind == "solution":
+                    assert satisfies(answer.value, phi)
+                    lifted += run.path_length > 0
+            assert lifted, name
+        assert h.hexdigest() == self.DIGEST
 
 
 def _uniform_evaluator():

@@ -389,8 +389,14 @@ class TestQualityLog:
             # A record whose bytes are not UTF-8, and one with a feature json reads as inf.
             handle.write(good.encode().replace(b'"s"', b'"\xff"') + b"\n")
             handle.write(good.replace("[0.5", "[1e999", 1).encode() + b"\n")
+            # Integer fields json reads as inf, which int() cannot convert.
+            handle.write(good.replace('"visits": 1', '"visits": 1e400').encode() + b"\n")
+            handle.write(good.replace('"n_vars": 1', '"n_vars": 1e400').encode() + b"\n")
+            dist = {"kind": "dist", "digest": "r", "reduction": "flip", "n_vars": 1,
+                    "moves": [{"digest": "m", "features": [0.5] * dim, "count": 1}]}
+            handle.write(json.dumps(dist).replace('"count": 1', '"count": 1e400').encode() + b"\n")
         store, skipped = load_quality_log(path)
-        assert skipped == 9
+        assert skipped == 12
         assert len(store.values) == 1
         assert not store.dists
 
@@ -823,7 +829,11 @@ class TestReferenceEquivalence:
             )
             kinds["missing head"] += any(rid == "extension" for _, rid in store.dists)
             assert store_loss(theta, store) == ref_store_loss(theta, store)
-            assert loss_gradients(theta, store) == ref_loss_gradients(theta, store)
+            # The loss is store_loss's own value; the gradients are the reference's.
+            _, ref_value_grad, ref_prior_grads = ref_loss_gradients(theta, store)
+            assert loss_gradients(theta, store) == (
+                ref_store_loss(theta, store), ref_value_grad, ref_prior_grads
+            )
             a, b = theta.copy(), theta.copy()
             _sgd_epoch(a, _Window(store).examples, 0.3)
             ref_sgd_epoch(b, ref_ordered_examples(store, curriculum=False), 0.3)

@@ -378,11 +378,22 @@ class TestResolventTable:
         witnesses = [ELIMINATION.identify(phi, move) for move in alone]
         assert None not in witnesses
         resolvents = new_resolvents(phi)
+        # phi plus one clause: each new resolvent, and near misses that are
+        # not one (a clause of other, a unit, a literal phi lacks).
+        fresh = max(phi.variables, default=0) + 1
+        added = set(resolvents) | set(other.clauses) | {(fresh,)}
+        added |= {(l,) for v in phi.variables for l in (v, -v)}
+        added = sorted(added - set(phi.clauses))
+        grown = [Formula(phi.clauses + (c,)) for c in added]
+        sat._resolvent_table.cache_clear()
+        verdicts = [RESOLUTION.identify(phi, g) for g in grown]
+        assert verdicts == [True if c in resolvents else None for c in added]
 
         def same(x):
             assert _exact(elimination_moves(x)) == _exact(alone)
             assert [ELIMINATION.identify(x, move) for move in alone] == witnesses
             assert new_resolvents(x) == resolvents
+            assert [RESOLUTION.identify(x, g) for g in grown] == verdicts
 
         resolution_moves(phi)
         same(phi)

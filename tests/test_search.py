@@ -182,6 +182,18 @@ class TestSearchInvariants:
         assert result.terminal.is_easy
         assert result.quality.values[phi][1] == 1
 
+    def test_a_two_cycle_spends_the_roots_budget_in_fewer_passes(self):
+        # 0 -> 1 -> 0: a descent comes back to the root and is backed up there
+        # once per visit, so the root's visits reach the budget first.
+        setup = toy_setup({0: [1], 1: [0]}, easy_set=set())
+        cfg = SearchConfig(horizon=6, budget=9)
+        result = ams_search(0, setup, StubEvaluator(), cfg)
+        visits = result.quality.values[0][1]
+        assert visits >= cfg.budget
+        assert result.stats.samples < visits
+        assert sum(result.quality.distributions[(0, "r")].values()) == visits
+        assert len(result.path) == 0
+
     def test_transpositions_share_statistics(self):
         # Both branches of the diamond lead to node 3, which is explored once
         # and counts the samples of both.
