@@ -19,10 +19,12 @@ def parse_dimacs(text: str, strict: bool = False) -> Formula:
     """Parse DIMACS CNF text into a canonical Formula.
 
     Comment lines start with ``c``; the header is ``p cnf <vars> <clauses>``;
-    clauses are 0-terminated integer lists that may span lines.  Duplicate
-    literals inside a clause collapse; a clause holding both ``k`` and ``-k``
-    is rejected.  A clause count that disagrees with the header raises in
-    strict mode and warns otherwise.
+    clauses are 0-terminated integer lists that may span lines.  A line
+    starting with ``%`` ends the input, as in SATLIB's benchmark files.
+    Duplicate literals inside a clause collapse; a clause holding both ``k``
+    and ``-k`` is rejected.  A clause count that disagrees with the header,
+    or a variable above the header's count, raises in strict mode and warns
+    otherwise.
     """
     header: tuple[int, int] | None = None
     clauses: list[tuple[int, ...]] = []
@@ -31,6 +33,8 @@ def parse_dimacs(text: str, strict: bool = False) -> Formula:
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):
+            break
         if header is None:
             parts = stripped.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
@@ -60,8 +64,14 @@ def parse_dimacs(text: str, strict: bool = False) -> Formula:
         raise DimacsError("missing 'p cnf' header")
     if buf:
         raise DimacsError("unterminated clause at end of input")
+    irregular = []
     if len(clauses) != header[1]:
-        msg = f"header declares {header[1]} clauses but input has {len(clauses)}"
+        irregular.append(f"header declares {header[1]} clauses but input has {len(clauses)}")
+    # A canonical clause ends with its largest variable.
+    top = max((abs(c[-1]) for c in clauses if c), default=0)
+    if top > header[0]:
+        irregular.append(f"header declares {header[0]} variables but input uses variable {top}")
+    for msg in irregular:
         if strict:
             raise DimacsError(msg)
         warnings.warn(msg, DimacsWarning)

@@ -536,20 +536,48 @@ def _is_extension_move(x: Formula, x2: Formula) -> bool | None:
 
 
 def flip_variable(phi: Formula, v: int) -> Formula:
-    """Swap the polarity of variable ``v`` everywhere in ``phi``."""
-    # Literals are ordered by variable, so a flipped clause stays canonical;
-    # a flip maps distinct clauses to distinct clauses, so none is dropped.
-    cls = [tuple([-l if abs(l) == v else l for l in c]) if v in c or -v in c else c for c in phi]
-    return Formula._make(tuple(sorted(cls, key=_clause_code)))
+    """Swap the polarity of variable ``v`` everywhere in ``phi``.
+
+    Flipped clauses stay canonical and distinct.  Only the codes of ``v``'s
+    literals change (``2v`` and ``2v+1``, ``_clause_code``) and no other
+    code lies between them, so two clauses change order only when they first
+    differ at ``v``'s literal.  Such clauses form runs, contiguous in
+    canonical order: a prefix then ``v``, followed by the same prefix then
+    ``-v``.  The flip swaps the two halves of each run, keeping the order
+    within each half, and every other clause keeps its place.
+    """
+    out = list(phi.clauses)
+    nv = -v
+    runs: dict[Clause, list] = {}  # prefix: [index of its run, the run's flipped clauses]
+    for i, c in enumerate(out):
+        if v in c:
+            k = c.index(v)
+        elif nv in c:
+            k = c.index(nv)
+        else:
+            continue
+        p = c[:k]
+        out[i] = f = p + (-c[k],) + c[k + 1 :]
+        run = runs.get(p)
+        if run is None:
+            runs[p] = [i, f]
+        else:
+            run.append(f)
+    for p, run in runs.items():
+        if len(run) > 2:
+            # The clauses that held -v now hold v, so they go first.
+            i, k, run = run[0], len(p), run[1:]
+            out[i : i + len(run)] = [c for c in run if c[k] == v] + [c for c in run if c[k] != v]
+    return Formula._make(tuple(out))
 
 
 def flippable_variables(phi: Formula) -> list[int]:
     """Variables occurring in a non-empty clause whose literals are all negative."""
     vs = set()
     for c in phi.clauses:
-        if c and all(l < 0 for l in c):
-            vs.update(-l for l in c)
-    return sorted(vs)
+        if c and max(c) < 0:
+            vs.update(c)
+    return sorted([-l for l in vs])
 
 
 def flip_moves(phi: Formula) -> list[Formula]:
@@ -610,7 +638,7 @@ def easy_all_positive(phi: Formula) -> SolveAnswer:
     Such formulas are satisfied by the set of all their positive literals, so
     this solver never reports "no solution".
     """
-    if all(any(l > 0 for l in c) for c in phi.clauses):
+    if all(c and max(c) > 0 for c in phi.clauses):
         return SolveAnswer.solution(
             assignment(l for c in phi.clauses for l in c if l > 0)
         )

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -54,6 +55,25 @@ class TestParse:
     def test_count_mismatch_raises_in_strict_mode(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 1 2\n1 0\n", strict=True)
+
+    def test_satlib_trailer_ends_input(self):
+        # SATLIB's uf*/uuf* files end with a '%' line and a lone 0.
+        assert parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n") == Formula([[1, -2]])
+        assert parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n\n", strict=True) == Formula([[1, -2]])
+
+    def test_variable_above_header_count_warns_by_default(self):
+        with pytest.warns(DimacsWarning, match="variable 5"):
+            phi = parse_dimacs("p cnf 1 1\n1 -5 0\n")
+        assert phi == Formula([[1, -5]])
+
+    def test_variable_above_header_count_raises_in_strict_mode(self):
+        with pytest.raises(DimacsError, match="variable 5"):
+            parse_dimacs("p cnf 1 1\n1 5 0\n", strict=True)
+
+    def test_variables_within_header_count_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_dimacs("p cnf 3 2\n-3 1 0\n0\n", strict=True) == Formula([[1, -3], []])
 
     def test_empty_formula(self):
         assert parse_dimacs("p cnf 0 0\n") == TOP

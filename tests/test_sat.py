@@ -756,6 +756,22 @@ SIMPLIFIER_INPUTS = st.one_of(
 )
 
 
+# Certify's instance size: 8 variables and up to 24 clauses, so that long
+# runs of clauses share a prefix and differ at one variable's literal.
+DENSE_INPUTS = st.one_of(formulas(8, 24), formulas(8, 24, sparse=True))
+
+
+def ref_easy_all_positive(phi: Formula) -> tuple:
+    """Kind and value of the all-positive check, by its generator definition."""
+    if all(any(l > 0 for l in c) for c in phi.clauses):
+        return "solution", frozenset(l for c in phi.clauses for l in c if l > 0)
+    return "dont_know", None
+
+
+def ref_flippable_variables(phi: Formula) -> list[int]:
+    return sorted({-l for c in phi.clauses if c and all(l < 0 for l in c) for l in c})
+
+
 def _exact(moves: list[Formula]) -> list[tuple]:
     # Formula equality is clause-tuple equality; compare the tuples themselves
     # so a failure shows them.
@@ -789,10 +805,48 @@ class TestReferenceEquivalence:
         assert Formula(reversed(raw)).clauses == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(SIMPLIFIER_INPUTS, st.data())
+    @given(st.one_of(SIMPLIFIER_INPUTS, DENSE_INPUTS), st.data())
     def test_flip_variable_matches_reference(self, phi, data):
         v = data.draw(st.sampled_from(phi.variables + (1, 10**6 + 50)))
         assert flip_variable(phi, v).clauses == ref_flip_variable(phi, v).clauses
+
+    @pytest.mark.parametrize(
+        "clauses, v, expected",
+        [
+            # v in the middle of the run's clauses: the -2 half moves first.
+            (
+                [[1, 2, 3], [1, 2, -3], [1, -2, 3], [2, 3]],
+                2,
+                [(1, 2, 3), (1, -2, 3), (1, -2, -3), (-2, 3)],
+            ),
+            # v first: every clause on v is in the run of the empty prefix.
+            (
+                [[1, 2], [1, -3], [-1, 2], [-1, 3], [2, 3]],
+                1,
+                [(1, 2), (1, 3), (-1, 2), (-1, -3), (2, 3)],
+            ),
+            # v last, in two runs, one of them with a single half.
+            (
+                [[1, 2, 3], [1, 2, -3], [1, -2, -3], [2, 3], [2, -3]],
+                3,
+                [(1, 2, 3), (1, 2, -3), (1, -2, 3), (2, 3), (2, -3)],
+            ),
+            # v absent, and the empty clause.
+            ([[], [1, 2], [-1]], 3, [(), (1, 2), (-1,)]),
+        ],
+    )
+    def test_flip_swaps_the_halves_of_each_run(self, clauses, v, expected):
+        phi = Formula(clauses)
+        assert flip_variable(phi, v).clauses == tuple(expected)
+        assert ref_flip_variable(phi, v).clauses == tuple(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(SIMPLIFIER_INPUTS, DENSE_INPUTS))
+    def test_all_positive_and_flippable_match_reference(self, phi):
+        for f in (phi, TOP, BOTTOM, Formula(list(phi.clauses) + [()])):
+            out = easy_all_positive(f)
+            assert (out.kind, out.value) == ref_easy_all_positive(f)
+            assert flippable_variables(f) == ref_flippable_variables(f)
 
     @settings(max_examples=300, deadline=None)
     @given(SIMPLIFIER_INPUTS)

@@ -440,6 +440,10 @@ class TestPinnedOutput:
     DIGEST = "2944ef2e19a66c868ccd4ad0ae0e6ef658f27701e5c6a5c2082ed9a737df0ea9"
     # Resolution searches at CHECK_CONFIG are the slow ones.
     COUNTS = {"resolution": 40, "resolution-ext": 40, "flip": 40, "portfolio": 40}
+    # The same record for the setups that flip, at certify's instance size:
+    # 8 variables give flip runs of many clauses.
+    DIGEST_8 = "fb211883b11f95f12d6bac9e15d1467ef4a42c39d2d184d9bac3ec8efccc699d"
+    COUNTS_8 = {"flip": 60, "portfolio": 60}
 
     @staticmethod
     def fixed_params():
@@ -455,14 +459,20 @@ class TestPinnedOutput:
             },
         )
 
-    def test_search_output_is_unchanged(self):
+    def digest(self, counts: dict[str, int], max_vars: int) -> str:
         h = hashlib.sha256()
         for theta in (ParamStore(), self.fixed_params()):
-            for name in SETUP_NAMES:
+            for name, count in counts.items():
                 setup = make_setup(name)
-                for phi in _check_instances(self.COUNTS[name], 6, 1, 3.0):
+                for phi in _check_instances(count, max_vars, 1, 3.0):
                     result = ams_search(phi, setup, LinearEvaluator(theta), CHECK_CONFIG)
                     answer, diagnostics = derive_answer(setup, phi, result)
                     sol = sorted(answer.value) if answer.value is not None else None
                     h.update(f"{result.canonical_text()}\n{answer.kind} {sol} {diagnostics}\n".encode())
-        assert h.hexdigest() == self.DIGEST
+        return h.hexdigest()
+
+    def test_search_output_is_unchanged(self):
+        assert self.digest(self.COUNTS, 6) == self.DIGEST
+
+    def test_flip_output_at_eight_variables_is_unchanged(self):
+        assert self.digest(self.COUNTS_8, 8) == self.DIGEST_8
