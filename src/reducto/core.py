@@ -89,19 +89,19 @@ NO_SOLUTION = SolveAnswer.no_solution()
 class SelfReduction:
     """A named pair of a move function and a solution (lift) function.
 
-    ``moves(x)`` returns a finite sequence of successor instances: distinct,
-    none equal to ``x``, in canonical order.  Every successor of a solvable
-    instance must itself be solvable.  ``identify(x, x2)`` recognises one
-    step: it returns a witness of the move, anything but None, exactly when
-    ``x2 in moves(x)``, and None otherwise.  ``lift(x, witness, y)`` maps a
-    solution ``y`` of that successor back to a solution of ``x``, using the
-    witness ``identify`` returned instead of working the step out again.
-    ``verify_path`` and the quality-data check ask ``identify`` and never
-    list moves.  All three must be pure functions of their arguments.
+    ``moves(x)`` returns a finite sequence of ``(successor, witness)`` pairs,
+    successors distinct, none equal to ``x``, in canonical order.  Every
+    successor of a solvable instance must itself be solvable.  ``lift(x,
+    witness, y)`` maps a solution ``y`` of that successor back to a solution
+    of ``x`` through the move's witness, without working the step out again.
+    ``identify(x, x2)`` returns the witness ``moves(x)`` pairs with ``x2``,
+    anything but None, or None when ``x2`` is no successor; ``verify_path``
+    (for refutations) and the quality-data check ask it and never list
+    moves.  All three must be pure functions of their arguments.
     """
 
     id: str
-    moves: Callable[[Instance], Sequence[Instance]]
+    moves: Callable[[Instance], Sequence[tuple[Instance, Any]]]
     lift: Callable[[Instance, Any, Solution], Solution]
     identify: Callable[[Instance, Instance], Any] = field(compare=False, repr=False)
 
@@ -124,13 +124,13 @@ def one_move(
 
     ``step(x)`` returns ``(successor, witness)``; a successor equal to ``x``
     is no move, and a step that moves returns a witness that is not None.
-    ``identify(x, x2)`` runs ``step(x)`` once and, when it makes ``x2``,
-    returns its witness, which ``lift(x, witness, y)`` then consumes.
+    ``moves(x)`` pairs the successor with that witness, and ``identify(x,
+    x2)`` runs ``step(x)`` once and returns it when the step makes ``x2``.
     """
 
-    def moves(x: Instance) -> list[Instance]:
-        x2, _ = step(x)
-        return [] if x2 == x else [x2]
+    def moves(x: Instance) -> list[tuple[Instance, Any]]:
+        x2, witness = step(x)
+        return [] if x2 == x else [(x2, witness)]
 
     def identify(x: Instance, x2: Instance) -> Any:
         successor, witness = step(x)
@@ -183,6 +183,8 @@ def verify_path(setup: Setup, path: Path) -> list[Any] | None:
     """Identify every step of ``path`` with its reduction's ``identify``.
 
     Returns the witnesses, one per step, or None when a step is not a move.
+    A found path carries its witnesses (``SearchResult.witnesses``); this
+    check is for a path trusted step by step, such as a refutation.
     A zero-length path verifies to ``[]``, so callers test ``is None``.
     Referencing a reduction id the setup does not define raises
     UnknownReductionError rather than returning None.
@@ -207,11 +209,11 @@ def lift_solution(
 ) -> Solution:
     """Lift a solution of the path's final instance back to the start.
 
-    Applies the step reductions' lift functions right to left, each to the
-    witness ``verify_path`` returned for its step.  ``check``, if given, is
-    called as ``check(instance, candidate)`` after every lift; a failing
-    check (or an exception inside a lift) raises LiftIntegrityError
-    identifying the offending step.
+    Applies the step reductions' lift functions right to left, each to its
+    step's witness (``SearchResult.witnesses`` or ``verify_path``'s).
+    ``check``, if given, is called as ``check(instance, candidate)`` after
+    every lift; a failing check (or an exception inside a lift, or a missing
+    witness) raises LiftIntegrityError identifying the offending step.
     """
     sol = y
     for i in range(len(path.steps) - 1, -1, -1):
@@ -231,10 +233,10 @@ def enumerate_moves(
     setup: Setup,
     x: Instance,
     move_cap: int = DEFAULT_MOVE_CAP,
-) -> list[tuple[str, Instance]]:
-    """All moves from ``x``, as (reduction id, instance) pairs in setup order.
+) -> list[tuple[str, Instance, Any]]:
+    """All moves from ``x``, as (reduction id, instance, witness) triples in setup order.
 
     Each reduction contributes its moves in its own canonical order, cut to
     the first ``move_cap`` of them.
     """
-    return [(r.id, m) for r in setup.reductions for m in r.moves(x)[:move_cap]]
+    return [(r.id, m, w) for r in setup.reductions for m, w in r.moves(x)[:move_cap]]

@@ -108,20 +108,23 @@ class RunReport:
 
 
 def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[SolveAnswer, list[str]]:
-    """Map a search result to an answer, verifying everything that is claimed."""
+    """Map a search result to an answer, verifying everything that is claimed.
+
+    A solution lifts through the witnesses its moves carried and is checked
+    at every step; a ``no_solution`` rests on its path, which must verify.
+    """
     terminal = result.terminal
     if not terminal.is_easy:
         return terminal, []
-    witnesses = verify_path(setup, result.path)
-    if witnesses is None:
-        return SolveAnswer.dont_know(), ["search returned a path that does not verify"]
     if terminal.kind == "no_solution":
+        if verify_path(setup, result.path) is None:
+            return SolveAnswer.dont_know(), ["search returned a path that does not verify"]
         return terminal, []
     try:
         lifted = lift_solution(
             setup,
             result.path,
-            witnesses,
+            result.witnesses,
             terminal.value,
             check=lambda inst, sol: satisfies(sol, inst),
         )

@@ -321,8 +321,8 @@ def _order_term(cls: tuple[Clause, ...], i: int, c: Clause) -> tuple[int, Clause
     return (i if i == m or c < cls[i] else 2 * m - i, c)
 
 
-def resolution_moves(phi: Formula) -> list[Formula]:
-    """Each move adds one new resolvent (``_resolvent_table``) to ``phi``."""
+def resolution_moves(phi: Formula) -> list[tuple[Formula, bool]]:
+    """Each move adds one new resolvent (``_resolvent_table``) to ``phi``; its witness is True."""
     cls = phi.clauses
     m = len(cls)
     t = _resolvent_table(phi)
@@ -333,7 +333,7 @@ def resolution_moves(phi: Formula) -> list[Formula]:
         # _order_term(cls, i, rc), inlined: this loop runs once per resolvent.
         keyed.append(((i if i == m or rc < cls[i] else 2 * m - i, rc), i))
     keyed.sort()
-    return [_Pending(cls, ((i, rc),)) for (_, rc), i in keyed]
+    return [(_Pending(cls, ((i, rc),)), True) for (_, rc), i in keyed]
 
 
 def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
@@ -368,7 +368,7 @@ def _eliminable(phi: Formula, t: _Table) -> list[int]:
     return [min(phi.variables, key=lambda v: ((p := on[v][0]) * (n := on[v][1]) - p - n, v))]
 
 
-def elimination_moves(phi: Formula) -> list[Formula]:
+def elimination_moves(phi: Formula) -> list[tuple[Formula, int]]:
     """Bounded variable elimination (Eén and Biere, SAT 2005).
 
     Eliminating ``v`` (Davis and Putnam, JACM 1960) drops every clause on
@@ -378,17 +378,17 @@ def elimination_moves(phi: Formula) -> list[Formula]:
     adds no more new resolvents (``_resolvent_table``) than it drops clauses.
     When no variable qualifies, the one move eliminates the fallback variable
     (``_eliminable``), so every formula with a variable has a move, and at
-    most ``n`` moves reach ⊤ or ⊥.
+    most ``n`` moves reach ⊤ or ⊥.  A move's witness is its variable.
     """
     t = _resolvent_table(phi)
-    # Two variables can give the same formula: {(1 2)} gives ⊤ for both.
-    out = set()
+    # Two variables can give one formula, {(1 2)} gives ⊤ for both: keep the lowest.
+    out: dict[tuple[Clause, ...], int] = {}
     for v in _eliminable(phi, t):
         gone = t.bits[v] | t.bits[-v]
         ms = [m for m in t.masks if not m & gone]
         ms += t.new[v]
-        out.add(tuple([c for _, c in sorted(_decode(t, ms))]))
-    return [Formula._make(cls) for cls in sorted(out)]
+        out.setdefault(tuple([c for _, c in sorted(_decode(t, ms))]), v)
+    return [(Formula._make(cls), out[cls]) for cls in sorted(out)]
 
 
 def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
@@ -480,11 +480,11 @@ def _extension_pairs(phi: Formula) -> list[tuple[int, int]]:
     return list(islice(((a, b) for a, b in combinations(lits, 2) if abs(a) != abs(b)), PAIR_CAP))
 
 
-def extension_moves(phi: Formula) -> list[Formula]:
+def extension_moves(phi: Formula) -> list[tuple[Formula, bool]]:
     """Definitional extension: for literal pairs {a, b} over variables of ``phi``,
     add clauses {a, -v}, {b, -v}, {-a, -b, v} with ``v`` the smallest unused variable.
 
-    Pairs enumerate in canonical order and stop after ``PAIR_CAP`` of them.
+    Pairs enumerate in canonical order and stop after ``PAIR_CAP``; witnesses are True.
     """
     if not phi.variables:
         return []
@@ -510,7 +510,7 @@ def extension_moves(phi: Formula) -> list[Formula]:
         new = sorted([binary[a], binary[b], place((-a, -b, fresh))])
         keyed.append((tuple([t for _, t, _ in new]), tuple([ic for _, _, ic in new])))
     keyed.sort()
-    return [_Pending(cls, added) for _, added in keyed]
+    return [(_Pending(cls, added), True) for _, added in keyed]
 
 
 def _is_extension_move(x: Formula, x2: Formula) -> bool | None:
@@ -580,16 +580,16 @@ def flippable_variables(phi: Formula) -> list[int]:
     return sorted([-l for l in vs])
 
 
-def flip_moves(phi: Formula) -> list[Formula]:
-    """Polarity swaps of variables drawn from all-negative clauses."""
+def flip_moves(phi: Formula) -> list[tuple[Formula, int]]:
+    """Polarity swaps of variables of all-negative clauses, each with the lowest one giving it."""
     seen = set()
     moves = []
     for v in flippable_variables(phi):
         f2 = flip_variable(phi, v)
         if f2 != phi and f2 not in seen:
             seen.add(f2)
-            moves.append(f2)
-    moves.sort(key=lambda f: f.clauses)
+            moves.append((f2, v))
+    moves.sort(key=lambda m: m[0].clauses)
     return moves
 
 

@@ -30,7 +30,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence
 
 from .core import DEFAULT_MOVE_CAP, Path, Setup, SolveAnswer, enumerate_moves
 
@@ -105,6 +105,7 @@ class SearchStats:
 class SearchResult:
     """Path found, the easy solver's verdict at its end, quality data, and stats.
 
+    ``witnesses`` holds each path step's move witness, outside ``canonical_text``.
     ``quality`` may be given as a function that builds it; it is then built
     on first read, once, so a caller that never reads it pays nothing.
     """
@@ -115,10 +116,12 @@ class SearchResult:
         terminal: SolveAnswer,
         quality: QualityData | Callable[[], QualityData],
         stats: SearchStats,
+        witnesses: Sequence[Any],
     ):
         self.path = path
         self.terminal = terminal
         self.stats = stats
+        self.witnesses = witnesses
         self._quality = quality
 
     @property
@@ -163,7 +166,7 @@ class _Node:
     def __init__(self, instance: Any, easy: bool):
         self.instance = instance
         self.easy = easy
-        self.children: list[tuple[str, Any]] | None = None
+        self.children: list[tuple[str, Any, Any]] | None = None
         self.won = -1
         self.priors: list[float] = []
         self.counts: list[int] = []
@@ -206,14 +209,14 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             return
         moves = enumerate_moves(setup, node.instance, move_cap=cfg.move_cap)
         node.children = moves
-        node.won = next((i for i, (_, m) in enumerate(moves) if setup.easy(m).is_easy), -1)
+        node.won = next((i for i, (_, m, _) in enumerate(moves) if setup.easy(m).is_easy), -1)
         k = len(moves)
         node.counts = [0] * k
         node.totals = [0.0] * k
         if not moves:
             return
         blocks: list[tuple[str, list[Any]]] = []
-        for rid, m in moves:
+        for rid, m, _ in moves:
             if blocks and blocks[-1][0] == rid:
                 blocks[-1][1].append(m)
             else:
@@ -304,14 +307,15 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             if winning:
                 break
 
-    path = Path(x, tuple(node.children[i] for node, i in winning))
+    steps = [node.children[i] for node, i in winning]
+    path = Path(x, tuple((rid, m) for rid, m, _ in steps))
 
     def quality() -> QualityData:
         q = QualityData()
         for f, node in tt.items():
             q.values[f] = (node_value(node), node.samples if node.samples else 1)
             if node.children:
-                for i, (rid, m) in enumerate(node.children):
+                for i, (rid, m, _) in enumerate(node.children):
                     q.distributions.setdefault((f, rid), {})[m] = node.counts[i]
         return q
 
@@ -322,4 +326,4 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         samples=passes,
     )
     terminal = setup.easy(path.end) if winning else root_answer
-    return SearchResult(path=path, terminal=terminal, quality=quality, stats=stats)
+    return SearchResult(path, terminal, quality, stats, tuple(w for _, _, w in steps))

@@ -35,6 +35,7 @@ from reducto.learner import (
     parse_params,
     store_loss,
 )
+from reducto.portfolio import ExternalMember, portfolio_setup
 from reducto.sat import (
     ELIMINATION,
     EXTENSION,
@@ -43,6 +44,8 @@ from reducto.sat import (
     RESOLUTION,
     assignment,
     easy_all_positive,
+    flip_variable,
+    flippable_variables,
     oracle_solve,
     satisfies,
 )
@@ -63,9 +66,53 @@ def report(criterion, passed, detail):
 RULES = [RESOLUTION, ELIMINATION, EXTENSION, FLIP]
 
 
+class InProcessMember(ExternalMember):
+    """An external member whose child process is the oracle, run in process.
+
+    Its answer goes through the same output parser as a child's stdout, and
+    the member keeps it per formula as a real one does, so only the process
+    is missing.
+    """
+
+    def transform(self, phi):
+        verdict = oracle_solve(phi)
+        if not verdict.satisfiable:
+            return self._interpret(phi, "s UNSATISFIABLE\n")
+        lits = " ".join(str(l) for l in sorted(verdict.witness, key=abs))
+        return self._interpret(phi, f"s SATISFIABLE\nv {lits} 0\n")
+
+
 def member_reductions():
-    """The portfolio's member rules that are not in ``RULES``."""
-    return [r for r in make_setup("portfolio").reductions if r not in RULES]
+    """The portfolio's member rules that are not in ``RULES``, and an external member."""
+    setup = portfolio_setup((InProcessMember("oracle", ("in-process",)),))
+    return [r for r in setup.reductions if r not in RULES]
+
+
+def eliminated(phi, v):
+    """Davis–Putnam elimination of ``v``, spelled out over literal sets."""
+    rest = [c for c in phi.clauses if v not in c and -v not in c]
+    resolvents = [
+        (set(p) - {v}) | (set(n) - {-v})
+        for p in phi.clauses if v in p
+        for n in phi.clauses if -v in n
+    ]
+    return Formula(rest + [r for r in resolvents if not any(-l in r for l in r)])
+
+
+def givers(rule, phi):
+    """Each successor a flip or an elimination of one variable gives, with those variables."""
+    out = {}
+    if rule is FLIP:
+        for v in flippable_variables(phi):
+            out.setdefault(flip_variable(phi, v), []).append(v)
+    elif rule is ELIMINATION:
+        for v in phi.variables:
+            out.setdefault(eliminated(phi, v), []).append(v)
+    return out
+
+
+# Two variables give one successor: eliminating 1 or 2, and flipping 1 or 2.
+SHARED_SUCCESSORS = [Formula([[1, 2]]), Formula([[-1, -2], [1, 2]])]
 
 
 def test_criterion_1_self_reduction_contract():
@@ -75,26 +122,37 @@ def test_criterion_1_self_reduction_contract():
     forward_violations = 0
     lift_violations = 0
     checked_moves = 0
-    # identify(phi, m) must be None exactly when m is not in moves(phi), for
-    # phi itself and for every rule's moves.
+    # identify(phi, m) must be None exactly when m is not a successor in
+    # moves(phi), for phi itself and for every rule's moves; for a successor
+    # it must return the witness the move carries.  Where several variables
+    # give one flip or one bounded elimination, the move carries the lowest.
     identify_disagreements = 0
-    for _ in range(500):
-        phi = random_formula(rng, 8, 20)
+    witness_disagreements = 0
+    shared = 0
+    formulas = SHARED_SUCCESSORS + [random_formula(rng, 8, 20) for _ in range(500)]
+    for phi in formulas:
         base_sat = oracle_solve(phi).satisfiable
         move_lists = [rule.moves(phi) for rule in rules]
-        candidates = {phi}.union(*move_lists)
+        candidates = {phi}.union(*({m for m, _ in moves} for moves in move_lists))
         for rule, moves in zip(rules, move_lists):
+            successors = {m for m, _ in moves}
             identify_disagreements += sum(
-                (rule.identify(phi, m) is not None) != (m in moves) for m in candidates
+                (rule.identify(phi, m) is not None) != (m in successors) for m in candidates
             )
-            for move in moves:
+            by_successor = givers(rule, phi)
+            for move, witness in moves:
                 checked_moves += 1
+                witness_disagreements += rule.identify(phi, move) != witness
+                vs = by_successor.get(move, [])
+                if len(vs) > 1 and len(move) <= len(phi):
+                    shared += 1
+                    witness_disagreements += witness != min(vs)
                 verdict = oracle_solve(move)
                 if base_sat and not verdict.satisfiable:
                     forward_violations += 1
                     continue
                 if verdict.satisfiable:
-                    lifted = rule.lift(phi, rule.identify(phi, move), verdict.witness)
+                    lifted = rule.lift(phi, witness, verdict.witness)
                     if not satisfies(lifted, phi):
                         lift_violations += 1
     elapsed = time.perf_counter() - t0
@@ -102,14 +160,17 @@ def test_criterion_1_self_reduction_contract():
         forward_violations == 0
         and lift_violations == 0
         and identify_disagreements == 0
+        and witness_disagreements == 0
+        and shared >= len(SHARED_SUCCESSORS)
         and elapsed < 60.0
     )
     assert report(
         1,
         ok,
-        f"500 formulas, {checked_moves} moves across {len(rules)} rules/members: "
+        f"{len(formulas)} formulas, {checked_moves} moves across {len(rules)} rules/members: "
         f"{forward_violations} forward violations, {lift_violations} lift violations, "
-        f"{identify_disagreements} identify disagreements, {elapsed:.1f}s (< 60s)",
+        f"{identify_disagreements} identify disagreements, {witness_disagreements} witness "
+        f"disagreements ({shared} moves several variables give), {elapsed:.1f}s (< 60s)",
     )
 
 
@@ -140,7 +201,7 @@ def test_criterion_2_flip_semantics_regression():
         if easy_all_positive(cur).is_easy:
             easy_reachable = True
             break
-        for _, nxt in enumerate_moves(setup, cur):
+        for _, nxt, _ in enumerate_moves(setup, cur):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -194,7 +255,7 @@ def bfs_to_easy(setup, phi, depth_cap, node_cap, move_cache, easy_cache):
         if moves is None:
             moves = enumerate_moves(setup, cur, move_cap=256)
             move_cache[cur] = moves
-        for _, nxt in moves:
+        for _, nxt, _ in moves:
             if nxt in seen:
                 continue
             seen.add(nxt)
@@ -268,7 +329,7 @@ def test_criterion_4_flip_setup_reachability():
             if easy_all_positive(cur).is_easy:
                 reached_depth = depth
                 break
-            for _, nxt in enumerate_moves(setup, cur):
+            for _, nxt, _ in enumerate_moves(setup, cur):
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append((nxt, depth + 1))

@@ -5,8 +5,8 @@
 surface that the benchmark does not expect shows up as failed ops.  This test
 loads ``run.py`` (without changing it), cuts each workload down to a few ops
 and runs one pass of each.  Its traced run wraps reducto's layers by name
-through ``spans.py``; a cut-down traced ``certify`` pass checks that the path
-check and the lifts are still seen there.
+through ``spans.py``; a cut-down traced ``certify`` pass checks that the lifts
+are still seen there, and that only ``no_solution`` answers check their path.
 """
 
 import importlib.util
@@ -60,5 +60,9 @@ def test_traced_certify_pass_records_path_checks_and_lifts(run):
     assert tally.ops == ops
     assert (tally.failed, tally.wrong, tally.reasons) == (0, [], {})
     totals = spans.aggregate(rec)
-    for span in ("core.verify_path", "core.lift_solution", "sat.lift"):
+    # Solutions lift through the witnesses their moves carried; a refutation
+    # rests on its path, which is checked once per no_solution answer.
+    assert tally.sat >= 1 and tally.unsat >= 1, (tally.sat, tally.unsat)
+    assert totals["core.verify_path"].calls == tally.unsat
+    for span in ("core.lift_solution", "sat.lift"):
         assert totals[span].calls >= 1, span

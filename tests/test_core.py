@@ -112,7 +112,7 @@ class TestVerifyPath:
 class TestIdentify:
     def test_replace_keeps_the_rules_own_identify(self):
         # perfbench wraps rules with dataclasses.replace(rule, moves=...).
-        moves = lambda x: [x + 1]
+        moves = lambda x: [(x + 1, "given")]
         given = SelfReduction("r", moves, lambda x, w, y: y, identify=lambda x, x2: "given")
         assert dataclasses.replace(given, moves=lambda x: []).identify(1, 5) == "given"
 
@@ -120,7 +120,7 @@ class TestIdentify:
         # Each step's lift gets its own step's witness, last step first.
         rule = SelfReduction(
             "r",
-            lambda x: [x + 1],
+            lambda x: [(x + 1, f"{x}->{x + 1}")],
             lambda x, w, y: y + ((x, w),),
             identify=lambda x, x2: f"{x}->{x2}" if x2 == x + 1 else None,
         )
@@ -148,7 +148,7 @@ class TestLiftSolution:
     def test_integrity_error_identifies_the_offending_step(self):
         bad = SelfReduction(
             "bad",
-            moves=lambda phi: [TOP],
+            moves=lambda phi: [(TOP, True)],
             lift=lambda x, w, y: frozenset([99]),
             identify=lambda x, x2: True if x2 == TOP else None,
         )
@@ -159,13 +159,19 @@ class TestLiftSolution:
         assert err.value.step == 1
         assert err.value.reduction_id == "bad"
 
+    def test_a_missing_witness_is_an_integrity_error(self):
+        path = Path(Formula([[-1]]), (("flip", Formula([[1]])),))
+        with pytest.raises(LiftIntegrityError) as err:
+            lift_solution(FLIP_SETUP, path, [], frozenset([1]))
+        assert (err.value.step, err.value.reduction_id) == (1, "flip")
+
     def test_exception_inside_a_lift_becomes_integrity_error(self):
         def broken(x, w, y):
             raise RuntimeError("boom")
 
         bad = SelfReduction(
             "bad",
-            moves=lambda phi: [TOP],
+            moves=lambda phi: [(TOP, True)],
             lift=broken,
             identify=lambda x, x2: True if x2 == TOP else None,
         )
@@ -181,11 +187,11 @@ class TestLiftSolution:
             first = enumerate_moves(RES_SETUP, phi)
             if not first:
                 continue
-            rid1, x1 = first[0]
+            rid1, x1, _ = first[0]
             second = enumerate_moves(RES_SETUP, x1)
             if not second:
                 continue
-            rid2, x2 = second[0]
+            rid2, x2, _ = second[0]
             verdict = oracle_solve(x2)
             if not verdict.satisfiable:
                 continue
@@ -205,8 +211,8 @@ class TestEnumerateMoves:
         phi = Formula([[-1, -2], [1]])
         moves = enumerate_moves(FLIP_SETUP, phi)
         expected = {
-            ("flip", Formula([[1, -2], [-1]])),
-            ("flip", Formula([[-1, 2], [1]])),
+            ("flip", Formula([[1, -2], [-1]]), 1),
+            ("flip", Formula([[-1, 2], [1]]), 2),
         }
         assert set(moves) == expected
         assert len(moves) == 2
@@ -217,7 +223,7 @@ class TestEnumerateMoves:
     def test_setup_order_and_block_order_are_deterministic(self):
         phi = Formula([[1], [-1]])
         moves = enumerate_moves(RES_SETUP, phi)
-        assert [rid for rid, _ in moves] == ["resolution", "elimination"]
+        assert [rid for rid, _, _ in moves] == ["resolution", "elimination"]
         assert moves == enumerate_moves(RES_SETUP, phi)
 
     def test_cap_truncates_to_lexicographically_first(self):
@@ -239,12 +245,15 @@ class TestContractProperties:
         rng = random.Random(31)
         for _ in range(40):
             phi = random_formula(rng, 4, 5)
-            for rid, move in enumerate_moves(RES_SETUP, phi, move_cap=32):
+            for rid, move, w in enumerate_moves(RES_SETUP, phi, move_cap=32):
                 verdict = oracle_solve(move)
                 if not verdict.satisfiable:
                     continue
-                lifted = lift_path(RES_SETUP, Path(phi, ((rid, move),)), verdict.witness)
+                path = Path(phi, ((rid, move),))
+                lifted = lift_path(RES_SETUP, path, verdict.witness)
                 assert satisfies(lifted, phi)
+                # The witness the move carried lifts as the identified one does.
+                assert lift_solution(RES_SETUP, path, [w], verdict.witness) == lifted
 
     def test_forward_solvability(self):
         rng = random.Random(37)
@@ -252,7 +261,7 @@ class TestContractProperties:
             phi = random_formula(rng, 4, 5)
             if not oracle_solve(phi).satisfiable:
                 continue
-            for _, move in enumerate_moves(RES_SETUP, phi, move_cap=32):
+            for _, move, _ in enumerate_moves(RES_SETUP, phi, move_cap=32):
                 assert oracle_solve(move).satisfiable
 
     def test_assembled_paths_verify(self):
@@ -265,7 +274,7 @@ class TestContractProperties:
                 moves = enumerate_moves(RES_SETUP, cur, move_cap=16)
                 if not moves:
                     break
-                steps.append(moves[0])
+                steps.append(moves[0][:2])
                 cur = moves[0][1]
             path = Path(phi, tuple(steps))
             assert verify_path(RES_SETUP, path) is not None

@@ -194,7 +194,7 @@ class TestDeriveAnswer:
     def test_corrupt_lift_yields_dont_know_with_diagnostic(self):
         lying = SelfReduction(
             "lying",
-            moves=lambda phi: [TOP],
+            moves=lambda phi: [(TOP, True)],
             lift=lambda x, w, y: frozenset([99]),
             identify=lambda x, x2: True if x2 == TOP else None,
         )
@@ -207,41 +207,99 @@ class TestDeriveAnswer:
         assert diagnostics
 
     def test_unverifiable_path_yields_dont_know(self):
-        setup = make_setup("flip")
-        phi = Formula([[-1]])
+        # A refutation rests on its path alone, so a non-move step ends in
+        # don't-know: the empty clause is no resolvent of phi.
+        setup = make_setup("resolution")
+        phi = Formula([[1, 2], [-1, 2]])
+        target = Formula([[], [1, 2], [-1, 2]])
+        assert setup.easy(target).kind == "no_solution"
         fake = SearchResult(
-            path=Path(phi, (("flip", Formula([[1], [2]])),)),
-            terminal=SolveAnswer.solution(frozenset([1, 2])),
+            path=Path(phi, (("resolution", target),)),
+            terminal=setup.easy(target),
             quality=QualityData(),
             stats=SearchStats(0, 0, 0.0),
+            witnesses=(True,),
         )
         answer, diagnostics = derive_answer(setup, phi, fake)
         assert answer.kind == "dont_know"
-        assert diagnostics
+        assert diagnostics == ["search returned a path that does not verify"]
+
+    @pytest.mark.parametrize(
+        "rid, phi, target, y, wrong",
+        [
+            # Flipping 1 turns {-1}, {2} into {1}, {2}; the path claims 2.
+            ("flip", Formula([[-1], [2]]), Formula([[1], [2]]), [1, 2], 2),
+            # Eliminating 1 from {1}, {2} leaves {2}; the path claims 2.
+            ("elimination", Formula([[1], [2]]), Formula([[2]]), [2], 2),
+        ],
+    )
+    def test_a_wrong_witness_on_a_solution_path_yields_dont_know(self, rid, phi, target, y, wrong):
+        # Solution paths are not identified again: the lift's checks catch a
+        # witness that is not the step's.
+        setup = make_setup("portfolio" if rid == "elimination" else "flip")
+        right = setup.reduction(rid).identify(phi, target)
+        assert right is not None and right != wrong
+
+        def answer(witness):
+            result = SearchResult(
+                path=Path(phi, ((rid, target),)),
+                terminal=SolveAnswer.solution(frozenset(y)),
+                quality=QualityData(),
+                stats=SearchStats(0, 0, 0.0),
+                witnesses=(witness,),
+            )
+            return derive_answer(setup, phi, result)
+
+        solved, diagnostics = answer(right)
+        assert solved.kind == "solution" and satisfies(solved.value, phi) and not diagnostics
+        forged, diagnostics = answer(wrong)
+        assert forged.kind == "dont_know"
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith("lift integrity failure") or (
+            diagnostics[0] == "lifted solution failed the final check"
+        )
+
+    def test_a_non_move_solution_step_is_judged_by_its_lift(self):
+        # Flipping 1 does not turn {-1} into {1}, {2}, but the answer its
+        # witness lifts satisfies {-1}: it is checked, so it stands.
+        setup = make_setup("flip")
+        phi = Formula([[-1]])
+        target = Formula([[1], [2]])
+        assert verify_path(setup, Path(phi, (("flip", target),))) is None
+        result = SearchResult(
+            path=Path(phi, (("flip", target),)),
+            terminal=SolveAnswer.solution(frozenset([1, 2])),
+            quality=QualityData(),
+            stats=SearchStats(0, 0, 0.0),
+            witnesses=(1,),
+        )
+        assert derive_answer(setup, phi, result) == (SolveAnswer.solution(frozenset([-1, 2])), [])
 
     def test_a_growing_elimination_step_yields_dont_know(self):
         # Eliminating 1 turns GROWING's 5 clauses into 6, while eliminating
         # 2..6 qualifies, so that step is no move, though it keeps
-        # satisfiability and its target is easy under the portfolio.
+        # satisfiability.  A refutation through it (its target is easy under
+        # the portfolio, and satisfiable: this one is forged) does not verify.
         setup = make_setup("portfolio")
         grown = Formula([[2, 4], [2, 5], [2, 6], [3, 4], [3, 5], [3, 6]])
         assert ELIMINATION.identify(GROWING, grown) is None
         forged = Path(GROWING, (("elimination", grown),))
         assert verify_path(setup, forged) is None
+        assert setup.easy(grown).kind == "solution"
         result = SearchResult(
             path=forged,
-            terminal=setup.easy(grown),
+            terminal=SolveAnswer.no_solution(),
             quality=QualityData(),
             stats=SearchStats(0, 0, 0.0),
+            witnesses=(1,),
         )
-        assert result.terminal.kind == "solution"
         answer, diagnostics = derive_answer(setup, GROWING, result)
         assert answer.kind == "dont_know"
-        assert diagnostics
+        assert diagnostics == ["search returned a path that does not verify"]
 
     def test_each_step_is_identified_once(self):
-        # The path check identifies the step, and the lift consumes its
-        # witness instead of running the step again.
+        # The search runs the step when it expands phi, and the move carries
+        # its witness to the lift, so answering runs no step again.
         calls = []
 
         def step(phi):
@@ -251,12 +309,8 @@ class TestDeriveAnswer:
         rule = one_move("counted", step, lambda x, forced, y: frozenset(y | set(forced)))
         setup = Setup(easy=easy_trivial, reductions=(rule,))
         phi = Formula([[1], [-1, 2]])
-        result = SearchResult(
-            path=Path(phi, (("counted", TOP),)),
-            terminal=SolveAnswer.solution(frozenset()),
-            quality=QualityData(),
-            stats=SearchStats(0, 0, 0.0),
-        )
+        result = ams_search(phi, setup, _uniform_evaluator(), SearchConfig(horizon=2, budget=2))
+        assert result.path.steps == (("counted", TOP),) and result.witnesses == ((1, 2),)
         answer, diagnostics = derive_answer(setup, phi, result)
         assert (answer, diagnostics) == (SolveAnswer.solution(frozenset([1, 2])), [])
         assert calls == [phi]

@@ -40,7 +40,7 @@ class TestUnitPropagation:
 
     def test_lift_readds_propagated_literals(self):
         phi = Formula([[1], [-1, 2]])
-        assert UNIT_PROPAGATION.moves(phi) == [TOP]
+        assert UNIT_PROPAGATION.moves(phi) == [(TOP, (1, 2))]
         assert UNIT_PROPAGATION.identify(phi, TOP) == (1, 2)
         lifted = UNIT_PROPAGATION.lift(phi, (1, 2), frozenset())
         assert lifted == frozenset([1, 2])
@@ -114,7 +114,7 @@ class TestExternalMembers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             moves = enumerate_moves(portfolio_setup((member,)), Formula([[1, 2], [-1, 3]]))
-        assert "ext" not in {rid for rid, _ in moves}
+        assert "ext" not in {rid for rid, _, _ in moves}
         assert member.failures == ["ext: unparseable output"]
 
     def test_crash_is_a_failure(self):
@@ -130,8 +130,8 @@ class TestExternalMembers:
         crasher = external(FAKE_CRASH, member_id="crasher")
         mumbler = external(FAKE_GARBAGE, member_id="mumbler")
         moves = enumerate_moves(portfolio_setup((crasher, mumbler)), phi)
-        assert ("unit-propagation", TOP) in moves
-        assert {rid for rid, _ in moves} <= {"unit-propagation", "elimination"}
+        assert ("unit-propagation", TOP, (1, 2)) in moves
+        assert {rid for rid, _, _ in moves} <= {"unit-propagation", "elimination"}
         assert len(crasher.failures) == 1 and crasher.failures[0].startswith("crasher:")
         assert len(mumbler.failures) == 1 and mumbler.failures[0].startswith("mumbler:")
 
@@ -148,8 +148,10 @@ class TestExternalMembers:
     def test_lift_reruns_the_member_and_checks_its_output(self):
         phi = Formula([[1]])
         rule = portfolio_setup((external(FAKE_SAT),)).reduction("ext")
-        assert rule.moves(phi) == [TOP]
-        assert rule.lift(phi, rule.identify(phi, TOP), frozenset()) == frozenset([1])
+        ((target, kept),) = rule.moves(phi)
+        # The move carries the member's kept lift, the witness identify finds.
+        assert target == TOP and rule.identify(phi, TOP) is kept
+        assert rule.lift(phi, kept, frozenset()) == frozenset([1])
         # A lift takes the member's kept lift, so identify rejects the target.
         assert rule.identify(phi, BOTTOM) is None
 
@@ -171,7 +173,7 @@ class TestExternalMembers:
         # instance, so only the flaky member can win the search.
         phi = Formula([[1, -3], [-1, 2], [-1, -2], [-2, 3]])
         builtin_moves = enumerate_moves(portfolio_setup(), phi)
-        assert builtin_moves and not any(easy_combined(m).is_easy for _, m in builtin_moves)
+        assert builtin_moves and not any(easy_combined(m).is_easy for _, m, _ in builtin_moves)
         evaluator = LinearEvaluator(init_params())
         result = ams_search(phi, setup, evaluator, SearchConfig(horizon=4, budget=8))
         assert result.path.steps == (("flaky", TOP),)
@@ -200,7 +202,7 @@ class TestExternalMembers:
 class TestPortfolioMoves:
     def test_unit_propagation_reaches_empty_clause(self):
         moves = enumerate_moves(portfolio_setup(), Formula([[1], [-1]]))
-        assert moves and all(m.has_empty_clause for _, m in moves)
+        assert moves and all(m.has_empty_clause for _, m, _ in moves)
 
     def test_empty_when_no_member_changes_the_instance(self):
         # Elimination has a move at every formula with a variable, so only ⊤
@@ -221,13 +223,13 @@ class TestPortfolioMoves:
         setup = portfolio_setup()
         moves = enumerate_moves(setup, phi)
         # Eliminating 3 or 4 gives the same formula, which is one move.
-        assert [rid for rid, _ in moves] == [
+        assert [rid for rid, _, _ in moves] == [
             "unit-propagation", "elimination", "elimination", "elimination"
         ]
-        for rid, target in moves:
+        for rid, target, carried in moves:
             path = Path(phi, ((rid, target),))
             witnesses = verify_path(setup, path)
-            assert witnesses is not None
+            assert witnesses == [carried]
             witness = brute_force(target)
             assert witness is not None
             assert satisfies(lift_solution(setup, path, witnesses, witness), phi), rid
@@ -241,11 +243,11 @@ class TestPortfolioContract:
             phi = random_formula(rng, 4, 6)
             sat = brute_force(phi) is not None
             for member in setup.reductions:
-                for transformed in member.moves(phi):
+                for transformed, step in member.moves(phi):
                     witness = brute_force(transformed)
                     assert (witness is not None) == sat, (member.id, phi)
                     if witness is not None:
-                        step = member.identify(phi, transformed)
+                        assert member.identify(phi, transformed) == step, (member.id, phi)
                         assert satisfies(member.lift(phi, step, witness), phi), (member.id, phi)
 
 

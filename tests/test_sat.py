@@ -49,6 +49,11 @@ def lift_move(rule, phi, move, y):
     return rule.lift(phi, witness, y)
 
 
+def successors(moves):
+    """The successors of a rule's ``(successor, witness)`` move list."""
+    return [m for m, _ in moves]
+
+
 def solutions(phi):
     """Every total assignment over the occurring variables that satisfies ``phi``."""
     vs = phi.variables
@@ -165,11 +170,11 @@ class TestResolvent:
 class TestResolutionMoves:
     def test_unit_conflict_derives_empty_clause(self):
         phi = Formula([[1], [-1]])
-        assert resolution_moves(phi) == [Formula([[], [1], [-1]])]
+        assert resolution_moves(phi) == [(Formula([[], [1], [-1]]), True)]
 
     def test_single_useful_resolvent(self):
         phi = Formula([[1, 2], [-1, 2]])
-        assert resolution_moves(phi) == [Formula([[1, 2], [-1, 2], [2]])]
+        assert resolution_moves(phi) == [(Formula([[1, 2], [-1, 2], [2]]), True)]
 
     def test_all_resolvents_blocked(self):
         assert resolution_moves(Formula([[1, 2], [-1, -2]])) == []
@@ -193,8 +198,9 @@ class TestBlockedClause:
         occurring = {l for c in phi.clauses for l in c}
         assert resolution_moves(phi) == []
         assert all(-l in occurring for l in occurring)
-        assert ELIMINATION.moves(phi) == [TOP]
-        assert enumerate_moves(make_setup("resolution"), phi) == [("elimination", TOP)]
+        # Both variables give it; the move carries the lower one.
+        assert ELIMINATION.moves(phi) == [(TOP, 1)]
+        assert enumerate_moves(make_setup("resolution"), phi) == [("elimination", TOP, 1)]
 
     def test_lift_of_the_empty_assignment_is_total_and_satisfies(self):
         phi = self.PHI
@@ -210,16 +216,18 @@ class TestBlockedClause:
 
 class TestElimination:
     def test_one_clause_eliminates_to_top_for_both_variables(self):
-        # Both variables give the same formula, which is one move.
-        assert elimination_moves(Formula([[1, 2]])) == [TOP]
+        # Both variables give the same formula, which is one move, and it
+        # carries the lower variable, the one identify finds.
+        assert elimination_moves(Formula([[1, 2]])) == [(TOP, 1)]
+        assert ELIMINATION.identify(Formula([[1, 2]]), TOP) == 1
 
     def test_unit_conflict_eliminates_to_bottom(self):
-        assert elimination_moves(Formula([[1], [-1]])) == [BOTTOM]
+        assert elimination_moves(Formula([[1], [-1]])) == [(BOTTOM, 1)]
 
     def test_move_drops_the_clauses_and_adds_the_non_tautological_resolvents(self):
         phi = Formula([[1, 2], [-1, 3], [-1, -2], [2, 4]])
         # On 1: (2 3) from the first two clauses; (1 2), (-1 -2) is tautological.
-        assert Formula([[2, 3], [2, 4]]) in elimination_moves(phi)
+        assert (Formula([[2, 3], [2, 4]]), 1) in elimination_moves(phi)
 
     def test_eliminating_every_variable_reaches_the_oracle_verdict(self):
         rng = random.Random(23)
@@ -227,7 +235,7 @@ class TestElimination:
             phi = random_formula(rng, 6, 14)
             cur, steps = phi, 0
             while moves := elimination_moves(cur):
-                cur = rng.choice(moves)
+                cur, _ = rng.choice(moves)
                 steps += 1
             assert cur in (TOP, BOTTOM), (phi, cur)
             assert (cur == TOP) == oracle_solve(phi).satisfiable, phi
@@ -238,7 +246,7 @@ class TestElimination:
         lifted_moves = 0
         for _ in range(200):
             phi = random_formula(rng, 6, 14)
-            for move in elimination_moves(phi):
+            for move, _ in elimination_moves(phi):
                 verdict = oracle_solve(move)
                 if not verdict.satisfiable:
                     continue
@@ -253,7 +261,7 @@ class TestElimination:
 
     def test_lift_to_a_non_move_target_raises(self):
         phi = Formula([[1, 2], [-1, 3], [-2, -3]])
-        assert Formula([[2, 3]]) not in elimination_moves(phi)
+        assert Formula([[2, 3]]) not in successors(elimination_moves(phi))
         # A lift takes the identified variable, so identify rejects the target.
         for target in (Formula([[2, 3]]), phi, TOP, BOTTOM, Formula([[2, 3], [-2, -3], [4]])):
             assert ELIMINATION.identify(phi, target) is None, target
@@ -265,7 +273,7 @@ class TestElimination:
         assert all(len(ref_eliminate(NO_BOUNDED, v)) > 13 for v in NO_BOUNDED.variables)
         assert ref_fallback(NO_BOUNDED) == 2
         grown = ref_eliminate(NO_BOUNDED, 2)
-        assert elimination_moves(NO_BOUNDED) == [grown]
+        assert elimination_moves(NO_BOUNDED) == [(grown, 2)]
         assert ELIMINATION.identify(NO_BOUNDED, grown) == 2
         # Growing eliminations of the other variables are no moves.
         for v in (1, 3, 4, 5):
@@ -274,7 +282,7 @@ class TestElimination:
     def test_a_growing_elimination_is_no_move_while_another_variable_qualifies(self):
         grown = ref_eliminate(GROWING, 1)
         assert len(grown) == 6 > len(GROWING)
-        assert grown not in elimination_moves(GROWING)
+        assert grown not in successors(elimination_moves(GROWING))
         assert ELIMINATION.identify(GROWING, grown) is None
         # Variable 2 occurs only positively, so eliminating it qualifies.
         assert ELIMINATION.identify(GROWING, ref_eliminate(GROWING, 2)) == 2
@@ -328,7 +336,8 @@ ELIMINATION_INPUTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(ELIMINATION_INPUTS)
 def test_elimination_moves_are_bounded(phi):
-    moves = elimination_moves(phi)
+    pairs = elimination_moves(phi)
+    moves = successors(pairs)
     for move in moves:
         assert set(move.variables) < set(phi.variables), (phi, move)
     bounded = {f for v in phi.variables if len(f := ref_eliminate(phi, v)) <= len(phi)}
@@ -338,7 +347,7 @@ def test_elimination_moves_are_bounded(phi):
         # Only when no variable qualifies is there one, larger, move: the
         # fallback's elimination.
         fallback = ref_fallback(phi)
-        assert moves == [ref_eliminate(phi, fallback)]
+        assert pairs == [(ref_eliminate(phi, fallback), fallback)]
         assert ELIMINATION.identify(phi, moves[0]) == fallback
 
 
@@ -355,7 +364,7 @@ def ref_elimination_moves(phi):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(formulas(), ELIMINATION_INPUTS, formulas(6, 10, sparse=True)))
 def test_elimination_moves_are_canonical_and_distinct(phi):
-    moves = elimination_moves(phi)
+    moves = successors(elimination_moves(phi))
     for move in moves:
         assert Formula(move.clauses).clauses == move.clauses
     assert all(a.clauses < b.clauses for a, b in zip(moves, moves[1:]))
@@ -375,8 +384,8 @@ class TestResolventTable:
     def test_moves_do_not_depend_on_what_was_asked_before(self, phi, other):
         sat._resolvent_table.cache_clear()
         alone = elimination_moves(phi)
-        witnesses = [ELIMINATION.identify(phi, move) for move in alone]
-        assert None not in witnesses
+        witnesses = [ELIMINATION.identify(phi, move) for move, _ in alone]
+        assert witnesses == [v for _, v in alone]
         resolvents = new_resolvents(phi)
         # phi plus one clause: each new resolvent, and near misses that are
         # not one (a clause of other, a unit, a literal phi lacks).
@@ -390,8 +399,8 @@ class TestResolventTable:
         assert verdicts == [True if c in resolvents else None for c in added]
 
         def same(x):
-            assert _exact(elimination_moves(x)) == _exact(alone)
-            assert [ELIMINATION.identify(x, move) for move in alone] == witnesses
+            assert elimination_moves(x) == alone
+            assert [ELIMINATION.identify(x, move) for move, _ in alone] == witnesses
             assert new_resolvents(x) == resolvents
             assert [RESOLUTION.identify(x, g) for g in grown] == verdicts
 
@@ -409,7 +418,8 @@ class TestResolventTable:
 @settings(max_examples=200, deadline=None)
 @given(ELIMINATION_INPUTS)
 def test_elimination_identify_accepts_exactly_the_moves(phi):
-    moves = elimination_moves(phi)
+    pairs = elimination_moves(phi)
+    moves = successors(pairs)
     fresh = max(phi.variables, default=0) + 1
     targets = list(moves)
     for v in phi.variables:
@@ -424,6 +434,7 @@ def test_elimination_identify_accepts_exactly_the_moves(phi):
         assert (witness is not None) == (x2 in moves), (phi, x2)
         if witness is not None:
             assert ref_eliminate(phi, witness) == x2, (phi, x2, witness)
+            assert (x2, witness) in pairs, (phi, x2, witness)
 
 
 class TestExtension:
@@ -435,7 +446,7 @@ class TestExtension:
         phi = Formula([[1, 2]])
         moves = extension_moves(phi)
         expected = Formula([[1, 2], [1, -3], [2, -3], [-1, -2, 3]])
-        assert expected in moves
+        assert (expected, True) in moves
 
     def test_pair_cap_truncates(self):
         # 6 literals over 3 variables: 12 cross-variable unordered pairs.
@@ -447,14 +458,14 @@ class TestExtension:
         rng = random.Random(11)
         for _ in range(10):
             phi = random_formula(rng, 3, 4)
-            for move in extension_moves(phi):
+            for move, _ in extension_moves(phi):
                 assert (brute_force(phi) is not None) == (brute_force(move) is not None)
 
 
 class TestFlip:
     def test_single_flip_and_lift(self):
         phi = Formula([[-1]])
-        assert flip_moves(phi) == [Formula([[1]])]
+        assert flip_moves(phi) == [(Formula([[1]]), 1)]
         assert FLIP.identify(phi, Formula([[1]])) == 1
         lifted = FLIP.lift(phi, 1, frozenset([1]))
         assert lifted == frozenset([-1])
@@ -473,11 +484,13 @@ class TestFlip:
         assert flip_moves(Formula([[1], [-1]])) == []
 
     def test_flips_giving_the_same_formula_are_one_move(self):
-        # Flipping 1 and flipping 2 both give {{1,-2},{-1,2}}.
+        # Flipping 1 and flipping 2 both give {{1,-2},{-1,2}}; the move
+        # carries 1, the variable identify finds.
         phi = Formula([[-1, -2], [1, 2]])
         moves = FLIP.moves(phi)
-        assert moves == [Formula([[1, -2], [-1, 2]])]
-        lifted = lift_move(FLIP, phi, moves[0], brute_force(moves[0]))
+        assert moves == [(Formula([[1, -2], [-1, 2]]), 1)]
+        assert FLIP.identify(phi, moves[0][0]) == 1
+        lifted = lift_move(FLIP, phi, moves[0][0], brute_force(moves[0][0]))
         assert satisfies(lifted, phi)
 
     def test_full_polarity_swap_both_directions(self):
@@ -556,7 +569,7 @@ class TestRuleContracts:
             phi = random_formula(rng, 4, 6)
             sat = brute_force(phi) is not None
             for rule in ALL_RULES:
-                for move in rule.moves(phi):
+                for move, _ in rule.moves(phi):
                     assert (brute_force(move) is not None) == sat, (rule.id, phi, move)
 
     def test_lifted_solutions_satisfy_the_source(self):
@@ -564,7 +577,7 @@ class TestRuleContracts:
         for _ in range(60):
             phi = random_formula(rng, 4, 6)
             for rule in ALL_RULES:
-                for move in rule.moves(phi):
+                for move, _ in rule.moves(phi):
                     witness = brute_force(move)
                     if witness is None:
                         continue
@@ -580,12 +593,13 @@ UNRELATED = Formula([[10**7, -(10**7 + 1)]])
 @given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)))
 def test_identify_accepts_exactly_the_moves(phi):
     # ALL_RULES holds every builtin rule, UNIT_PROPAGATION included.
-    move_lists = {rule.id: rule.moves(phi) for rule in ALL_RULES}
+    move_lists = {rule.id: successors(rule.moves(phi)) for rule in ALL_RULES}
     for rule in ALL_RULES:
         moves = move_lists[rule.id]
-        for move in moves:
+        for move, carried in rule.moves(phi):
             witness = rule.identify(phi, move)
             assert witness is not None, (rule.id, phi, move)
+            assert witness == carried, (rule.id, phi, move)
             # The lift needs nothing but the witness to map a solution back.
             for y in itertools.islice(solutions(move), 4):
                 assert satisfies(rule.lift(phi, witness, y), phi), (rule.id, phi, move, y)
@@ -594,7 +608,7 @@ def test_identify_accepts_exactly_the_moves(phi):
             assert rule.identify(phi, non_move) is None, (rule.id, phi, non_move)
         # Two steps of the rule, such as two resolvents added, are a move
         # only when one step reaches the same formula.
-        for two_steps in {m2 for m in moves[:3] for m2 in rule.moves(m)[:3]}:
+        for two_steps in {m2 for m in moves[:3] for m2, _ in rule.moves(m)[:3]}:
             identified = rule.identify(phi, two_steps) is not None
             assert identified == (two_steps in moves), (rule.id, phi)
 
@@ -603,7 +617,7 @@ def test_identify_accepts_exactly_the_moves(phi):
 @given(formulas())
 def test_rule_outputs_are_canonical_formulas(phi):
     for rule in ALL_RULES:
-        moves = rule.moves(phi)
+        moves = successors(rule.moves(phi))
         for move in moves:
             rebuilt = Formula(move.clauses)
             assert rebuilt == move
@@ -787,12 +801,13 @@ class TestReferenceEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(formulas(6, 9), formulas(6, 9, sparse=True)))
     def test_resolution_moves_match_reference(self, phi):
-        assert _exact(resolution_moves(phi)) == _exact(ref_resolution_moves(phi))
+        assert _exact(successors(resolution_moves(phi))) == _exact(ref_resolution_moves(phi))
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(formulas(5, 7), formulas(5, 7, sparse=True)))
     def test_extension_moves_match_reference(self, phi):
-        assert _exact(extension_moves(phi)) == _exact(ref_extension_moves(phi, PAIR_CAP))
+        moves = successors(extension_moves(phi))
+        assert _exact(moves) == _exact(ref_extension_moves(phi, PAIR_CAP))
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(clause_lists(6, 9), clause_lists(6, 9, sparse=True)))
@@ -862,12 +877,12 @@ class TestReferenceEquivalence:
         for _ in range(400):
             phi = random_formula(rng, 8, 20)
             y = assignment(v if rng.random() < 0.5 else -v for v in phi.variables)
-            moves = flip_moves(phi)
+            moves = successors(flip_moves(phi))
             for move in moves:
                 assert lift_move(FLIP, phi, move, y) == ref_flip_lift(phi, move, y)
                 lifts += 1
             # Non-moves: the formula itself, and a resolution move.
-            for other in [phi] + resolution_moves(phi)[:1]:
+            for other in [phi] + successors(resolution_moves(phi))[:1]:
                 if other not in moves:
                     assert FLIP.identify(phi, other) is None
         assert lifts > 500
@@ -918,8 +933,8 @@ class TestPendingSuccessors:
     @given(PENDING_INPUTS)
     def test_a_pending_successor_reads_as_its_built_formula(self, phi):
         for rule in PENDING_RULES:
-            built = [Formula(m.clauses) for m in rule.moves(phi)]
-            for k, move in enumerate(rule.moves(phi)):
+            built = [Formula(m.clauses) for m, _ in rule.moves(phi)]
+            for k, move in enumerate(successors(rule.moves(phi))):
                 assert not is_built(move)
                 # The easy check answers from the parts and builds nothing.
                 assert move.is_empty == built[k].is_empty
@@ -927,15 +942,15 @@ class TestPendingSuccessors:
                 assert easy_trivial(move) == easy_trivial(built[k])
                 assert not is_built(move)
             for name, read in READS.items():
-                moves = rule.moves(phi)
+                moves = successors(rule.moves(phi))
                 assert [read(m) for m in moves] == [read(b) for b in built], (rule.id, name)
                 assert all(is_built(m) for m in moves)
-            for move, b in zip(rule.moves(phi), built):
+            for move, b in zip(successors(rule.moves(phi)), built):
                 assert move == b and b == move and hash(move) == hash(b)
                 assert (move.is_empty, move.has_empty_clause) == (b.is_empty, b.has_empty_clause)
 
     def test_empty_resolvent_is_seen_unbuilt(self):
-        (move,) = resolution_moves(Formula([[1], [-1]]))
+        ((move, _),) = resolution_moves(Formula([[1], [-1]]))
         assert move.has_empty_clause and not move.is_empty
         assert easy_trivial(move).kind == "no_solution"
         assert not is_built(move)
@@ -944,7 +959,7 @@ class TestPendingSuccessors:
     @given(PENDING_INPUTS)
     def test_moves_come_in_the_order_of_their_built_clause_tuples(self, phi):
         for rule in PENDING_RULES:
-            built = [Formula(m.clauses) for m in rule.moves(phi)]
+            built = [Formula(m.clauses) for m, _ in rule.moves(phi)]
             assert _exact(built) == _exact(sorted(built, key=lambda f: f.clauses)), rule.id
 
     def test_order_on_random_formulas(self):
@@ -956,14 +971,14 @@ class TestPendingSuccessors:
             shifted = Formula([[l + 5 if l > 0 else l - 5 for l in c] for c in phi.clauses])
             for f in (phi, shifted):
                 for rule in PENDING_RULES:
-                    moves = [m.clauses for m in rule.moves(f)]
+                    moves = [m.clauses for m, _ in rule.moves(f)]
                     assert moves == sorted(moves), (rule.id, f)
 
 
 @settings(max_examples=150, deadline=None)
 @given(PENDING_INPUTS)
 def test_extension_identify_agrees_with_membership(phi):
-    moves = extension_moves(phi)
+    moves = successors(extension_moves(phi))
     for move in moves:
         assert EXTENSION.identify(phi, move) is True
     lits = [s * v for v in phi.variables for s in (1, -1)]
@@ -982,6 +997,6 @@ def test_extension_identify_agrees_with_membership(phi):
     # Pairs past the cap make the same kind of formula, but are not moves.
     near_misses += [extended(a, b, fresh) for a, b in pairs[PAIR_CAP:PAIR_CAP + 4]]
     near_misses += [Formula(list(m.clauses)[1:]) for m in moves[:2]]
-    near_misses += resolution_moves(phi)[:3] + [phi]
+    near_misses += successors(resolution_moves(phi))[:3] + [phi]
     for other in near_misses:
         assert (EXTENSION.identify(phi, other) is not None) == (other in moves), other

@@ -57,7 +57,7 @@ def toy_setup(moves_map, easy_set):
 
     reduction = SelfReduction(
         "r",
-        lambda x: moves_map.get(x, []),
+        lambda x: [(m, True) for m in moves_map.get(x, [])],
         lambda x, w, y: y,
         lambda x, x2: True if x2 in moves_map.get(x, []) else None,
     )
@@ -148,7 +148,11 @@ class TestDeterminism:
         cfg = SearchConfig(budget=2)
         a = ams_search(phi, FLIP_SETUP, fresh_evaluator(), cfg)
         slow = SearchResult(
-            a.path, a.terminal, a.quality, dataclasses.replace(a.stats, wall_time_s=123.25)
+            a.path,
+            a.terminal,
+            a.quality,
+            dataclasses.replace(a.stats, wall_time_s=123.25),
+            a.witnesses,
         )
         assert slow.canonical_text() == a.canonical_text()
         assert "wall_time" not in a.canonical_text()
@@ -247,7 +251,7 @@ class TestBuildOnlyWhatIsRead:
         def recorded(rule):
             def moves(x):
                 out = rule.moves(x)
-                offered.extend(out)
+                offered.extend(m for m, _ in out)
                 return out
 
             return dataclasses.replace(rule, moves=moves)
@@ -409,7 +413,7 @@ def _bfs_easy(setup, phi, depth):
             continue
         moves = enumerate_moves(setup, cur, move_cap=64)
         branching = max(branching, len(moves))
-        for _, nxt in moves:
+        for _, nxt, _ in moves:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, d + 1))

@@ -1,7 +1,8 @@
-"""reducto imports nothing outside the standard library."""
+"""reducto uses only the standard library and parses as its oldest supported Python."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import reducto
@@ -27,3 +28,18 @@ def test_every_absolute_import_is_stdlib():
         if name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def oldest_supported_python():
+    """The ``(major, minor)`` of ``requires-python = ">=X.Y"`` in pyproject.toml."""
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject.read_text(), re.M)
+    assert found, "pyproject.toml names no lower Python bound"
+    return int(found[1]), int(found[2])
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    version = oldest_supported_python()
+    assert version == (3, 10)
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=version)
