@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Sequence
 
 from .sat import Formula
@@ -198,11 +198,13 @@ def _sigmoid(z: float) -> float:
 
 
 def _dot(weights: list[float], features: tuple[float, ...]) -> float:
-    # Bias is the last weight.
-    z = weights[-1]
-    for w, f in zip(weights, features):
-        z += w * f
-    return z
+    # Bias is the last weight; then w_j * f_j is added for ascending j.  The
+    # _FEATURE_DIM = 10 components are spelled out, so a vector of another
+    # length raises ValueError.
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = weights
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9 = features
+    return (bias + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4
+            + w5 * f5 + w6 * f6 + w7 * f7 + w8 * f8 + w9 * f9)
 
 
 def _softmax(logits: list[float]) -> list[float]:
@@ -371,6 +373,8 @@ def merge_window(history: DeltaStore, records: Sequence[ValueRecord | DistRecord
 _TAIL_BLOCK = 1 << 16
 # Bound once: the log reader checks every feature of every record.
 _isfinite = math.isfinite
+# json.loads's decoder, minus its per-call encoding detection and whitespace scans.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
@@ -467,6 +471,18 @@ def _tail_lines(path: str, n: int) -> list[bytes]:
     return data.split(b"\n")[-n:]
 
 
+def _parse_line(line: bytes):
+    """``json.loads(line)``; a stripped line of one UTF-8 JSON document is decoded directly."""
+    try:
+        text = line.decode()
+        doc, end = _raw_decode(text)
+        if end == len(text):
+            return doc
+    except ValueError:  # a BOM, another encoding, bad UTF-8, bad JSON: json.loads decides
+        pass
+    return json.loads(line)
+
+
 def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
     store = DeltaStore()
     skipped = 0
@@ -475,7 +491,7 @@ def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
         if not line:
             continue
         try:
-            rec = _record_from_json(json.loads(line))
+            rec = _record_from_json(_parse_line(line))
         except (ValueError, KeyError, TypeError, OverflowError):
             skipped += 1
             continue
@@ -487,7 +503,8 @@ def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaSto
     """Read a quality log into a store; corrupt records are skipped and counted.
 
     With ``last_lines`` only that many lines at the end of the log are read,
-    and the rest of the file is not.
+    and the rest of the file is not.  Each line parses exactly as
+    ``json.loads`` would parse it (``_parse_line``).
     """
     if last_lines is not None:
         return _read_records(_tail_lines(path, last_lines))
@@ -518,14 +535,15 @@ def _row(rec: ValueRecord | DistRecord) -> tuple:
 
 
 class _Window:
-    """A quality store compiled for training; ``fit`` builds one per call.
+    """A quality store as training rows; ``fit`` builds one per call.
 
     A row is ``(head, pairs)``: ``head`` is None for a value record, else the
     reduction id, and ``pairs`` holds ``(features, target)`` per logit, a
     distribution's sorted by move digest.  ``value_rows`` and ``dist_rows``
     keep store order, which the losses sum in; ``examples`` is SGD's order.
-    ``columns`` maps each head to its feature columns (over its rows' pairs
-    in row order) and their length.
+    ``heads`` is the set of heads the rows use.  Every feature vector is
+    checked here to have ``_FEATURE_DIM`` components, the length that
+    ``_dot`` and ``_add_scaled`` spell out.
     """
 
     def __init__(self, store: DeltaStore, curriculum: bool = False):
@@ -534,14 +552,11 @@ class _Window:
         self.value_rows, self.dist_rows = rows[: len(store.values)], rows[len(store.values) :]
         order = sorted(range(len(rows)), key=lambda i: _example_key(records[i], curriculum))
         self.examples = [rows[i] for i in order]
-        vectors: dict[str | None, list[tuple[float, ...]]] = {}
-        for head, pairs in rows:
-            vectors.setdefault(head, []).extend(f for f, _ in pairs)
-        if any(len(f) != _FEATURE_DIM for fs in vectors.values() for f in fs):
+        self.heads = {head for head, _ in rows}
+        vectors = [f for _, pairs in rows for f, _ in pairs]
+        if any(len(f) != _FEATURE_DIM for f in vectors):
             raise ParamVersionError("store feature dimension does not match the parameters")
-        self.columns = {head: (list(zip(*fs)), len(fs)) for head, fs in vectors.items()}
-        cols = [c for cs, _ in self.columns.values() for c in cs]
-        self.max_feature = max((max(map(abs, c)) for c in cols), default=0.0)
+        self.max_feature = max(map(abs, chain.from_iterable(vectors)), default=0.0)
         self.max_target = max((abs(pairs[0][1]) for _, pairs in self.value_rows), default=0.0)
 
     def loss_is_finite(self, theta: ParamStore) -> bool:
@@ -556,7 +571,7 @@ class _Window:
         return self.max_target <= 1.0 and all(
             sum(map(abs, theta.value_weights if h is None else theta.prior_weights.get(h, ())))
             * scale <= 300.0
-            for h in self.columns
+            for h in self.heads
         )
 
 
@@ -578,28 +593,23 @@ def _add_scaled(weights: list[float], pairs: tuple, dz: list[float], step: float
     """weights += step * d(logit)/d(weights) * d(loss)/d(logit), summed over the row's logits."""
     for (features, _), d in zip(pairs, dz):
         d = step * d
-        for j, f in enumerate(features):
-            weights[j] += d * f
-        weights[-1] += d
+        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = weights
+        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9 = features
+        weights[:] = (w0 + d * f0, w1 + d * f1, w2 + d * f2, w3 + d * f3, w4 + d * f4,
+                      w5 + d * f5, w6 + d * f6, w7 + d * f7, w8 + d * f8, w9 + d * f9, bias + d)
 
 
 def _loss_sums(theta: ParamStore, window: _Window, grads: dict | None = None) -> list[float]:
     """Summed value and distribution losses; with ``grads``, adds each row's gradient,
-    over the number of rows of its kind, into ``grads[head]``."""
+    over the number of rows of its kind, into ``grads[head]``.  A row's logits
+    come from ``_dot``, as in SGD."""
     zeros = [0.0] * (_FEATURE_DIM + 1)
-    logits = {}
-    for head, (columns, n) in window.columns.items():
-        weights = theta.value_weights if head is None else theta.prior_weights.get(head, zeros)
-        # A column at a time, each logit summing _dot's terms in _dot's order.
-        z = [weights[-1]] * n
-        for w, column in zip(weights, columns):
-            z = [a + w * f for a, f in zip(z, column)]
-        logits[head] = iter(z)
     sums = []
     for rows in (window.value_rows, window.dist_rows):
         total = 0.0
         for head, pairs in rows:
-            total, dz = _row_terms(head, pairs, list(islice(logits[head], len(pairs))), total)
+            weights = theta.value_weights if head is None else theta.prior_weights.get(head, zeros)
+            total, dz = _row_terms(head, pairs, [_dot(weights, f) for f, _ in pairs], total)
             if grads is not None:
                 _add_scaled(grads.setdefault(head, list(zeros)), pairs, dz, 1.0 / len(rows))
         sums.append(total)
@@ -668,10 +678,13 @@ def fit(
     TrainDivergedError and leaves ``theta`` untouched.  The learning rate
     must be finite and positive.
 
-    The store is compiled once (``_Window``).  The loss before is one loss
-    pass, and an attempt is its epochs of SGD plus one after the last; after
-    an earlier epoch the loss is computed only if ``_Window.loss_is_finite``
-    fails, so TrainDivergedError still names the first non-finite epoch.
+    The store becomes rows once (``_Window``).  A loss pass and an SGD step
+    both take a row's logits from ``_dot`` and its loss terms and logit
+    derivatives from ``_row_terms``; ``_add_scaled`` applies the gradient.
+    The loss before is one loss pass, and an attempt is its epochs of SGD
+    plus one after the last; after an earlier epoch the loss is computed
+    only if ``_Window.loss_is_finite`` fails, so TrainDivergedError still
+    names the first non-finite epoch.
     With ``epochs`` 0 the parameters come back unchanged and both losses are
     the loss of ``theta``.
     """

@@ -1,13 +1,16 @@
 import argparse
+import hashlib
 import json
 import os
 import re
+import sys
 
 import pytest
 
 from reducto import cli
 from reducto.cli import main
-from reducto.dimacs import parse_dimacs
+from reducto.dimacs import emit_dimacs, parse_dimacs
+from reducto.driver import _check_instances
 from reducto.learner import (
     REPLAY_WINDOW,
     ParamStore,
@@ -206,6 +209,36 @@ class TestSolveCommand:
             assert code != 1
             outputs.add((code, out))
         assert len(outputs) == 1
+
+
+class TestPinnedTraining:
+    # sha256 of the stdout of trained CLI solves, then the parameter file and
+    # the quality log they leave.  Training is float arithmetic, so a change
+    # to the learner's kernels that moves any bit of a weight shows here.  A
+    # change that alters trained output on purpose records the new digests and
+    # says why.  Since CPython 3.12 the builtin sum() adds floats with
+    # compensation, so the softmax, and with it every trained weight, differs
+    # in its last bits from 3.10 and 3.11.
+    DIGEST = (
+        "1de96f23c35cb43952be7e49d69853746f612f225fb655b8ed5dbc809917fe94"
+        if sys.version_info >= (3, 12)
+        else "c95f6973ae6c44a0568d4e7486dbd988c9ec815b6dd6dbf5b40d6cc3b5d3cfb4"
+    )
+
+    def test_trained_output_is_unchanged(self, workdir, capsys):
+        h = hashlib.sha256()
+        for i, phi in enumerate(_check_instances(20, 6, 1, 3.0)):
+            setup = ("flip", "resolution")[i % 2]
+            cnf = write(workdir / f"{i:02d}.cnf", emit_dimacs(phi))
+            code, out, _ = run(
+                capsys, "solve", cnf, "--setup", setup, "--params", "p.json", "--epochs", "2",
+                "--budget", "12", "--horizon", "8",
+            )
+            assert code != 1
+            h.update(f"{code}\n{out}".encode())
+        h.update((workdir / "p.json").read_bytes())
+        h.update((workdir / "p.delta.jsonl").read_bytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestTrainCommand:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import struct
 from typing import Iterable
 
 import pytest
@@ -36,7 +37,9 @@ from reducto.learner import (
     save_params,
     store_loss,
     _Window,
+    _add_scaled,
     _dot,
+    _read_records,
     _sgd_epoch,
     _sigmoid,
     _softmax,
@@ -400,6 +403,51 @@ class TestQualityLog:
         assert len(store.values) == 1
         assert not store.dists
 
+    def test_lines_read_as_json_loads_reads_them(self, tmp_path):
+        # _read_records decodes a line of UTF-8 text directly and hands any
+        # other line to json.loads; every line must give json.loads's record,
+        # or be skipped and counted where json.loads fails.
+        dim = len(FEATURE_NAMES)
+        good = json.dumps({"kind": "value", "digest": "s", "n_vars": 1,
+                           "features": [0.5] * dim, "value": 0.5, "visits": 1})
+        dist = json.dumps({"kind": "dist", "digest": "r", "reduction": "flip", "n_vars": 1,
+                           "moves": [{"digest": "m", "features": [0.25] * dim, "count": 2}]})
+        lines = {
+            "value": good.encode(),
+            "dist": dist.encode(),
+            "non-ascii": good.replace('"s"', '"\u00e9\u4e2d"').encode(),
+            "utf-8 bom": b"\xef\xbb\xbf" + good.encode(),
+            "utf-16": good.encode("utf-16"),
+            "utf-16-le": good.encode("utf-16-le"),
+            "cesu": good.replace('"s"', '"\ud83d\ude00"').encode("utf-8", "surrogatepass"),
+            "nul-led": b"\x00" + good.encode(),
+            "invalid utf-8": good.encode().replace(b'"s"', b'"\xff"'),
+            "trailing data": good.encode() + b" x",
+            "two objects": good.encode() + dist.encode(),
+            "crlf": dist.encode() + b"\r\n",
+            "whitespace only": b" \t\r\n",
+            "truncated": good.encode()[:-7],
+            "infinite count": dist.replace('"count": 2', '"count": 1e400').encode(),
+        }
+        read = {}
+        for name, line in lines.items():
+            read[name] = _read_records([line])
+            assert read[name] == ref_read_records([line]), name
+        assert {name for name, (store, _) in read.items() if not store.is_empty} == {
+            "value", "dist", "non-ascii", "utf-8 bom", "utf-16", "utf-16-le", "cesu", "crlf"
+        }
+        assert {name for name, (_, skipped) in read.items() if skipped} == {
+            "nul-led", "invalid utf-8", "trailing data", "two objects", "truncated",
+            "infinite count",
+        }
+        path = tmp_path / "quality.jsonl"
+        path.write_bytes(b"\n".join(lines.values()) + b"\n")
+        with open(path, "rb") as handle:
+            expected = ref_read_records(handle)
+        assert expected[1] == 6
+        assert load_quality_log(str(path)) == expected
+        assert load_quality_log(str(path), last_lines=2 * len(lines)) == expected
+
     def test_append_after_a_truncated_last_line_keeps_every_record(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
         phi, psi = Formula([[1]]), Formula([[1, -2], [2]])
@@ -628,6 +676,81 @@ class TestLossAndGradients:
         theta = init_params()
         expected = sum((0.5 - rec.value) ** 2 for rec in store.values.values()) / 3
         assert abs(store_loss(theta, store) - expected) < 1e-12
+
+
+def bits(xs) -> list[tuple[type, bytes]]:
+    """Each number's type and IEEE double bit pattern (sign of zero and NaN included)."""
+    return [(type(x), struct.pack("<d", x)) for x in xs]
+
+
+class TestKernels:
+    """``_dot`` and ``_add_scaled`` against the plain loops ``ref_dot`` and
+    ``ref_add_scaled``: the same products added in the same order."""
+
+    DIM = len(FEATURE_NAMES)
+    TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309)
+    LARGE = (1e300, -1e300, math.inf, -math.inf, math.nan)
+    INTS = (0, 1, -1, 3, -7)
+
+    def vector(self, rng, n, ints=False):
+        # Ordinary floats of every magnitude; or some components from LARGE
+        # and TINY; or every component from TINY, so that sums stay signed
+        # zeros or subnormals.  Features may also hold integers.
+        kind = rng.randrange(3)
+        ints = self.INTS if ints else ()
+        return [
+            rng.choice(self.TINY + ints) if kind == 2
+            else rng.choice(self.TINY + self.LARGE + ints) if kind == 1 and rng.random() < 0.3
+            else rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+            for _ in range(n)
+        ]
+
+    def test_dot_matches_the_loop_bit_for_bit(self):
+        rng = random.Random(83)
+        kinds = dict.fromkeys(["nan", "inf", "+0", "-0", "subnormal", "int feature"], 0)
+        # Sums that stay -0.0 need every term to be -0.0, which random draws
+        # almost never give.
+        negative_zeros = [-0.0] * (self.DIM + 1)
+        fixed = [(negative_zeros, (1,) * self.DIM), (negative_zeros, (0.5,) * self.DIM)]
+        draws = ((self.vector(rng, self.DIM + 1), self.vector(rng, self.DIM, ints=True))
+                 for _ in range(3000))
+        for weights, features in [*fixed, *draws]:
+            features = tuple(features)
+            z = _dot(weights, features)
+            assert bits([z]) == bits([ref_dot(weights, features)])
+            kinds["nan"] += math.isnan(z)
+            kinds["inf"] += math.isinf(z)
+            kinds["+0" if math.copysign(1.0, z) > 0 else "-0"] += z == 0.0
+            kinds["subnormal"] += 0.0 < abs(z) < 2.2250738585072014e-308
+            kinds["int feature"] += any(type(f) is int for f in features)
+        assert all(kinds.values()), kinds
+
+    def test_update_matches_the_loop_bit_for_bit(self):
+        rng = random.Random(89)
+        for _ in range(1000):
+            weights = self.vector(rng, self.DIM + 1)
+            n = rng.randint(1, 4)
+            pairs = tuple((tuple(self.vector(rng, self.DIM, ints=True)), 0.5) for _ in range(n))
+            dz = self.vector(rng, n)
+            step = rng.choice([1.0, -0.05, 1e-300, *self.vector(rng, 1)])
+            a, b = list(weights), list(weights)
+            _add_scaled(a, pairs, dz, step)
+            ref_add_scaled(b, pairs, dz, step)
+            assert bits(a) == bits(b)
+
+    @pytest.mark.parametrize("weights, features", [
+        pytest.param(DIM + 1, DIM - 1, id="short-features"),
+        pytest.param(DIM + 1, DIM + 1, id="long-features"),
+        pytest.param(DIM, DIM, id="short-weights"),
+        pytest.param(DIM + 2, DIM, id="long-weights"),
+    ])
+    def test_a_vector_of_the_wrong_length_raises(self, weights, features):
+        # A plain zip would stop at the shorter vector and give a number.
+        w, f = [0.5] * weights, (0.25,) * features
+        with pytest.raises(ValueError):
+            _dot(w, f)
+        with pytest.raises(ValueError):
+            _add_scaled(w, ((f, 1.0),), [0.1], 1.0)
 
 
 class TestLossPasses:
@@ -1025,13 +1148,46 @@ def ref_ordered_examples(store: DeltaStore, curriculum: bool) -> list[ValueRecor
     return examples
 
 
+def ref_dot(weights: list[float], features: tuple[float, ...]) -> float:
+    """The bias, then w_j * f_j added for ascending j."""
+    z = weights[-1]
+    for w, f in zip(weights, features):
+        z += w * f
+    return z
+
+
+def ref_add_scaled(weights: list[float], pairs: tuple, dz: list[float], step: float) -> None:
+    for (features, _), d in zip(pairs, dz):
+        d = step * d
+        for j, f in enumerate(features):
+            weights[j] += d * f
+        weights[-1] += d
+
+
+def ref_read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
+    """``_read_records`` with every line parsed by ``json.loads``."""
+    store = DeltaStore()
+    skipped = 0
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = learner._record_from_json(json.loads(line))
+        except (ValueError, KeyError, TypeError, OverflowError):
+            skipped += 1
+            continue
+        learner._merge_record(store, rec)
+    return store, skipped
+
+
 def ref_store_loss(theta: ParamStore, store: DeltaStore) -> float:
     """Mean squared value error plus mean cross-entropy of the prior heads."""
     loss = 0.0
     if store.values:
         sq = 0.0
         for rec in store.values.values():
-            v = _sigmoid(_dot(theta.value_weights, rec.features))
+            v = _sigmoid(ref_dot(theta.value_weights, rec.features))
             sq += (v - rec.value) ** 2
         loss += sq / len(store.values)
     if store.dists:
@@ -1040,7 +1196,7 @@ def ref_store_loss(theta: ParamStore, store: DeltaStore) -> float:
         for rec in store.dists.values():
             weights = theta.prior_weights.get(rec.reduction, zeros)
             targets = ref_dist_targets(rec)
-            probs = _softmax([_dot(weights, m.features) for m, _ in targets])
+            probs = _softmax([ref_dot(weights, m.features) for m, _ in targets])
             for (_, target), q in zip(targets, probs):
                 if target > 0.0:
                     ce -= target * math.log(q) if q > 0.0 else -math.inf
@@ -1060,7 +1216,7 @@ def ref_loss_gradients(
         scale = 1.0 / len(store.values)
         sq = 0.0
         for rec in store.values.values():
-            v = _sigmoid(_dot(theta.value_weights, rec.features))
+            v = _sigmoid(ref_dot(theta.value_weights, rec.features))
             sq += (v - rec.value) ** 2
             dz = 2.0 * (v - rec.value) * v * (1.0 - v) * scale
             for j, f in enumerate(rec.features):
@@ -1075,7 +1231,7 @@ def ref_loss_gradients(
             weights = theta.prior_weights.get(rec.reduction, zeros)
             grad = prior_grads.setdefault(rec.reduction, [0.0] * (dim + 1))
             targets = ref_dist_targets(rec)
-            probs = _softmax([_dot(weights, m.features) for m, _ in targets])
+            probs = _softmax([ref_dot(weights, m.features) for m, _ in targets])
             for (m, target), q in zip(targets, probs):
                 if target > 0.0:
                     ce -= target * math.log(q) if q > 0.0 else -math.inf
@@ -1092,7 +1248,7 @@ def ref_sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> No
     for rec in examples:
         if isinstance(rec, ValueRecord):
             w = theta.value_weights
-            v = _sigmoid(_dot(w, rec.features))
+            v = _sigmoid(ref_dot(w, rec.features))
             dz = 2.0 * (v - rec.value) * v * (1.0 - v)
             for j, f in enumerate(rec.features):
                 w[j] -= learning_rate * dz * f
@@ -1100,7 +1256,7 @@ def ref_sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> No
         else:
             w = theta.prior_weights.setdefault(rec.reduction, [0.0] * (dim + 1))
             targets = ref_dist_targets(rec)
-            probs = _softmax([_dot(w, m.features) for m, _ in targets])
+            probs = _softmax([ref_dot(w, m.features) for m, _ in targets])
             for (m, target), q in zip(targets, probs):
                 dz = q - target
                 for j, f in enumerate(m.features):
