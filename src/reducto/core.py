@@ -8,16 +8,17 @@ ends at an easy instance, solutions are recovered by lifting backwards.
 
 Instances are opaque to this module.  They must be hashable and compare by
 canonical form; each move function lists its moves in the canonical order
-of its domain.  A successor may defer building its canonical form until it
-is first compared or hashed, as the SAT domain's resolution and extension
-moves do, so an offered move that is never visited costs little.  The
-bundled SAT domain satisfies all of this; other domains can plug in the same
-way, and ``one_move`` builds a reduction that makes at most one move.
+of its domain, and is the only definition of them: a step is a move when
+its reduction lists it.  A successor may defer building its canonical form
+until it is first compared or hashed, as the SAT domain's resolution and
+extension moves do, so an offered move that is never visited costs little.
+The bundled SAT domain satisfies all of this; other domains can plug in the
+same way, and ``one_move`` builds a reduction that makes at most one move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 Instance = Any
@@ -94,16 +95,14 @@ class SelfReduction:
     successor of a solvable instance must itself be solvable.  ``lift(x,
     witness, y)`` maps a solution ``y`` of that successor back to a solution
     of ``x`` through the move's witness, without working the step out again.
-    ``identify(x, x2)`` returns the witness ``moves(x)`` pairs with ``x2``,
-    anything but None, or None when ``x2`` is no successor; ``verify_path``
-    (for refutations) and the quality-data check ask it and never list
-    moves.  All three must be pure functions of their arguments.
+    A witness is anything but None.  ``moves`` is the rule's only definition
+    of its moves: ``verify_path`` and the quality-data check look a step up
+    in the list.  Both must be pure functions of their arguments.
     """
 
     id: str
     moves: Callable[[Instance], Sequence[tuple[Instance, Any]]]
     lift: Callable[[Instance, Any, Solution], Solution]
-    identify: Callable[[Instance, Instance], Any] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -124,19 +123,14 @@ def one_move(
 
     ``step(x)`` returns ``(successor, witness)``; a successor equal to ``x``
     is no move, and a step that moves returns a witness that is not None.
-    ``moves(x)`` pairs the successor with that witness, and ``identify(x,
-    x2)`` runs ``step(x)`` once and returns it when the step makes ``x2``.
+    ``moves(x)`` pairs the successor with that witness.
     """
 
     def moves(x: Instance) -> list[tuple[Instance, Any]]:
         x2, witness = step(x)
         return [] if x2 == x else [(x2, witness)]
 
-    def identify(x: Instance, x2: Instance) -> Any:
-        successor, witness = step(x)
-        return None if successor != x2 or x2 == x else witness
-
-    return SelfReduction(reduction_id, moves, lift, identify)
+    return SelfReduction(reduction_id, moves, lift)
 
 
 @dataclass(frozen=True)
@@ -180,19 +174,20 @@ class Path:
 
 
 def verify_path(setup: Setup, path: Path) -> list[Any] | None:
-    """Identify every step of ``path`` with its reduction's ``identify``.
+    """Look every step of ``path`` up among its reduction's moves.
 
-    Returns the witnesses, one per step, or None when a step is not a move.
-    A found path carries its witnesses (``SearchResult.witnesses``); this
-    check is for a path trusted step by step, such as a refutation.
-    A zero-length path verifies to ``[]``, so callers test ``is None``.
-    Referencing a reduction id the setup does not define raises
-    UnknownReductionError rather than returning None.
+    Returns the witnesses, one per step, each the one ``moves`` pairs with
+    the step's instance, or None when a step is not a move.  A found path
+    carries its witnesses (``SearchResult.witnesses``); this check is for a
+    path trusted step by step, such as a refutation.  A zero-length path
+    verifies to ``[]``, so callers test ``is None``.  Referencing a
+    reduction id the setup does not define raises UnknownReductionError
+    rather than returning None.
     """
     witnesses = []
     prev = path.start
     for rid, inst in path.steps:
-        witness = setup.reduction(rid).identify(prev, inst)
+        witness = next((w for m, w in setup.reduction(rid).moves(prev) if m == inst), None)
         if witness is None:
             return None
         witnesses.append(witness)

@@ -428,7 +428,7 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
         if (
             len(features) != _FEATURE_DIM
             or not all(map(_isfinite, features))
-            or not _isfinite(value)
+            or not 0.0 <= value <= 1.0
             or visits < 1
         ):
             raise ValueError("non-finite or invalid value record")
@@ -442,7 +442,10 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
             if len(features) != _FEATURE_DIM or not all(map(_isfinite, features)) or count < 0:
                 raise ValueError("non-finite or invalid move stat")
             moves[digest] = MoveStat(digest, features, count)
-        return DistRecord(doc["digest"], doc["reduction"], int(doc["n_vars"]), moves)
+        reduction = doc["reduction"]
+        if not moves or not isinstance(reduction, str) or not reduction:
+            raise ValueError("dist record without moves or reduction")
+        return DistRecord(doc["digest"], reduction, int(doc["n_vars"]), moves)
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -502,9 +505,11 @@ def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
 def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaStore, int]:
     """Read a quality log into a store; corrupt records are skipped and counted.
 
-    With ``last_lines`` only that many lines at the end of the log are read,
-    and the rest of the file is not.  Each line parses exactly as
-    ``json.loads`` would parse it (``_parse_line``).
+    A record no run writes is corrupt: among others, one with a value
+    outside [0, 1], a non-finite feature, or a ``dist`` without moves or
+    reduction id.  With ``last_lines`` only that many lines at the end of
+    the log are read, and the rest of the file is not.  Each line parses
+    exactly as ``json.loads`` would parse it (``_parse_line``).
     """
     if last_lines is not None:
         return _read_records(_tail_lines(path, last_lines))

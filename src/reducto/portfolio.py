@@ -9,9 +9,9 @@ processes speaking DIMACS on stdin and either a solver result or a
 transformed DIMACS formula on stdout; a member that crashes, times out, or
 talks garbage simply contributes no move.  Each external member is a
 ``core.one_move`` rule: its move carries the lift kept with the member's
-output, which the lift applies, and identifying a step checks that the
-output is the move.  It keeps its output per formula, so path verification
-sees what the search saw and its child process runs once per formula.
+output, which the lift applies.  It keeps its output per formula, so path
+verification, which lists the member's move again, sees what the search saw
+and its child process runs once per formula.
 """
 
 from __future__ import annotations

@@ -336,22 +336,6 @@ def resolution_moves(phi: Formula) -> list[tuple[Formula, bool]]:
     return [(_Pending(cls, ((i, rc),)), True) for (_, rc), i in keyed]
 
 
-def _is_resolution_move(phi: Formula, phi2: Formula) -> bool | None:
-    """True when ``phi2`` is ``phi`` plus one new resolvent (``_resolvent_table``), else None."""
-    cls, cls2 = phi.clauses, phi2.clauses
-    if len(cls2) != len(cls) + 1:
-        return None
-    i = next((i for i, c in enumerate(cls) if c != cls2[i]), len(cls))
-    if cls2[i + 1 :] != cls[i:]:
-        return None
-    t = _resolvent_table(phi)
-    try:
-        r = sum([t.bits[l] for l in cls2[i]])
-    except KeyError:  # a literal phi lacks
-        return None
-    return any(r in new for new in t.new.values()) or None
-
-
 def _eliminable(phi: Formula, t: _Table) -> list[int]:
     """The variables whose elimination is a move from ``phi``; ``t`` is its table.
 
@@ -389,39 +373,6 @@ def elimination_moves(phi: Formula) -> list[tuple[Formula, int]]:
         ms += t.new[v]
         out.setdefault(tuple([c for _, c in sorted(_decode(t, ms))]), v)
     return [(Formula._make(cls), out[cls]) for cls in sorted(out)]
-
-
-def _eliminated_variable(x: Formula, x2: Formula) -> int | None:
-    """The variable whose elimination is a move from ``x`` to ``x2``, if there is one.
-
-    A target of at most ``len(x)`` clauses is a move when eliminating one of
-    the variables it lacks gives it.  A larger target can only be the
-    fallback's move (``_eliminable``), offered when no variable qualifies.
-    Eliminations are compared as sets of ``x``'s clause masks, so a target
-    with a variable ``x`` lacks is no move.
-    """
-    if not x.variables:
-        return None
-    _, bits, even, masks = _clause_masks(x)
-    try:
-        target = {sum([bits[l] for l in c]) for c in x2.clauses}
-    except KeyError:
-        return None
-    # Every qualifying elimination leaves at most len(x) clauses, so a larger
-    # target is tried only against the variables _eliminable offers.  Smaller
-    # ones, common on paths, are tried per variable and build no table.
-    vs = _eliminable(x, _resolvent_table(x)) if len(x2) > len(x) else x.variables
-    left = 0
-    for m in target:
-        left |= m
-    for v in vs:
-        pv, nv = bits[v], bits[-v]
-        # It occurs in x and not in x2, and x2 keeps every clause of x not on it.
-        if not (pv | nv) & left and (kept := {m for m in masks if not m & (pv | nv)}) <= target:
-            negs = [m ^ nv for m in masks if m & nv]
-            if kept | _resolvents([m ^ pv for m in masks if m & pv], negs, even) == target:
-                return v
-    return None
 
 
 def _elimination_lift(x: Formula, v: int, y: Assignment) -> Assignment:
@@ -513,28 +464,6 @@ def extension_moves(phi: Formula) -> list[tuple[Formula, bool]]:
     return [(_Pending(cls, added), True) for _, added in keyed]
 
 
-def _is_extension_move(x: Formula, x2: Formula) -> bool | None:
-    """True when ``x2`` is ``x`` plus the three clauses of one extension move, else None.
-
-    The move's fresh variable is ``x``'s smallest unused one, so ``x2``'s
-    clauses on it are the added ones, and its ternary clause names the pair.
-    """
-    if len(x2) != len(x) + 3:
-        return None
-    fresh = _fresh_variable(x)
-    kept, added = [], []
-    for c in x2.clauses:
-        (added if fresh in c or -fresh in c else kept).append(c)
-    if len(added) != 3 or tuple(kept) != x.clauses:
-        return None
-    ternary = next((c for c in added if fresh in c and len(c) == 3), None)
-    if ternary is None:
-        return None
-    a, b = (-l for l in ternary if l != fresh)
-    defining = {tuple(sorted(c, key=abs)) for c in ((a, -fresh), (b, -fresh), (-a, -b, fresh))}
-    return True if (a, b) in _extension_pairs(x) and set(added) == defining else None
-
-
 def flip_variable(phi: Formula, v: int) -> Formula:
     """Swap the polarity of variable ``v`` everywhere in ``phi``.
 
@@ -593,28 +522,14 @@ def flip_moves(phi: Formula) -> list[tuple[Formula, int]]:
     return moves
 
 
-def _flipped_variable(x: Formula, x2: Formula) -> int | None:
-    """The flippable variable whose flip turns ``x`` into ``x2``, if there is one."""
-    # Every clause a flip changes holds the flipped variable, so the first
-    # clause of x missing from x2 names every candidate, in variable order.
-    kept = set(x2.clauses)
-    changed = next((c for c in x.clauses if c not in kept), ())
-    flippable = set(flippable_variables(x))
-    return next(
-        (v for v in map(abs, changed) if v in flippable and flip_variable(x, v) == x2), None
-    )
-
-
 def _flip_lift(x: Formula, v: int, y: Assignment) -> Assignment:
     return assignment(-l if abs(l) == v else l for l in y)
 
 
-RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift, _is_resolution_move)
-ELIMINATION = SelfReduction(
-    "elimination", elimination_moves, _elimination_lift, _eliminated_variable
-)
-FLIP = SelfReduction("flip", flip_moves, _flip_lift, _flipped_variable)
-EXTENSION = SelfReduction("extension", extension_moves, identity_lift, _is_extension_move)
+RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift)
+ELIMINATION = SelfReduction("elimination", elimination_moves, _elimination_lift)
+FLIP = SelfReduction("flip", flip_moves, _flip_lift)
+EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
 UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
 
 

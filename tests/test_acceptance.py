@@ -12,7 +12,7 @@ from collections import deque
 
 import pytest
 
-from reducto.core import enumerate_moves
+from reducto.core import Path, Setup, enumerate_moves, verify_path
 from reducto.driver import (
     make_setup,
     random_formula,
@@ -44,6 +44,7 @@ from reducto.sat import (
     RESOLUTION,
     assignment,
     easy_all_positive,
+    easy_trivial,
     flip_variable,
     flippable_variables,
     oracle_solve,
@@ -111,6 +112,12 @@ def givers(rule, phi):
     return out
 
 
+def step_witness(rule, x, x2):
+    """The witness a one-step ``verify_path`` finds for ``rule`` from ``x`` to ``x2``, or None."""
+    witnesses = verify_path(Setup(easy_trivial, (rule,)), Path(x, ((rule.id, x2),)))
+    return None if witnesses is None else witnesses[0]
+
+
 # Two variables give one successor: eliminating 1 or 2, and flipping 1 or 2.
 SHARED_SUCCESSORS = [Formula([[1, 2]]), Formula([[-1, -2], [1, 2]])]
 
@@ -122,11 +129,12 @@ def test_criterion_1_self_reduction_contract():
     forward_violations = 0
     lift_violations = 0
     checked_moves = 0
-    # identify(phi, m) must be None exactly when m is not a successor in
-    # moves(phi), for phi itself and for every rule's moves; for a successor
-    # it must return the witness the move carries.  Where several variables
-    # give one flip or one bounded elimination, the move carries the lowest.
-    identify_disagreements = 0
+    # The one-step check of phi to m must refuse m exactly when m is not a
+    # successor in moves(phi), for phi itself and for every rule's moves; for
+    # a successor it must return the witness the move carries.  Where several
+    # variables give one flip or one bounded elimination, the move carries
+    # the lowest.
+    step_disagreements = 0
     witness_disagreements = 0
     shared = 0
     formulas = SHARED_SUCCESSORS + [random_formula(rng, 8, 20) for _ in range(500)]
@@ -136,13 +144,13 @@ def test_criterion_1_self_reduction_contract():
         candidates = {phi}.union(*({m for m, _ in moves} for moves in move_lists))
         for rule, moves in zip(rules, move_lists):
             successors = {m for m, _ in moves}
-            identify_disagreements += sum(
-                (rule.identify(phi, m) is not None) != (m in successors) for m in candidates
+            step_disagreements += sum(
+                (step_witness(rule, phi, m) is not None) != (m in successors) for m in candidates
             )
             by_successor = givers(rule, phi)
             for move, witness in moves:
                 checked_moves += 1
-                witness_disagreements += rule.identify(phi, move) != witness
+                witness_disagreements += step_witness(rule, phi, move) != witness
                 vs = by_successor.get(move, [])
                 if len(vs) > 1 and len(move) <= len(phi):
                     shared += 1
@@ -159,7 +167,7 @@ def test_criterion_1_self_reduction_contract():
     ok = (
         forward_violations == 0
         and lift_violations == 0
-        and identify_disagreements == 0
+        and step_disagreements == 0
         and witness_disagreements == 0
         and shared >= len(SHARED_SUCCESSORS)
         and elapsed < 60.0
@@ -169,7 +177,7 @@ def test_criterion_1_self_reduction_contract():
         ok,
         f"{len(formulas)} formulas, {checked_moves} moves across {len(rules)} rules/members: "
         f"{forward_violations} forward violations, {lift_violations} lift violations, "
-        f"{identify_disagreements} identify disagreements, {witness_disagreements} witness "
+        f"{step_disagreements} step-check disagreements, {witness_disagreements} witness "
         f"disagreements ({shared} moves several variables give), {elapsed:.1f}s (< 60s)",
     )
 

@@ -12,6 +12,7 @@ from reducto.cli import main
 from reducto.dimacs import emit_dimacs, parse_dimacs
 from reducto.driver import _check_instances
 from reducto.learner import (
+    FEATURE_NAMES,
     REPLAY_WINDOW,
     ParamStore,
     ValueRecord,
@@ -138,14 +139,31 @@ class TestSolveCommand:
     def test_wrong_length_record_is_skipped_not_fatal(self, workdir, capsys):
         cnf = write(workdir / "f.cnf", SAT_TEXT)
         run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
-        doc = {"kind": "value", "digest": "x", "n_vars": 1, "features": [0.5] * 3,
-               "value": 0.5, "visits": 1}
-        with open("p.delta.jsonl", "a") as handle:
-            handle.write(json.dumps(doc) + "\n")
-        for _ in range(2):
-            code, _, err = run(capsys, "solve", cnf, "--setup", "flip", "--params", "p.json")
-            assert code == 10
-            assert "c skipped 1 corrupt quality records" in err
+        dim = len(FEATURE_NAMES)
+        value = {"kind": "value", "digest": "x", "n_vars": 1, "features": [0.5] * dim,
+                 "value": 0.5, "visits": 1}
+        dist = {"kind": "dist", "digest": "x", "reduction": "flip", "n_vars": 1,
+                "moves": [{"digest": "m", "features": [0.5] * dim, "count": 1}]}
+        corrupt = [
+            {**value, "features": [0.5] * 3},
+            # Read as records, a value of 1e300 would overflow training, 5 would
+            # train the value head toward 5, a null reduction would train it
+            # silently, and a dist without moves would fail every trained solve.
+            {**value, "value": 1e300},
+            {**value, "value": 5},
+            {**dist, "reduction": None},
+            {**dist, "moves": []},
+        ]
+        for n, doc in enumerate(corrupt, 1):
+            with open("p.delta.jsonl", "a") as handle:
+                handle.write(json.dumps(doc) + "\n")
+            for argv, exit_code in (
+                (["solve", cnf, "--setup", "flip"], 10),
+                (["train", "--delta-log", "p.delta.jsonl"], 0),
+            ):
+                code, _, err = run(capsys, *argv, "--params", "p.json")
+                assert code == exit_code, (doc, err)
+                assert err.splitlines() == [f"c skipped {n} corrupt quality records"], doc
 
     # The last document is well formed but for a count json reads as infinity,
     # which int() cannot convert.

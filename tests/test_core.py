@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -94,35 +93,28 @@ class TestVerifyPath:
         with pytest.raises(UnknownReductionError):
             verify_path(FLIP_SETUP, path)
 
-    def test_asks_identify_and_never_lists_moves(self):
-        def no_listing(x):
-            raise AssertionError("verify_path listed moves")
+    def test_looks_each_step_up_among_its_rules_moves(self):
+        listed = []
 
-        rule = SelfReduction(
-            "plus-one",
-            no_listing,
-            lambda x, w, y: y,
-            identify=lambda x, x2: x if x2 == x + 1 else None,
-        )
+        def moves(x):
+            listed.append(x)
+            return [(x + 1, f"{x}+1"), (x + 2, f"{x}+2")]
+
+        rule = SelfReduction("up", moves, lambda x, w, y: y)
         setup = Setup(easy=easy_trivial, reductions=(rule,))
-        assert verify_path(setup, Path(1, (("plus-one", 2), ("plus-one", 3)))) == [1, 2]
-        assert verify_path(setup, Path(1, (("plus-one", 3),))) is None
+        # Each step's witness is the one its source's listing pairs with it.
+        assert verify_path(setup, Path(1, (("up", 2), ("up", 4)))) == ["1+1", "2+2"]
+        assert listed == [1, 2]
+        assert verify_path(setup, Path(1, (("up", 2), ("up", 5)))) is None
 
 
 class TestIdentify:
-    def test_replace_keeps_the_rules_own_identify(self):
-        # perfbench wraps rules with dataclasses.replace(rule, moves=...).
-        moves = lambda x: [(x + 1, "given")]
-        given = SelfReduction("r", moves, lambda x, w, y: y, identify=lambda x, x2: "given")
-        assert dataclasses.replace(given, moves=lambda x: []).identify(1, 5) == "given"
-
     def test_lift_consumes_the_identified_witness(self):
         # Each step's lift gets its own step's witness, last step first.
         rule = SelfReduction(
             "r",
             lambda x: [(x + 1, f"{x}->{x + 1}")],
             lambda x, w, y: y + ((x, w),),
-            identify=lambda x, x2: f"{x}->{x2}" if x2 == x + 1 else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(rule,))
         lifted = lift_path(setup, Path(1, (("r", 2), ("r", 3))), ())
@@ -150,7 +142,6 @@ class TestLiftSolution:
             "bad",
             moves=lambda phi: [(TOP, True)],
             lift=lambda x, w, y: frozenset([99]),
-            identify=lambda x, x2: True if x2 == TOP else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
         path = Path(Formula([[1], [2]]), (("bad", TOP),))
@@ -173,7 +164,6 @@ class TestLiftSolution:
             "bad",
             moves=lambda phi: [(TOP, True)],
             lift=broken,
-            identify=lambda x, x2: True if x2 == TOP else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
         path = Path(Formula([[1]]), (("bad", TOP),))

@@ -196,7 +196,6 @@ class TestDeriveAnswer:
             "lying",
             moves=lambda phi: [(TOP, True)],
             lift=lambda x, w, y: frozenset([99]),
-            identify=lambda x, x2: True if x2 == TOP else None,
         )
         setup = Setup(easy=easy_trivial, reductions=(lying,))
         phi = Formula([[1], [2]])
@@ -234,11 +233,11 @@ class TestDeriveAnswer:
         ],
     )
     def test_a_wrong_witness_on_a_solution_path_yields_dont_know(self, rid, phi, target, y, wrong):
-        # Solution paths are not identified again: the lift's checks catch a
+        # Solution paths are not verified again: the lift's checks catch a
         # witness that is not the step's.
         setup = make_setup("portfolio" if rid == "elimination" else "flip")
-        right = setup.reduction(rid).identify(phi, target)
-        assert right is not None and right != wrong
+        (right,) = verify_path(setup, Path(phi, ((rid, target),)))
+        assert right != wrong
 
         def answer(witness):
             result = SearchResult(
@@ -282,7 +281,7 @@ class TestDeriveAnswer:
         # the portfolio, and satisfiable: this one is forged) does not verify.
         setup = make_setup("portfolio")
         grown = Formula([[2, 4], [2, 5], [2, 6], [3, 4], [3, 5], [3, 6]])
-        assert ELIMINATION.identify(GROWING, grown) is None
+        assert grown not in [m for m, _ in ELIMINATION.moves(GROWING)]
         forged = Path(GROWING, (("elimination", grown),))
         assert verify_path(setup, forged) is None
         assert setup.easy(grown).kind == "solution"

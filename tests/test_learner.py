@@ -9,7 +9,7 @@ from typing import Iterable
 import pytest
 
 from reducto import learner
-from reducto.driver import random_formula, random_ksat, solve
+from reducto.driver import SETUP_NAMES, random_formula, random_ksat, solve
 from reducto.learner import (
     DEFAULT_EPOCHS,
     DEFAULT_LEARNING_RATE,
@@ -333,6 +333,26 @@ class TestQualityLog:
         expected = merge(merge(DeltaStore(), delta), delta)
         assert store == expected
 
+    def test_the_reader_drops_nothing_trained_solves_write(self, tmp_path):
+        # Every record a trained solve writes, under every setup, is inside
+        # the reader's bounds: values in [0, 1], dists with a reduction and moves.
+        path = str(tmp_path / "quality.jsonl")
+        rng = random.Random(97)
+        history, theta, values = DeltaStore(), ParamStore(), set()
+        cfg = SearchConfig(horizon=6, budget=12)
+        for name in SETUP_NAMES:
+            for _ in range(8):
+                n = rng.randint(3, 6)
+                phi = random_ksat(rng, n, rng.randint(n, 5 * n))
+                _, theta, report = solve(phi, name, theta, cfg, history=history)
+                append_quality_log(path, report.records)
+                values |= {r.value for r in report.records if isinstance(r, ValueRecord)}
+        store, skipped = load_quality_log(path)
+        assert skipped == 0
+        # solve merged each run's records into history as it went.
+        assert store == history and history.dists
+        assert {0.0, 1.0} <= values
+
     def test_corrupt_records_skipped_and_counted(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
         phi = Formula([[1]])
@@ -398,8 +418,15 @@ class TestQualityLog:
             dist = {"kind": "dist", "digest": "r", "reduction": "flip", "n_vars": 1,
                     "moves": [{"digest": "m", "features": [0.5] * dim, "count": 1}]}
             handle.write(json.dumps(dist).replace('"count": 1', '"count": 1e400').encode() + b"\n")
+            # Values outside [0, 1], a dist without a reduction, one without moves.
+            handle.write(good.replace('"value": 0.5', '"value": 1e300').encode() + b"\n")
+            handle.write(good.replace('"value": 0.5', '"value": 5').encode() + b"\n")
+            handle.write(good.replace('"value": 0.5', '"value": -0.5').encode() + b"\n")
+            handle.write(json.dumps({**dist, "reduction": None}).encode() + b"\n")
+            handle.write(json.dumps({**dist, "reduction": ""}).encode() + b"\n")
+            handle.write(json.dumps({**dist, "moves": []}).encode() + b"\n")
         store, skipped = load_quality_log(path)
-        assert skipped == 12
+        assert skipped == 18
         assert len(store.values) == 1
         assert not store.dists
 

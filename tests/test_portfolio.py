@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from reducto.core import Path, enumerate_moves, lift_solution, verify_path
+from reducto.core import Path, Setup, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
 from reducto.driver import derive_answer, random_formula
 from reducto.learner import LinearEvaluator, init_params
@@ -32,6 +32,12 @@ def brute_force(phi):
     return None
 
 
+def step_witness(rule, x, x2):
+    """The witness a one-step ``verify_path`` finds for ``rule`` from ``x`` to ``x2``, or None."""
+    witnesses = verify_path(Setup(easy_combined, (rule,)), Path(x, ((rule.id, x2),)))
+    return None if witnesses is None else witnesses[0]
+
+
 class TestUnitPropagation:
     def test_fixpoint_and_forced_literals(self):
         fix, forced = unit_propagate_fixpoint(Formula([[1], [-1, 2]]))
@@ -41,14 +47,14 @@ class TestUnitPropagation:
     def test_lift_readds_propagated_literals(self):
         phi = Formula([[1], [-1, 2]])
         assert UNIT_PROPAGATION.moves(phi) == [(TOP, (1, 2))]
-        assert UNIT_PROPAGATION.identify(phi, TOP) == (1, 2)
+        assert step_witness(UNIT_PROPAGATION, phi, TOP) == (1, 2)
         lifted = UNIT_PROPAGATION.lift(phi, (1, 2), frozenset())
         assert lifted == frozenset([1, 2])
         assert satisfies(lifted, phi)
 
     def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
-        # A lift takes the identified literals, so identify rejects the target.
-        assert UNIT_PROPAGATION.identify(Formula([[1], [-1, 2]]), Formula([[2]])) is None
+        # A lift takes the step's own literals, so the step does not verify.
+        assert step_witness(UNIT_PROPAGATION, Formula([[1], [-1, 2]]), Formula([[2]])) is None
 
     def test_conflicting_units_leave_empty_clause(self):
         fix, _ = unit_propagate_fixpoint(Formula([[1], [-1]]))
@@ -149,11 +155,11 @@ class TestExternalMembers:
         phi = Formula([[1]])
         rule = portfolio_setup((external(FAKE_SAT),)).reduction("ext")
         ((target, kept),) = rule.moves(phi)
-        # The move carries the member's kept lift, the witness identify finds.
-        assert target == TOP and rule.identify(phi, TOP) is kept
+        # The move carries the member's kept lift, the witness the step verifies to.
+        assert target == TOP and step_witness(rule, phi, TOP) is kept
         assert rule.lift(phi, kept, frozenset()) == frozenset([1])
-        # A lift takes the member's kept lift, so identify rejects the target.
-        assert rule.identify(phi, BOTTOM) is None
+        # A lift takes the member's kept lift, so another target does not verify.
+        assert step_witness(rule, phi, BOTTOM) is None
 
     def test_member_output_is_kept_per_formula(self, tmp_path):
         # SAT with a genuine witness on the first run, a crash on every later
@@ -181,7 +187,8 @@ class TestExternalMembers:
         assert answer.kind == "solution" and diagnostics == []
         assert satisfies(answer.value, phi)
         flaky = setup.reduction("flaky")
-        assert flaky.lift(phi, flaky.identify(phi, TOP), frozenset()) == frozenset([-1, -2, -3])
+        kept = step_witness(flaky, phi, TOP)
+        assert flaky.lift(phi, kept, frozenset()) == frozenset([-1, -2, -3])
         assert runs.read_text() == "x"
         assert member.failures == []
         # A second formula is a second run, which crashes: no move.
@@ -247,7 +254,7 @@ class TestPortfolioContract:
                     witness = brute_force(transformed)
                     assert (witness is not None) == sat, (member.id, phi)
                     if witness is not None:
-                        assert member.identify(phi, transformed) == step, (member.id, phi)
+                        assert step_witness(member, phi, transformed) == step, (member.id, phi)
                         assert satisfies(member.lift(phi, step, witness), phi), (member.id, phi)
 
 

@@ -38,13 +38,19 @@ from reducto.sat import (
     satisfies,
     unit_propagate_fixpoint,
 )
-from reducto.core import enumerate_moves
+from reducto.core import Path, Setup, enumerate_moves, verify_path
 from reducto.driver import make_setup, random_formula
 
 
+def step_witness(rule, x, x2):
+    """The witness a one-step ``verify_path`` finds for ``rule`` from ``x`` to ``x2``, or None."""
+    witnesses = verify_path(Setup(easy_trivial, (rule,)), Path(x, ((rule.id, x2),)))
+    return None if witnesses is None else witnesses[0]
+
+
 def lift_move(rule, phi, move, y):
-    """Lift ``y`` through the witness ``rule.identify`` returns for the move."""
-    witness = rule.identify(phi, move)
+    """Lift ``y`` through the witness the one-step check finds for the move."""
+    witness = step_witness(rule, phi, move)
     assert witness is not None, (rule.id, phi, move)
     return rule.lift(phi, witness, y)
 
@@ -209,17 +215,17 @@ class TestBlockedClause:
         assert satisfies(lifted, phi)
 
     def test_lift_rejects_a_target_that_is_not_the_fixpoint(self):
-        # A lift takes the identified witness, so identify rejects a target
-        # that is no move: dropping one clause is not an elimination.
-        assert ELIMINATION.identify(self.PHI, Formula([[1, 4]])) is None
+        # A lift takes the step's own witness, so a target that is no move
+        # does not verify: dropping one clause is not an elimination.
+        assert step_witness(ELIMINATION, self.PHI, Formula([[1, 4]])) is None
 
 
 class TestElimination:
     def test_one_clause_eliminates_to_top_for_both_variables(self):
         # Both variables give the same formula, which is one move, and it
-        # carries the lower variable, the one identify finds.
+        # carries the lower variable, the one the step verifies to.
         assert elimination_moves(Formula([[1, 2]])) == [(TOP, 1)]
-        assert ELIMINATION.identify(Formula([[1, 2]]), TOP) == 1
+        assert step_witness(ELIMINATION, Formula([[1, 2]]), TOP) == 1
 
     def test_unit_conflict_eliminates_to_bottom(self):
         assert elimination_moves(Formula([[1], [-1]])) == [(BOTTOM, 1)]
@@ -262,9 +268,9 @@ class TestElimination:
     def test_lift_to_a_non_move_target_raises(self):
         phi = Formula([[1, 2], [-1, 3], [-2, -3]])
         assert Formula([[2, 3]]) not in successors(elimination_moves(phi))
-        # A lift takes the identified variable, so identify rejects the target.
+        # A lift takes the step's own variable, so no such target verifies.
         for target in (Formula([[2, 3]]), phi, TOP, BOTTOM, Formula([[2, 3], [-2, -3], [4]])):
-            assert ELIMINATION.identify(phi, target) is None, target
+            assert step_witness(ELIMINATION, phi, target) is None, target
 
     def test_without_a_qualifying_variable_the_one_move_is_the_fallback(self):
         # Eliminating any variable of NO_BOUNDED grows it.  Variables 2, 4 and
@@ -274,23 +280,23 @@ class TestElimination:
         assert ref_fallback(NO_BOUNDED) == 2
         grown = ref_eliminate(NO_BOUNDED, 2)
         assert elimination_moves(NO_BOUNDED) == [(grown, 2)]
-        assert ELIMINATION.identify(NO_BOUNDED, grown) == 2
+        assert step_witness(ELIMINATION, NO_BOUNDED, grown) == 2
         # Growing eliminations of the other variables are no moves.
         for v in (1, 3, 4, 5):
-            assert ELIMINATION.identify(NO_BOUNDED, ref_eliminate(NO_BOUNDED, v)) is None, v
+            assert step_witness(ELIMINATION, NO_BOUNDED, ref_eliminate(NO_BOUNDED, v)) is None, v
 
     def test_a_growing_elimination_is_no_move_while_another_variable_qualifies(self):
         grown = ref_eliminate(GROWING, 1)
         assert len(grown) == 6 > len(GROWING)
         assert grown not in successors(elimination_moves(GROWING))
-        assert ELIMINATION.identify(GROWING, grown) is None
+        assert step_witness(ELIMINATION, GROWING, grown) is None
         # Variable 2 occurs only positively, so eliminating it qualifies.
-        assert ELIMINATION.identify(GROWING, ref_eliminate(GROWING, 2)) == 2
+        assert step_witness(ELIMINATION, GROWING, ref_eliminate(GROWING, 2)) == 2
 
     def test_a_formula_without_variables_has_no_move(self):
         for phi in (TOP, BOTTOM):
             assert elimination_moves(phi) == []
-            assert ELIMINATION.identify(phi, Formula([[1]])) is None
+            assert step_witness(ELIMINATION, phi, Formula([[1]])) is None
 
 
 # No elimination of a variable of NO_BOUNDED leaves at most 13 clauses.
@@ -348,7 +354,7 @@ def test_elimination_moves_are_bounded(phi):
         # fallback's elimination.
         fallback = ref_fallback(phi)
         assert pairs == [(ref_eliminate(phi, fallback), fallback)]
-        assert ELIMINATION.identify(phi, moves[0]) == fallback
+        assert step_witness(ELIMINATION, phi, moves[0]) == fallback
 
 
 def ref_elimination_moves(phi):
@@ -384,7 +390,7 @@ class TestResolventTable:
     def test_moves_do_not_depend_on_what_was_asked_before(self, phi, other):
         sat._resolvent_table.cache_clear()
         alone = elimination_moves(phi)
-        witnesses = [ELIMINATION.identify(phi, move) for move, _ in alone]
+        witnesses = [step_witness(ELIMINATION, phi, move) for move, _ in alone]
         assert witnesses == [v for _, v in alone]
         resolvents = new_resolvents(phi)
         # phi plus one clause: each new resolvent, and near misses that are
@@ -395,14 +401,14 @@ class TestResolventTable:
         added = sorted(added - set(phi.clauses))
         grown = [Formula(phi.clauses + (c,)) for c in added]
         sat._resolvent_table.cache_clear()
-        verdicts = [RESOLUTION.identify(phi, g) for g in grown]
+        verdicts = [step_witness(RESOLUTION, phi, g) for g in grown]
         assert verdicts == [True if c in resolvents else None for c in added]
 
         def same(x):
             assert elimination_moves(x) == alone
-            assert [ELIMINATION.identify(x, move) for move, _ in alone] == witnesses
+            assert [step_witness(ELIMINATION, x, move) for move, _ in alone] == witnesses
             assert new_resolvents(x) == resolvents
-            assert [RESOLUTION.identify(x, g) for g in grown] == verdicts
+            assert [step_witness(RESOLUTION, x, g) for g in grown] == verdicts
 
         resolution_moves(phi)
         same(phi)
@@ -430,7 +436,7 @@ def test_elimination_identify_accepts_exactly_the_moves(phi):
     # A target with a literal phi lacks.
     targets += [Formula(t.clauses + ((fresh,),)) for t in list(targets)]
     for x2 in targets:
-        witness = ELIMINATION.identify(phi, x2)
+        witness = step_witness(ELIMINATION, phi, x2)
         assert (witness is not None) == (x2 in moves), (phi, x2)
         if witness is not None:
             assert ref_eliminate(phi, witness) == x2, (phi, x2, witness)
@@ -466,7 +472,7 @@ class TestFlip:
     def test_single_flip_and_lift(self):
         phi = Formula([[-1]])
         assert flip_moves(phi) == [(Formula([[1]]), 1)]
-        assert FLIP.identify(phi, Formula([[1]])) == 1
+        assert step_witness(FLIP, phi, Formula([[1]])) == 1
         lifted = FLIP.lift(phi, 1, frozenset([1]))
         assert lifted == frozenset([-1])
         assert satisfies(lifted, phi)
@@ -485,11 +491,11 @@ class TestFlip:
 
     def test_flips_giving_the_same_formula_are_one_move(self):
         # Flipping 1 and flipping 2 both give {{1,-2},{-1,2}}; the move
-        # carries 1, the variable identify finds.
+        # carries 1, the variable the step verifies to.
         phi = Formula([[-1, -2], [1, 2]])
         moves = FLIP.moves(phi)
         assert moves == [(Formula([[1, -2], [-1, 2]]), 1)]
-        assert FLIP.identify(phi, moves[0][0]) == 1
+        assert step_witness(FLIP, phi, moves[0][0]) == 1
         lifted = lift_move(FLIP, phi, moves[0][0], brute_force(moves[0][0]))
         assert satisfies(lifted, phi)
 
@@ -597,7 +603,7 @@ def test_identify_accepts_exactly_the_moves(phi):
     for rule in ALL_RULES:
         moves = move_lists[rule.id]
         for move, carried in rule.moves(phi):
-            witness = rule.identify(phi, move)
+            witness = step_witness(rule, phi, move)
             assert witness is not None, (rule.id, phi, move)
             assert witness == carried, (rule.id, phi, move)
             # The lift needs nothing but the witness to map a solution back.
@@ -605,12 +611,12 @@ def test_identify_accepts_exactly_the_moves(phi):
                 assert satisfies(rule.lift(phi, witness, y), phi), (rule.id, phi, move, y)
         others = {m for ms in move_lists.values() for m in ms if m not in moves}
         for non_move in others | {phi, UNRELATED}:
-            assert rule.identify(phi, non_move) is None, (rule.id, phi, non_move)
+            assert step_witness(rule, phi, non_move) is None, (rule.id, phi, non_move)
         # Two steps of the rule, such as two resolvents added, are a move
         # only when one step reaches the same formula.
         for two_steps in {m2 for m in moves[:3] for m2, _ in rule.moves(m)[:3]}:
-            identified = rule.identify(phi, two_steps) is not None
-            assert identified == (two_steps in moves), (rule.id, phi)
+            verified = step_witness(rule, phi, two_steps) is not None
+            assert verified == (two_steps in moves), (rule.id, phi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -884,7 +890,7 @@ class TestReferenceEquivalence:
             # Non-moves: the formula itself, and a resolution move.
             for other in [phi] + successors(resolution_moves(phi))[:1]:
                 if other not in moves:
-                    assert FLIP.identify(phi, other) is None
+                    assert step_witness(FLIP, phi, other) is None
         assert lifts > 500
 
     def test_sparse_ids(self):
@@ -980,7 +986,7 @@ class TestPendingSuccessors:
 def test_extension_identify_agrees_with_membership(phi):
     moves = successors(extension_moves(phi))
     for move in moves:
-        assert EXTENSION.identify(phi, move) is True
+        assert step_witness(EXTENSION, phi, move) is True
     lits = [s * v for v in phi.variables for s in (1, -1)]
     pairs = [(a, b) for a, b in itertools.combinations(lits, 2) if abs(a) != abs(b)]
     if not pairs:
@@ -999,4 +1005,4 @@ def test_extension_identify_agrees_with_membership(phi):
     near_misses += [Formula(list(m.clauses)[1:]) for m in moves[:2]]
     near_misses += successors(resolution_moves(phi))[:3] + [phi]
     for other in near_misses:
-        assert (EXTENSION.identify(phi, other) is not None) == (other in moves), other
+        assert (step_witness(EXTENSION, phi, other) is not None) == (other in moves), other

@@ -59,7 +59,6 @@ def toy_setup(moves_map, easy_set):
         "r",
         lambda x: [(m, True) for m in moves_map.get(x, [])],
         lambda x, w, y: y,
-        lambda x, x2: True if x2 in moves_map.get(x, []) else None,
     )
     return Setup(easy=easy, reductions=(reduction,))
 
