@@ -210,7 +210,9 @@ def _dot(weights: list[float], features: tuple[float, ...]) -> float:
 def _softmax(logits: list[float]) -> list[float]:
     top = max(logits)
     exps = [math.exp(z - top) for z in logits]
-    total = sum(exps)
+    total = 0.0  # left to right: since CPython 3.12 sum() compensates float sums
+    for e in exps:
+        total += e
     return [e / total for e in exps]
 
 
@@ -420,7 +422,9 @@ def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -
 
 
 def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
-    kind = doc["kind"]
+    kind, digest = doc["kind"], doc["digest"]
+    if not isinstance(digest, str):  # digests are sort keys in training
+        raise ValueError("record digest is not a string")
     if kind == "value":
         features = tuple(map(float, doc["features"]))
         value = float(doc["value"])
@@ -432,20 +436,21 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
             or visits < 1
         ):
             raise ValueError("non-finite or invalid value record")
-        return ValueRecord(doc["digest"], int(doc["n_vars"]), features, value, visits)
+        return ValueRecord(digest, int(doc["n_vars"]), features, value, visits)
     if kind == "dist":
         moves = {}
         for m in doc["moves"]:
-            digest = m["digest"]
+            move = m["digest"]
             features = tuple(map(float, m["features"]))
             count = int(m["count"])
-            if len(features) != _FEATURE_DIM or not all(map(_isfinite, features)) or count < 0:
+            if (len(features) != _FEATURE_DIM or not all(map(_isfinite, features)) or count < 0
+                    or not isinstance(move, str)):
                 raise ValueError("non-finite or invalid move stat")
-            moves[digest] = MoveStat(digest, features, count)
+            moves[move] = MoveStat(move, features, count)
         reduction = doc["reduction"]
         if not moves or not isinstance(reduction, str) or not reduction:
             raise ValueError("dist record without moves or reduction")
-        return DistRecord(doc["digest"], reduction, int(doc["n_vars"]), moves)
+        return DistRecord(digest, reduction, int(doc["n_vars"]), moves)
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -506,10 +511,11 @@ def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaSto
     """Read a quality log into a store; corrupt records are skipped and counted.
 
     A record no run writes is corrupt: among others, one with a value
-    outside [0, 1], a non-finite feature, or a ``dist`` without moves or
-    reduction id.  With ``last_lines`` only that many lines at the end of
-    the log are read, and the rest of the file is not.  Each line parses
-    exactly as ``json.loads`` would parse it (``_parse_line``).
+    outside [0, 1], a non-finite feature, a digest that is not a string, or
+    a ``dist`` without moves or reduction id.  With ``last_lines`` only that
+    many lines at the end of the log are read, and the rest of the file is
+    not.  Each line parses exactly as ``json.loads`` would parse it
+    (``_parse_line``).
     """
     if last_lines is not None:
         return _read_records(_tail_lines(path, last_lines))
@@ -547,8 +553,7 @@ class _Window:
     distribution's sorted by move digest.  ``value_rows`` and ``dist_rows``
     keep store order, which the losses sum in; ``examples`` is SGD's order.
     ``heads`` is the set of heads the rows use.  Every feature vector is
-    checked here to have ``_FEATURE_DIM`` components, the length that
-    ``_dot`` and ``_add_scaled`` spell out.
+    checked here to have the ``_FEATURE_DIM`` components the kernels unpack.
     """
 
     def __init__(self, store: DeltaStore, curriculum: bool = False):
@@ -580,61 +585,50 @@ class _Window:
         )
 
 
-def _row_terms(head, pairs: tuple, logits: list[float], total: float) -> tuple[float, list]:
-    """The row's loss terms added to ``total`` one at a time, and d(loss)/d(logit) per pair."""
-    if head is None:
-        ((_, target),) = pairs
-        v = _sigmoid(logits[0])
-        return total + (v - target) ** 2, [2.0 * (v - target) * v * (1.0 - v)]
-    dz = []
-    for (_, target), q in zip(pairs, _softmax(logits)):
-        if target > 0.0:
-            total -= target * math.log(q) if q > 0.0 else -math.inf
-        dz.append(q - target)
-    return total, dz
+def _loss_sums(theta: ParamStore, window: _Window, grads: dict | None = None) -> float:
+    """The window's loss: the value rows' mean squared error plus the
+    distribution rows' mean cross-entropy, each sum taken in row order.
 
-
-def _add_scaled(weights: list[float], pairs: tuple, dz: list[float], step: float) -> None:
-    """weights += step * d(logit)/d(weights) * d(loss)/d(logit), summed over the row's logits."""
-    for (features, _), d in zip(pairs, dz):
-        d = step * d
-        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = weights
-        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9 = features
-        weights[:] = (w0 + d * f0, w1 + d * f1, w2 + d * f2, w3 + d * f3, w4 + d * f4,
-                      w5 + d * f5, w6 + d * f6, w7 + d * f7, w8 + d * f8, w9 + d * f9, bias + d)
-
-
-def _loss_sums(theta: ParamStore, window: _Window, grads: dict | None = None) -> list[float]:
-    """Summed value and distribution losses; with ``grads``, adds each row's gradient,
-    over the number of rows of its kind, into ``grads[head]``.  A row's logits
-    come from ``_dot``, as in SGD."""
+    Logits are formed as in ``_sgd_epoch``; a missing head reads as zeros.
+    With ``grads``, each row's gradient over the number of rows of its kind
+    is added into ``grads[head]``.
+    """
     zeros = [0.0] * (_FEATURE_DIM + 1)
-    sums = []
+    exp, loss = math.exp, 0.0
     for rows in (window.value_rows, window.dist_rows):
-        total = 0.0
+        total, scale, current = 0.0, 1.0 / max(len(rows), 1), None
+        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = theta.value_weights
         for head, pairs in rows:
-            weights = theta.value_weights if head is None else theta.prior_weights.get(head, zeros)
-            total, dz = _row_terms(head, pairs, [_dot(weights, f) for f, _ in pairs], total)
+            if head != current:  # a distribution row; value rows keep the weights above
+                current = head
+                w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = theta.prior_weights.get(head, zeros)
+            logits = []
+            for (f0, f1, f2, f3, f4, f5, f6, f7, f8, f9), _ in pairs:
+                logits.append(bias + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4
+                              + w5 * f5 + w6 * f6 + w7 * f7 + w8 * f8 + w9 * f9)
+            if head is None:
+                z, target = logits[0], pairs[0][1]
+                v = 1.0 / (1.0 + exp(-z)) if z >= 0 else exp(z) / (1.0 + exp(z))
+                total += (v - target) ** 2
+                dz = (2.0 * (v - target) * v * (1.0 - v),)
+            else:
+                dz = []
+                for (_, target), q in zip(pairs, _softmax(logits)):
+                    if target > 0.0:
+                        total -= target * math.log(q) if q > 0.0 else -math.inf
+                    dz.append(q - target)
             if grads is not None:
-                _add_scaled(grads.setdefault(head, list(zeros)), pairs, dz, 1.0 / len(rows))
-        sums.append(total)
-    return sums
-
-
-def _window_loss(theta: ParamStore, window: _Window, grads: dict | None = None) -> float:
-    """Mean squared value error plus mean cross-entropy; ``grads`` as in ``_loss_sums``."""
-    sq, ce = _loss_sums(theta, window, grads)
-    loss = 0.0
-    if window.value_rows:
-        loss += sq / len(window.value_rows)
-    if window.dist_rows:
-        loss += ce / len(window.dist_rows)
+                grad = grads.setdefault(head, list(zeros))
+                for (features, _), d in zip(pairs, dz):
+                    grad[:] = [g + scale * d * f for g, f in zip(grad, (*features, 1.0))]
+        if rows:
+            loss += total / len(rows)
     return loss
 
 
 def store_loss(theta: ParamStore, store: DeltaStore) -> float:
     """Mean squared value error plus mean cross-entropy of the prior heads."""
-    return _window_loss(theta, _Window(store))
+    return _loss_sums(theta, _Window(store))
 
 
 def loss_gradients(
@@ -643,18 +637,50 @@ def loss_gradients(
     """Batch loss and its analytic gradients for the value and prior heads."""
     window = _Window(store)
     grads: dict = {None: [0.0] * (_FEATURE_DIM + 1)}
-    loss = _window_loss(theta, window, grads)
+    loss = _loss_sums(theta, window, grads)
     return loss, grads.pop(None), grads
 
 
 def _sgd_epoch(theta: ParamStore, examples: list, learning_rate: float) -> None:
+    """One SGD pass: per row, its logits, then weights += -learning_rate *
+    d(loss)/d(logit) * (features, 1) for each logit in turn.  The current
+    head's weights live in locals, written back when the head changes and when
+    the pass ends; a reduction without a head gets a fresh zero head.
+    """
+    step, exp = -learning_rate, math.exp
+    current, weights = None, theta.value_weights
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = weights
     for head, pairs in examples:
+        if head != current:
+            weights[:] = w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias
+            current, weights = head, theta.value_weights
+            if head is not None:
+                weights = theta.prior_weights.setdefault(head, [0.0] * (_FEATURE_DIM + 1))
+            w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = weights
         if head is None:
-            weights = theta.value_weights
-        else:  # a reduction without a head gets a fresh zero head
-            weights = theta.prior_weights.setdefault(head, [0.0] * (_FEATURE_DIM + 1))
-        _, dz = _row_terms(head, pairs, [_dot(weights, f) for f, _ in pairs], 0.0)
-        _add_scaled(weights, pairs, dz, -learning_rate)
+            (((f0, f1, f2, f3, f4, f5, f6, f7, f8, f9), target),) = pairs
+            z = (bias + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4
+                 + w5 * f5 + w6 * f6 + w7 * f7 + w8 * f8 + w9 * f9)
+            v = 1.0 / (1.0 + exp(-z)) if z >= 0 else exp(z) / (1.0 + exp(z))
+            d = step * (2.0 * (v - target) * v * (1.0 - v))
+            w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = (
+                w0 + d * f0, w1 + d * f1, w2 + d * f2, w3 + d * f3, w4 + d * f4,
+                w5 + d * f5, w6 + d * f6, w7 + d * f7, w8 + d * f8, w9 + d * f9, bias + d)
+            continue
+        logits = []
+        for (f0, f1, f2, f3, f4, f5, f6, f7, f8, f9), _ in pairs:
+            logits.append(bias + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4
+                          + w5 * f5 + w6 * f6 + w7 * f7 + w8 * f8 + w9 * f9)
+        top, total = max(logits), 0.0
+        exps = [exp(z - top) for z in logits]
+        for e in exps:  # added left to right, as in _softmax
+            total += e
+        for ((f0, f1, f2, f3, f4, f5, f6, f7, f8, f9), target), e in zip(pairs, exps):
+            d = step * (e / total - target)
+            w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias = (
+                w0 + d * f0, w1 + d * f1, w2 + d * f2, w3 + d * f3, w4 + d * f4,
+                w5 + d * f5, w6 + d * f6, w7 + d * f7, w8 + d * f8, w9 + d * f9, bias + d)
+    weights[:] = w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, bias
 
 
 def check_training_settings(epochs: int, learning_rate: float) -> None:
@@ -683,21 +709,18 @@ def fit(
     TrainDivergedError and leaves ``theta`` untouched.  The learning rate
     must be finite and positive.
 
-    The store becomes rows once (``_Window``).  A loss pass and an SGD step
-    both take a row's logits from ``_dot`` and its loss terms and logit
-    derivatives from ``_row_terms``; ``_add_scaled`` applies the gradient.
-    The loss before is one loss pass, and an attempt is its epochs of SGD
-    plus one after the last; after an earlier epoch the loss is computed
+    The store becomes rows once (``_Window``).  The loss before is one loss
+    pass (``_loss_sums``), and an attempt is its epochs (``_sgd_epoch``) plus
+    one loss pass after the last; after an earlier epoch the loss is computed
     only if ``_Window.loss_is_finite`` fails, so TrainDivergedError still
-    names the first non-finite epoch.
-    With ``epochs`` 0 the parameters come back unchanged and both losses are
-    the loss of ``theta``.
+    names the first non-finite epoch.  With ``epochs`` 0 the parameters come
+    back unchanged and both losses are the loss of ``theta``.
     """
     if store.is_empty:
         raise ValueError("quality store is empty")
     check_training_settings(epochs, learning_rate)
     window = _Window(store, curriculum)
-    loss_before = _window_loss(theta, window)
+    loss_before = _loss_sums(theta, window)
     if epochs == 0:
         return theta.copy(), loss_before, loss_before
     if not math.isfinite(loss_before):
@@ -712,7 +735,7 @@ def fit(
             _sgd_epoch(candidate, window.examples, lr)
             if epoch < epochs and window.loss_is_finite(candidate):
                 continue
-            candidate_loss = _window_loss(candidate, window)
+            candidate_loss = _loss_sums(candidate, window)
             if not math.isfinite(candidate_loss):
                 raise TrainDivergedError(
                     f"loss became non-finite in epoch {epoch} at learning rate {lr}"

@@ -236,7 +236,10 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             return 1.0
         if not node.children:
             return 0.0
-        return sum(node.totals) / node.samples
+        total = 0.0  # left to right: since CPython 3.12 sum() compensates float sums
+        for t in node.totals:
+            total += t
+        return total / node.samples
 
     def select(node: _Node) -> int:
         # ``won`` is the first easy child, or -1: taking it wins the game, so a
@@ -244,9 +247,10 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         if node.won >= 0:
             return node.won
         # PUCT: argmax of q + c * P * sqrt(N + 1) / (1 + n), where an unvisited
-        # child's q is its parent's mean return; ties go to the lowest index.
+        # child's q is its parent's mean return (a selecting node is neither
+        # easy nor a dead end); ties go to the lowest index.
         n_parent = node.samples
-        unvisited_q = sum(node.totals) / n_parent if n_parent else 0.0
+        unvisited_q = node_value(node) if n_parent else 0.0
         scale = cfg.exploration * math.sqrt(n_parent + 1)
         scores = [
             (total / n if n else unvisited_q) + scale * p / (1 + n)

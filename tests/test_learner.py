@@ -4,6 +4,7 @@ import math
 import os
 import random
 import struct
+import types
 from typing import Iterable
 
 import pytest
@@ -37,8 +38,8 @@ from reducto.learner import (
     save_params,
     store_loss,
     _Window,
-    _add_scaled,
     _dot,
+    _loss_sums,
     _read_records,
     _sgd_epoch,
     _sigmoid,
@@ -425,8 +426,15 @@ class TestQualityLog:
             handle.write(json.dumps({**dist, "reduction": None}).encode() + b"\n")
             handle.write(json.dumps({**dist, "reduction": ""}).encode() + b"\n")
             handle.write(json.dumps({**dist, "moves": []}).encode() + b"\n")
+            # Digests that are not strings: training sorts rows and moves by them.
+            move = dist["moves"][0]
+            moves = [{**move, "digest": 5}, {**move, "digest": "a"}]
+            handle.write(json.dumps({**dist, "moves": moves}).encode() + b"\n")
+            handle.write(json.dumps({**dist, "digest": 5}).encode() + b"\n")
+            handle.write(good.replace('"digest": "s"', '"digest": 5').encode() + b"\n")
+            handle.write(good.replace('"digest": "s"', '"digest": null').encode() + b"\n")
         store, skipped = load_quality_log(path)
-        assert skipped == 18
+        assert skipped == 22
         assert len(store.values) == 1
         assert not store.dists
 
@@ -705,14 +713,16 @@ class TestLossAndGradients:
         assert abs(store_loss(theta, store) - expected) < 1e-12
 
 
-def bits(xs) -> list[tuple[type, bytes]]:
-    """Each number's type and IEEE double bit pattern (sign of zero and NaN included)."""
-    return [(type(x), struct.pack("<d", x)) for x in xs]
+def bits(xs, nan_sign: bool = True) -> list[tuple[type, bytes]]:
+    """Each number's type and IEEE double bit pattern: the sign of zero included,
+    and the sign of NaN unless ``nan_sign`` is false."""
+    return [(type(x), struct.pack("<d", x if nan_sign or x == x else math.nan)) for x in xs]
 
 
 class TestKernels:
-    """``_dot`` and ``_add_scaled`` against the plain loops ``ref_dot`` and
-    ``ref_add_scaled``: the same products added in the same order."""
+    """``_dot`` against the plain loop ``ref_dot``, and the fused SGD epoch and
+    loss pass against the plain loops ``ref_sgd_epoch``, ``ref_store_loss``
+    and ``ref_loss_gradients``: the same products added in the same order."""
 
     DIM = len(FEATURE_NAMES)
     TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309)
@@ -752,18 +762,112 @@ class TestKernels:
             kinds["int feature"] += any(type(f) is int for f in features)
         assert all(kinds.values()), kinds
 
+    def test_softmax_adds_left_to_right(self):
+        # Added left to right from 0.0, 1 + 1e-16 + 1e-16 rounds to 1.0; a
+        # compensated sum (builtin sum() since CPython 3.12, math.fsum) does not.
+        logits = [0.0, math.log(1e-16), math.log(1e-16)]
+        exps = [math.exp(z) for z in logits]
+        total = 0.0
+        for e in exps:
+            total += e
+        assert total != math.fsum(exps)
+        assert bits(_softmax(logits)) == bits([e / total for e in exps])
+
+    REDUCTIONS = ("resolution", "flip", "extension")
+
+    def store(self, rng, kind):
+        """Value records and distributions over ``REDUCTIONS`` at n_vars 1..4,
+        so that curriculum order interleaves value rows with rows of several
+        reductions; ``kind`` may drop either half."""
+        store = DeltaStore()
+        for i in range(rng.randint(1, 6) if kind != "dist only" else 0):
+            store.values[f"v{i}"] = ValueRecord(
+                f"v{i}", rng.randint(1, 4), tuple(self.vector(rng, self.DIM, ints=True)),
+                rng.choice([0.0, 1.0, rng.random()]), 1,
+            )
+        for i in range(rng.randint(1, 6) if kind != "value only" else 0):
+            moves = {
+                f"m{j}": MoveStat(f"m{j}", tuple(self.vector(rng, self.DIM, ints=True)),
+                                  rng.randint(0, 3))
+                for j in range(rng.randint(1, 4))
+            }
+            rid = rng.choice(self.REDUCTIONS)
+            store.dists[(f"d{i}", rid)] = DistRecord(f"d{i}", rid, rng.randint(1, 4), moves)
+        return store
+
+    def theta(self, rng):
+        # "extension" never has a head: SGD gives it a fresh zero head and a
+        # loss pass reads zeros.
+        theta = ParamStore(value_weights=self.vector(rng, self.DIM + 1))
+        for rid in self.REDUCTIONS[:2]:
+            theta.prior_weights[rid] = self.vector(rng, self.DIM + 1)
+        return theta
+
+    # Where both operands of an addition are NaN, which of the two comes out
+    # depends on the operand order the C compiler chose inside CPython, and
+    # the loops add with ``-=`` where the kernels add a negated step; so the
+    # kernels are compared up to the sign of NaN.  No NaN reaches a file:
+    # ``fit`` raises TrainDivergedError first.
+    @staticmethod
+    def weight_bits(theta):
+        return bits(theta.value_weights, nan_sign=False), {
+            rid: bits(ws, nan_sign=False) for rid, ws in theta.prior_weights.items()
+        }
+
     def test_update_matches_the_loop_bit_for_bit(self):
         rng = random.Random(89)
-        for _ in range(1000):
-            weights = self.vector(rng, self.DIM + 1)
-            n = rng.randint(1, 4)
-            pairs = tuple((tuple(self.vector(rng, self.DIM, ints=True)), 0.5) for _ in range(n))
-            dz = self.vector(rng, n)
-            step = rng.choice([1.0, -0.05, 1e-300, *self.vector(rng, 1)])
-            a, b = list(weights), list(weights)
-            _add_scaled(a, pairs, dz, step)
-            ref_add_scaled(b, pairs, dz, step)
-            assert bits(a) == bits(b)
+        kinds = dict.fromkeys(
+            ["mixed", "value only", "dist only", "head revisited", "fresh head",
+             "nan feature", "inf feature", "-0 feature", "subnormal feature",
+             "nan", "inf", "-0", "subnormal"], 0
+        )
+        for i in range(1500):
+            kind = ("mixed", "value only", "dist only")[i % 3]
+            store = self.store(rng, kind)
+            curriculum = rng.random() < 0.7
+            theta = self.theta(rng)
+            learning_rate = rng.choice([0.05, 1.0, 1e-300, 1e300, abs(rng.uniform(0, 10))])
+            a, b = theta.copy(), theta.copy()
+            examples = _Window(store, curriculum).examples
+            _sgd_epoch(a, examples, learning_rate)
+            ref_sgd_epoch(b, ref_ordered_examples(store, curriculum), learning_rate)
+            assert self.weight_bits(a) == self.weight_bits(b)
+            heads = [head for head, _ in examples]
+            runs = [h for k, h in enumerate(heads) if k == 0 or h != heads[k - 1]]
+            kinds[kind] += 1
+            kinds["head revisited"] += len(set(runs)) < len(runs) and len(set(runs)) > 2
+            kinds["fresh head"] += "extension" in a.prior_weights
+            features = [f for _, pairs in examples for fs, _ in pairs for f in fs]
+            kinds["nan feature"] += any(map(math.isnan, features))
+            kinds["inf feature"] += any(map(math.isinf, features))
+            kinds["-0 feature"] += any(f == 0.0 and math.copysign(1.0, f) < 0 for f in features)
+            kinds["subnormal feature"] += any(0.0 < abs(f) < 2.2250738585072014e-308 for f in features)
+            weights = [w for ws in (a.value_weights, *a.prior_weights.values()) for w in ws]
+            kinds["nan"] += any(map(math.isnan, weights))
+            kinds["inf"] += any(map(math.isinf, weights))
+            kinds["-0"] += any(w == 0.0 and math.copysign(1.0, w) < 0 for w in weights)
+            kinds["subnormal"] += any(0.0 < abs(w) < 2.2250738585072014e-308 for w in weights)
+        assert all(kinds.values()), kinds
+
+    def test_loss_pass_matches_the_loops_bit_for_bit(self):
+        rng = random.Random(97)
+        kinds = dict.fromkeys(["mixed", "value only", "dist only", "missing head", "nan", "inf"], 0)
+        for i in range(1500):
+            kind = ("mixed", "value only", "dist only")[i % 3]
+            store = self.store(rng, kind)
+            theta = self.theta(rng)
+            loss = store_loss(theta, store)
+            assert bits([loss], False) == bits([ref_store_loss(theta, store)], False)
+            _, value_grad, prior_grads = loss_gradients(theta, store)
+            _, ref_value_grad, ref_prior_grads = ref_loss_gradients(theta, store)
+            assert self.weight_bits(ParamStore(value_grad, prior_grads)) == self.weight_bits(
+                ParamStore(ref_value_grad, ref_prior_grads)
+            )
+            kinds[kind] += 1
+            kinds["missing head"] += "extension" in prior_grads
+            kinds["nan"] += math.isnan(loss)
+            kinds["inf"] += math.isinf(loss)
+        assert all(kinds.values()), kinds
 
     @pytest.mark.parametrize("weights, features", [
         pytest.param(DIM + 1, DIM - 1, id="short-features"),
@@ -772,12 +876,27 @@ class TestKernels:
         pytest.param(DIM + 2, DIM, id="long-weights"),
     ])
     def test_a_vector_of_the_wrong_length_raises(self, weights, features):
-        # A plain zip would stop at the shorter vector and give a number.
+        # A plain zip would stop at the shorter vector and give a number.  Only
+        # the row's own head has weights of the tested length.
         w, f = [0.5] * weights, (0.25,) * features
         with pytest.raises(ValueError):
             _dot(w, f)
-        with pytest.raises(ValueError):
-            _add_scaled(w, ((f, 1.0),), [0.1], 1.0)
+        for head in (None, "flip"):
+            rows = [(head, ((f, 1.0),))]
+            theta = ParamStore(prior_weights={"flip": [0.5] * (self.DIM + 1)})
+            if head is None:
+                theta.value_weights = list(w)
+            else:
+                theta.prior_weights[head] = list(w)
+            window = types.SimpleNamespace(
+                value_rows=rows if head is None else [], dist_rows=[] if head is None else rows
+            )
+            with pytest.raises(ValueError):
+                _sgd_epoch(theta, rows, 0.1)
+            with pytest.raises(ValueError):
+                _loss_sums(theta, window)
+            with pytest.raises(ValueError):
+                _loss_sums(theta, window, {})
 
 
 class TestLossPasses:
