@@ -3,8 +3,9 @@
 A *setup* pairs an easy-instance solver with a finite list of self-reductions.
 Each self-reduction offers moves from an instance to successor instances and
 knows how to map a successor's solution back to a solution of the original.
-A *path* is a start instance followed by (reduction id, instance) steps; if it
-ends at an easy instance, solutions are recovered by lifting backwards.
+A *path* is a start instance followed by the moves taken, each a (reduction
+id, instance, witness) step; if it ends at an easy instance, solutions are
+recovered by lifting backwards through the steps' witnesses.
 
 Instances are opaque to this module.  They must be hashable and compare by
 canonical form; each move function lists its moves in the canonical order
@@ -96,8 +97,9 @@ class SelfReduction:
     witness, y)`` maps a solution ``y`` of that successor back to a solution
     of ``x`` through the move's witness, without working the step out again.
     A witness is anything but None.  ``moves`` is the rule's only definition
-    of its moves: ``verify_path`` and the quality-data check look a step up
-    in the list.  Both must be pure functions of their arguments.
+    of its moves: a path step is one of its pairs, tagged with the rule's
+    id, and ``verify_path`` and the quality-data check test membership in
+    the list.  Both must be pure functions of their arguments.
     """
 
     id: str
@@ -157,13 +159,13 @@ class Setup:
 
 @dataclass(frozen=True)
 class Path:
-    """A start instance followed by (reduction id, instance) steps."""
+    """A start instance followed by the moves taken: (reduction id, instance, witness) steps."""
 
     start: Instance
-    steps: tuple[tuple[str, Instance], ...] = ()
+    steps: tuple[tuple[str, Instance, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple((rid, inst) for rid, inst in self.steps))
+        object.__setattr__(self, "steps", tuple((rid, inst, w) for rid, inst, w in self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -173,50 +175,43 @@ class Path:
         return self.steps[-1][1] if self.steps else self.start
 
 
-def verify_path(setup: Setup, path: Path) -> list[Any] | None:
-    """Look every step of ``path`` up among its reduction's moves.
+def verify_path(setup: Setup, path: Path) -> bool:
+    """Whether every step of ``path`` is a move its reduction lists from the step before.
 
-    Returns the witnesses, one per step, each the one ``moves`` pairs with
-    the step's instance, or None when a step is not a move.  A found path
-    carries its witnesses (``SearchResult.witnesses``); this check is for a
-    path trusted step by step, such as a refutation.  A zero-length path
-    verifies to ``[]``, so callers test ``is None``.  Referencing a
+    A step is a move when its (instance, witness) pair is among the pairs
+    ``moves`` returns.  A found path is made of listed moves; this check is
+    for a path trusted step by step, such as a refutation.  Referencing a
     reduction id the setup does not define raises UnknownReductionError
-    rather than returning None.
+    rather than returning False.
     """
-    witnesses = []
     prev = path.start
-    for rid, inst in path.steps:
-        witness = next((w for m, w in setup.reduction(rid).moves(prev) if m == inst), None)
-        if witness is None:
-            return None
-        witnesses.append(witness)
+    for rid, inst, witness in path.steps:
+        if (inst, witness) not in setup.reduction(rid).moves(prev):
+            return False
         prev = inst
-    return witnesses
+    return True
 
 
 def lift_solution(
     setup: Setup,
     path: Path,
-    witnesses: Sequence[Any],
     y: Solution,
     check: Callable[[Instance, Solution], bool] | None = None,
 ) -> Solution:
     """Lift a solution of the path's final instance back to the start.
 
     Applies the step reductions' lift functions right to left, each to its
-    step's witness (``SearchResult.witnesses`` or ``verify_path``'s).
-    ``check``, if given, is called as ``check(instance, candidate)`` after
-    every lift; a failing check (or an exception inside a lift, or a missing
-    witness) raises LiftIntegrityError identifying the offending step.
+    step's own witness.  ``check``, if given, is called as ``check(instance,
+    candidate)`` after every lift; a failing check (or an exception inside a
+    lift) raises LiftIntegrityError identifying the offending step.
     """
     sol = y
     for i in range(len(path.steps) - 1, -1, -1):
-        rid = path.steps[i][0]
+        rid, _, witness = path.steps[i]
         prev = path.steps[i - 1][1] if i > 0 else path.start
-        reduction = setup.reduction(rid)
+        lift = setup.reduction(rid).lift
         try:
-            sol = reduction.lift(prev, witnesses[i], sol)
+            sol = lift(prev, witness, sol)
         except Exception as exc:
             raise LiftIntegrityError(i + 1, rid, str(exc)) from exc
         if check is not None and not check(prev, sol):

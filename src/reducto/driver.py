@@ -110,23 +110,20 @@ class RunReport:
 def derive_answer(setup: Setup, x: Formula, result: SearchResult) -> tuple[SolveAnswer, list[str]]:
     """Map a search result to an answer, verifying everything that is claimed.
 
-    A solution lifts through the witnesses its moves carried and is checked
-    at every step; a ``no_solution`` rests on its path, which must verify.
+    A solution lifts through the witnesses its path's moves carry and is
+    checked at every step; a ``no_solution`` rests on its path, which must
+    verify.
     """
     terminal = result.terminal
     if not terminal.is_easy:
         return terminal, []
     if terminal.kind == "no_solution":
-        if verify_path(setup, result.path) is None:
+        if not verify_path(setup, result.path):
             return SolveAnswer.dont_know(), ["search returned a path that does not verify"]
         return terminal, []
     try:
         lifted = lift_solution(
-            setup,
-            result.path,
-            result.witnesses,
-            terminal.value,
-            check=lambda inst, sol: satisfies(sol, inst),
+            setup, result.path, terminal.value, check=lambda inst, sol: satisfies(sol, inst)
         )
     except LiftIntegrityError as exc:
         return SolveAnswer.dont_know(), [f"lift integrity failure: {exc}"]
@@ -147,7 +144,7 @@ def training_quality(result: SearchResult) -> QualityData:
     """
     dists: dict[tuple[Formula, str], dict[Formula, int]] = {}
     prev = result.path.start
-    for rid, inst in result.path.steps:
+    for rid, inst, _ in result.path.steps:
         dists[(prev, rid)] = {m: int(m == inst) for m in result.quality.distributions[(prev, rid)]}
         prev = inst
     return QualityData(values=result.quality.values, distributions=dists)
@@ -236,20 +233,6 @@ def _check_instances(count: int, max_vars: int, seed: int, ratio: float) -> Iter
     for _ in range(count):
         n = rng.randint(min(3, max_vars), max_vars)
         yield random_ksat(rng, n, max(1, round(ratio * n)))
-
-
-def random_formula(rng: random.Random, max_vars: int, max_clauses: int) -> Formula:
-    """Mixed-width random CNF (widths 1 to 3) used for desk-scale probing."""
-    n_vars = rng.randint(1, max_vars)
-    n_clauses = rng.randint(1, max_clauses)
-    clauses: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(clauses) < n_clauses and attempts < 50 * (n_clauses + 1):
-        attempts += 1
-        width = rng.randint(1, min(3, n_vars))
-        vs = rng.sample(range(1, n_vars + 1), width)
-        clauses.add(clause(v if rng.random() < 0.5 else -v for v in vs))
-    return Formula(clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -422,35 +422,39 @@ def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -
 
 
 def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
-    kind, digest = doc["kind"], doc["digest"]
-    if not isinstance(digest, str):  # digests are sort keys in training
-        raise ValueError("record digest is not a string")
+    # A run writes digests as strings (they are sort keys in training) and
+    # counts as JSON integers: ``type(x) is int`` turns away floats, strings
+    # and booleans alike.
+    kind, digest, n_vars = doc["kind"], doc["digest"], doc["n_vars"]
+    if not isinstance(digest, str) or type(n_vars) is not int:
+        raise ValueError("record digest is not a string or n_vars is not an integer")
     if kind == "value":
         features = tuple(map(float, doc["features"]))
-        value = float(doc["value"])
-        visits = int(doc["visits"])
+        value, visits = doc["value"], doc["visits"]
         if (
             len(features) != _FEATURE_DIM
             or not all(map(_isfinite, features))
+            or not (type(value) is float or type(value) is int)
             or not 0.0 <= value <= 1.0
+            or type(visits) is not int
             or visits < 1
         ):
             raise ValueError("non-finite or invalid value record")
-        return ValueRecord(digest, int(doc["n_vars"]), features, value, visits)
+        return ValueRecord(digest, n_vars, features, float(value), visits)
     if kind == "dist":
         moves = {}
         for m in doc["moves"]:
             move = m["digest"]
             features = tuple(map(float, m["features"]))
-            count = int(m["count"])
-            if (len(features) != _FEATURE_DIM or not all(map(_isfinite, features)) or count < 0
-                    or not isinstance(move, str)):
+            count = m["count"]
+            if (len(features) != _FEATURE_DIM or not all(map(_isfinite, features))
+                    or type(count) is not int or count < 0 or not isinstance(move, str)):
                 raise ValueError("non-finite or invalid move stat")
             moves[move] = MoveStat(move, features, count)
         reduction = doc["reduction"]
         if not moves or not isinstance(reduction, str) or not reduction:
             raise ValueError("dist record without moves or reduction")
-        return DistRecord(digest, reduction, int(doc["n_vars"]), moves)
+        return DistRecord(digest, reduction, n_vars, moves)
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -511,10 +515,11 @@ def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaSto
     """Read a quality log into a store; corrupt records are skipped and counted.
 
     A record no run writes is corrupt: among others, one with a value
-    outside [0, 1], a non-finite feature, a digest that is not a string, or
-    a ``dist`` without moves or reduction id.  With ``last_lines`` only that
-    many lines at the end of the log are read, and the rest of the file is
-    not.  Each line parses exactly as ``json.loads`` would parse it
+    outside [0, 1] or not a JSON number, a visit, move or variable count
+    that is not a JSON integer, a non-finite feature, a digest that is not a
+    string, or a ``dist`` without moves or reduction id.  With
+    ``last_lines`` only that many lines at the end of the log are read, and
+    the rest of the file is not.  Each line parses exactly as ``json.loads`` would parse it
     (``_parse_line``).
     """
     if last_lines is not None:

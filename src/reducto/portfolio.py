@@ -8,10 +8,11 @@ propagation and variable elimination; the latter is the rule object the
 processes speaking DIMACS on stdin and either a solver result or a
 transformed DIMACS formula on stdout; a member that crashes, times out, or
 talks garbage simply contributes no move.  Each external member is a
-``core.one_move`` rule: its move carries the lift kept with the member's
-output, which the lift applies.  It keeps its output per formula, so path
-verification, which lists the member's move again, sees what the search saw
-and its child process runs once per formula.
+``core.one_move`` rule: its move's witness is the lift kept with the
+member's output, and the path step that takes the move hands that witness
+to the rule's lift.  It keeps its output per formula, so its child process
+runs once per formula, and path verification, which lists the member's move
+again, finds the very (successor, witness) pair the search took.
 """
 
 from __future__ import annotations
@@ -51,10 +52,13 @@ class ExternalMember:
     against the input before being trusted), ``s UNSATISFIABLE``, or a
     complete DIMACS formula, which is taken as an identity-lift transform.
     Anything else is a member failure, never a wrong answer.  ``step``
-    keeps its result per formula, so move generation and path verification
-    see one run of the child process, and output that changes between runs
-    cannot fail a good path.  ``failures`` holds the reason of
-    each failed run, so callers can report them; it never influences results.
+    keeps its result per formula in ``_steps``, so move generation and path
+    verification see one run of the child process.  That cache is what makes
+    a re-listed move carry the same witness object, the kept lift, as the
+    step on the path: verification compares witnesses, and output that
+    changes between runs cannot fail a good path.  ``failures`` holds the
+    reason of each failed run, so callers can report them; it never
+    influences results.
     """
 
     id: str

@@ -256,15 +256,6 @@ def _decode(t: _Table, ms: Iterable[int]) -> list[tuple[list[int], Clause]]:
     return [decoded[m] for m in ms]
 
 
-def new_resolvents(phi: Formula) -> list[Clause]:
-    """All resolvents of clause pairs of ``phi`` that are not already clauses of it.
-
-    The result is in canonical order.
-    """
-    t = _resolvent_table(phi)
-    return [c for _, c in sorted(_decode(t, set().union(*t.new.values())))]
-
-
 class _Pending(Formula):
     """A move's successor: the clauses of ``base`` plus ``added``, built on first read.
 

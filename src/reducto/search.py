@@ -30,7 +30,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol
 
 from .core import DEFAULT_MOVE_CAP, Path, Setup, SolveAnswer, enumerate_moves
 
@@ -105,7 +105,6 @@ class SearchStats:
 class SearchResult:
     """Path found, the easy solver's verdict at its end, quality data, and stats.
 
-    ``witnesses`` holds each path step's move witness, outside ``canonical_text``.
     ``quality`` may be given as a function that builds it; it is then built
     on first read, once, so a caller that never reads it pays nothing.
     """
@@ -116,12 +115,10 @@ class SearchResult:
         terminal: SolveAnswer,
         quality: QualityData | Callable[[], QualityData],
         stats: SearchStats,
-        witnesses: Sequence[Any],
     ):
         self.path = path
         self.terminal = terminal
         self.stats = stats
-        self.witnesses = witnesses
         self._quality = quality
 
     @property
@@ -132,12 +129,12 @@ class SearchResult:
         return q
 
     def canonical_text(self) -> str:
-        """Deterministic serialization for comparing runs; excludes wall time."""
+        """Deterministic serialization for comparing runs; excludes wall time and witnesses."""
         sol = self.terminal.value
         payload = {
             "path": {
                 "start": self.path.start.digest,
-                "steps": [[rid, inst.digest] for rid, inst in self.path.steps],
+                "steps": [[rid, inst.digest] for rid, inst, _ in self.path.steps],
             },
             "terminal": {
                 "kind": self.terminal.kind,
@@ -311,8 +308,7 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
             if winning:
                 break
 
-    steps = [node.children[i] for node, i in winning]
-    path = Path(x, tuple((rid, m) for rid, m, _ in steps))
+    path = Path(x, tuple(node.children[i] for node, i in winning))
 
     def quality() -> QualityData:
         q = QualityData()
@@ -330,4 +326,4 @@ def ams_search(x: Any, setup: Setup, evaluator: Evaluator, cfg: SearchConfig) ->
         samples=passes,
     )
     terminal = setup.easy(path.end) if winning else root_answer
-    return SearchResult(path, terminal, quality, stats, tuple(w for _, _, w in steps))
+    return SearchResult(path, terminal, quality, stats)

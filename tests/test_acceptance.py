@@ -15,7 +15,6 @@ import pytest
 from reducto.core import Path, Setup, enumerate_moves, verify_path
 from reducto.driver import (
     make_setup,
-    random_formula,
     random_ksat,
     run_selfcheck,
     solve,
@@ -51,6 +50,8 @@ from reducto.sat import (
     satisfies,
 )
 from reducto.search import SearchConfig, ams_search
+
+from helpers import random_formula, step_witness
 
 
 def report(criterion, passed, detail):
@@ -112,12 +113,6 @@ def givers(rule, phi):
     return out
 
 
-def step_witness(rule, x, x2):
-    """The witness a one-step ``verify_path`` finds for ``rule`` from ``x`` to ``x2``, or None."""
-    witnesses = verify_path(Setup(easy_trivial, (rule,)), Path(x, ((rule.id, x2),)))
-    return None if witnesses is None else witnesses[0]
-
-
 # Two variables give one successor: eliminating 1 or 2, and flipping 1 or 2.
 SHARED_SUCCESSORS = [Formula([[1, 2]]), Formula([[-1, -2], [1, 2]])]
 
@@ -129,11 +124,11 @@ def test_criterion_1_self_reduction_contract():
     forward_violations = 0
     lift_violations = 0
     checked_moves = 0
-    # The one-step check of phi to m must refuse m exactly when m is not a
-    # successor in moves(phi), for phi itself and for every rule's moves; for
-    # a successor it must return the witness the move carries.  Where several
-    # variables give one flip or one bounded elimination, the move carries
-    # the lowest.
+    # Moves are pure: listing phi's moves again must hold m exactly when m is
+    # a successor in moves(phi), for phi itself and for every rule's moves,
+    # and a one-step path of each move, with the witness it carries, must
+    # verify.  Where several variables give one flip or one bounded
+    # elimination, the move carries the lowest.
     step_disagreements = 0
     witness_disagreements = 0
     shared = 0
@@ -143,6 +138,7 @@ def test_criterion_1_self_reduction_contract():
         move_lists = [rule.moves(phi) for rule in rules]
         candidates = {phi}.union(*({m for m, _ in moves} for moves in move_lists))
         for rule, moves in zip(rules, move_lists):
+            alone = Setup(easy_trivial, (rule,))
             successors = {m for m, _ in moves}
             step_disagreements += sum(
                 (step_witness(rule, phi, m) is not None) != (m in successors) for m in candidates
@@ -150,7 +146,8 @@ def test_criterion_1_self_reduction_contract():
             by_successor = givers(rule, phi)
             for move, witness in moves:
                 checked_moves += 1
-                witness_disagreements += step_witness(rule, phi, move) != witness
+                one_step = Path(phi, ((rule.id, move, witness),))
+                witness_disagreements += not verify_path(alone, one_step)
                 vs = by_successor.get(move, [])
                 if len(vs) > 1 and len(move) <= len(phi):
                     shared += 1

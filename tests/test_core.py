@@ -15,7 +15,7 @@ from reducto.core import (
     lift_solution,
     verify_path,
 )
-from reducto.driver import make_setup, random_formula
+from reducto.driver import make_setup
 from reducto.sat import (
     FLIP,
     Formula,
@@ -26,6 +26,8 @@ from reducto.sat import (
     satisfies,
 )
 
+from helpers import random_formula
+
 FLIP_SETUP = make_setup("flip")
 RES_SETUP = make_setup("resolution")
 RES_ONLY = Setup(easy=easy_trivial, reductions=(RESOLUTION,))
@@ -33,13 +35,6 @@ RES_ONLY = Setup(easy=easy_trivial, reductions=(RESOLUTION,))
 
 def sat_check(inst, sol):
     return satisfies(sol, inst)
-
-
-def lift_path(setup, path, y, check=None):
-    """Lift ``y`` through the witnesses ``verify_path`` identifies on ``path``."""
-    witnesses = verify_path(setup, path)
-    assert witnesses is not None
-    return lift_solution(setup, path, witnesses, y, check=check)
 
 
 class TestOutcomeTypes:
@@ -75,21 +70,34 @@ class TestSetup:
             RES_SETUP.reduction("nope")
 
 
+class TestPath:
+    def test_a_step_that_is_not_a_triple_raises_when_the_path_is_built(self):
+        # A step is a move: (reduction id, instance, witness), nothing less or more.
+        with pytest.raises(ValueError):
+            Path(Formula([[-1]]), (("flip", Formula([[1]])),))
+        with pytest.raises(ValueError):
+            Path(Formula([[-1]]), (("flip", Formula([[1]]), 1, "extra"),))
+
+
 class TestVerifyPath:
     def test_zero_length_path_verifies(self):
-        # No step, no witness: [] is falsy, so callers test `is None`.
-        assert verify_path(RES_SETUP, Path(Formula([[1]]))) == []
+        assert verify_path(RES_SETUP, Path(Formula([[1]]))) is True
 
     def test_genuine_flip_move_verifies(self):
-        path = Path(Formula([[-1]]), ((("flip"), Formula([[1]])),))
-        assert verify_path(FLIP_SETUP, path) == [1]
+        path = Path(Formula([[-1]]), (("flip", Formula([[1]]), 1),))
+        assert verify_path(FLIP_SETUP, path) is True
 
     def test_non_move_fails(self):
-        path = Path(Formula([[-1]]), (("flip", Formula([[-1], [2]])),))
-        assert verify_path(FLIP_SETUP, path) is None
+        path = Path(Formula([[-1]]), (("flip", Formula([[-1], [2]]), 1),))
+        assert verify_path(FLIP_SETUP, path) is False
+
+    def test_a_listed_successor_with_the_wrong_witness_fails(self):
+        # Flipping 1 reaches {1}; the step claims variable 2 did.
+        path = Path(Formula([[-1]]), (("flip", Formula([[1]]), 2),))
+        assert verify_path(FLIP_SETUP, path) is False
 
     def test_unknown_reduction_id_raises(self):
-        path = Path(Formula([[-1]]), (("teleport", Formula([[1]])),))
+        path = Path(Formula([[-1]]), (("teleport", Formula([[1]]), 1),))
         with pytest.raises(UnknownReductionError):
             verify_path(FLIP_SETUP, path)
 
@@ -102,10 +110,11 @@ class TestVerifyPath:
 
         rule = SelfReduction("up", moves, lambda x, w, y: y)
         setup = Setup(easy=easy_trivial, reductions=(rule,))
-        # Each step's witness is the one its source's listing pairs with it.
-        assert verify_path(setup, Path(1, (("up", 2), ("up", 4)))) == ["1+1", "2+2"]
+        # Each step's (instance, witness) pair is one its source's listing holds.
+        assert verify_path(setup, Path(1, (("up", 2, "1+1"), ("up", 4, "2+2")))) is True
         assert listed == [1, 2]
-        assert verify_path(setup, Path(1, (("up", 2), ("up", 5)))) is None
+        assert verify_path(setup, Path(1, (("up", 2, "1+1"), ("up", 5, "2+3")))) is False
+        assert verify_path(setup, Path(1, (("up", 2, "1+1"), ("up", 4, "2+1")))) is False
 
 
 class TestIdentify:
@@ -117,25 +126,49 @@ class TestIdentify:
             lambda x, w, y: y + ((x, w),),
         )
         setup = Setup(easy=easy_trivial, reductions=(rule,))
-        lifted = lift_path(setup, Path(1, (("r", 2), ("r", 3))), ())
-        assert lifted == ((2, "2->3"), (1, "1->2"))
+        path = Path(1, (("r", 2, "1->2"), ("r", 3, "2->3")))
+        assert verify_path(setup, path)
+        assert lift_solution(setup, path, ()) == ((2, "2->3"), (1, "1->2"))
 
 
 class TestLiftSolution:
     def test_zero_length_path_is_identity(self):
-        assert lift_solution(RES_SETUP, Path(TOP), [], frozenset()) == frozenset()
+        assert lift_solution(RES_SETUP, Path(TOP), frozenset()) == frozenset()
 
     def test_flip_lift_negates_the_flipped_literal(self):
-        path = Path(Formula([[-1]]), (("flip", Formula([[1]])),))
-        lifted = lift_path(FLIP_SETUP, path, frozenset([1]), check=sat_check)
+        path = Path(Formula([[-1]]), (("flip", Formula([[1]]), 1),))
+        lifted = lift_solution(FLIP_SETUP, path, frozenset([1]), check=sat_check)
         assert lifted == frozenset([-1])
 
     def test_resolution_lift_is_identity(self):
         phi = Formula([[1, 2], [-1, 2]])
         move = Formula([[1, 2], [-1, 2], [2]])
-        path = Path(phi, (("resolution", move),))
+        path = Path(phi, (("resolution", move, True),))
+        assert verify_path(RES_SETUP, path)
         alpha = frozenset([2])
-        assert lift_path(RES_SETUP, path, alpha, check=sat_check) == alpha
+        assert lift_solution(RES_SETUP, path, alpha, check=sat_check) == alpha
+
+    def test_a_path_of_listed_moves_verifies_and_lifts_without_listing_again(self):
+        listed = []
+
+        def moves(x):
+            listed.append(x)
+            return FLIP.moves(x)
+
+        counted = SelfReduction("flip", moves, FLIP.lift)
+        setup = Setup(easy=easy_trivial, reductions=(counted,))
+        phi = Formula([[-1, -2], [-2, 3], [-3]])
+        steps, cur = [], phi
+        for _ in range(3):
+            step = enumerate_moves(setup, cur)[0]
+            steps.append(step)
+            cur = step[1]
+        path = Path(phi, steps)
+        assert len(listed) == 3
+        y = oracle_solve(path.end).witness
+        assert satisfies(lift_solution(setup, path, y, check=sat_check), phi)
+        assert len(listed) == 3  # the lift reads each step's own witness
+        assert verify_path(setup, path) and listed[3:] == [phi, *(inst for _, inst, _ in steps[:-1])]
 
     def test_integrity_error_identifies_the_offending_step(self):
         bad = SelfReduction(
@@ -144,17 +177,11 @@ class TestLiftSolution:
             lift=lambda x, w, y: frozenset([99]),
         )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
-        path = Path(Formula([[1], [2]]), (("bad", TOP),))
+        path = Path(Formula([[1], [2]]), (("bad", TOP, True),))
         with pytest.raises(LiftIntegrityError) as err:
-            lift_path(setup, path, frozenset(), check=sat_check)
+            lift_solution(setup, path, frozenset(), check=sat_check)
         assert err.value.step == 1
         assert err.value.reduction_id == "bad"
-
-    def test_a_missing_witness_is_an_integrity_error(self):
-        path = Path(Formula([[-1]]), (("flip", Formula([[1]])),))
-        with pytest.raises(LiftIntegrityError) as err:
-            lift_solution(FLIP_SETUP, path, [], frozenset([1]))
-        assert (err.value.step, err.value.reduction_id) == (1, "flip")
 
     def test_exception_inside_a_lift_becomes_integrity_error(self):
         def broken(x, w, y):
@@ -166,9 +193,9 @@ class TestLiftSolution:
             lift=broken,
         )
         setup = Setup(easy=easy_trivial, reductions=(bad,))
-        path = Path(Formula([[1]]), (("bad", TOP),))
+        path = Path(Formula([[1]]), (("bad", TOP, True),))
         with pytest.raises(LiftIntegrityError):
-            lift_path(setup, path, frozenset())
+            lift_solution(setup, path, frozenset())
 
     def test_composed_path_equals_composing_halves(self):
         rng = random.Random(29)
@@ -177,20 +204,19 @@ class TestLiftSolution:
             first = enumerate_moves(RES_SETUP, phi)
             if not first:
                 continue
-            rid1, x1, _ = first[0]
+            x1 = first[0][1]
             second = enumerate_moves(RES_SETUP, x1)
             if not second:
                 continue
-            rid2, x2, _ = second[0]
-            verdict = oracle_solve(x2)
+            verdict = oracle_solve(second[0][1])
             if not verdict.satisfiable:
                 continue
             y = verdict.witness
-            whole = Path(phi, ((rid1, x1), (rid2, x2)))
-            front = Path(phi, ((rid1, x1),))
-            back = Path(x1, ((rid2, x2),))
-            composed = lift_path(RES_SETUP, front, lift_path(RES_SETUP, back, y))
-            assert lift_path(RES_SETUP, whole, y) == composed
+            whole = Path(phi, (first[0], second[0]))
+            front = Path(phi, (first[0],))
+            back = Path(x1, (second[0],))
+            composed = lift_solution(RES_SETUP, front, lift_solution(RES_SETUP, back, y))
+            assert lift_solution(RES_SETUP, whole, y) == composed
 
 
 class TestEnumerateMoves:
@@ -239,11 +265,9 @@ class TestContractProperties:
                 verdict = oracle_solve(move)
                 if not verdict.satisfiable:
                     continue
-                path = Path(phi, ((rid, move),))
-                lifted = lift_path(RES_SETUP, path, verdict.witness)
-                assert satisfies(lifted, phi)
-                # The witness the move carried lifts as the identified one does.
-                assert lift_solution(RES_SETUP, path, [w], verdict.witness) == lifted
+                path = Path(phi, ((rid, move, w),))
+                assert verify_path(RES_SETUP, path)
+                assert satisfies(lift_solution(RES_SETUP, path, verdict.witness), phi)
 
     def test_forward_solvability(self):
         rng = random.Random(37)
@@ -264,10 +288,11 @@ class TestContractProperties:
                 moves = enumerate_moves(RES_SETUP, cur, move_cap=16)
                 if not moves:
                     break
-                steps.append(moves[0][:2])
+                steps.append(moves[0])
                 cur = moves[0][1]
             path = Path(phi, tuple(steps))
-            assert verify_path(RES_SETUP, path) is not None
+            assert verify_path(RES_SETUP, path)
             if steps:
-                corrupted = Path(phi, tuple(steps[:-1]) + ((steps[-1][0], Formula([[7], [-7]])),))
-                assert verify_path(RES_SETUP, corrupted) is None
+                rid, _, w = steps[-1]
+                corrupted = Path(phi, tuple(steps[:-1]) + ((rid, Formula([[7], [-7]]), w),))
+                assert not verify_path(RES_SETUP, corrupted)

@@ -4,8 +4,9 @@ import warnings
 import pytest
 
 from reducto.dimacs import DimacsError, DimacsWarning, emit_dimacs, parse_dimacs
-from reducto.driver import random_formula
 from reducto.sat import BOTTOM, Formula, TOP
+
+from helpers import random_formula
 
 
 class TestParse:

@@ -14,7 +14,6 @@ from reducto.driver import (
     check_quality_data,
     derive_answer,
     make_setup,
-    random_formula,
     random_ksat,
     run_bench,
     run_selfcheck,
@@ -44,6 +43,8 @@ from reducto.sat import (
 )
 from reducto.search import QualityData, SearchConfig, SearchResult, SearchStats, ams_search
 from reducto.core import SolveAnswer
+
+from helpers import random_formula, step_witness
 
 CFG = SearchConfig(horizon=6, budget=12)
 
@@ -179,7 +180,7 @@ class TestTrainingRecords:
             dists = [rec for rec in report.records if isinstance(rec, DistRecord)]
             assert len(dists) == len(result.path)
             prev = result.path.start
-            for rec, (rid, inst) in zip(dists, result.path.steps):
+            for rec, (rid, inst, _) in zip(dists, result.path.steps):
                 assert (rec.digest, rec.reduction) == (prev.digest, rid)
                 siblings = result.quality.distributions[(prev, rid)]
                 assert {d: m.count for d, m in rec.moves.items()} == {
@@ -213,11 +214,10 @@ class TestDeriveAnswer:
         target = Formula([[], [1, 2], [-1, 2]])
         assert setup.easy(target).kind == "no_solution"
         fake = SearchResult(
-            path=Path(phi, (("resolution", target),)),
+            path=Path(phi, (("resolution", target, True),)),
             terminal=setup.easy(target),
             quality=QualityData(),
             stats=SearchStats(0, 0, 0.0),
-            witnesses=(True,),
         )
         answer, diagnostics = derive_answer(setup, phi, fake)
         assert answer.kind == "dont_know"
@@ -236,16 +236,15 @@ class TestDeriveAnswer:
         # Solution paths are not verified again: the lift's checks catch a
         # witness that is not the step's.
         setup = make_setup("portfolio" if rid == "elimination" else "flip")
-        (right,) = verify_path(setup, Path(phi, ((rid, target),)))
-        assert right != wrong
+        right = step_witness(setup.reduction(rid), phi, target)
+        assert right is not None and right != wrong
 
         def answer(witness):
             result = SearchResult(
-                path=Path(phi, ((rid, target),)),
+                path=Path(phi, ((rid, target, witness),)),
                 terminal=SolveAnswer.solution(frozenset(y)),
                 quality=QualityData(),
                 stats=SearchStats(0, 0, 0.0),
-                witnesses=(witness,),
             )
             return derive_answer(setup, phi, result)
 
@@ -264,13 +263,13 @@ class TestDeriveAnswer:
         setup = make_setup("flip")
         phi = Formula([[-1]])
         target = Formula([[1], [2]])
-        assert verify_path(setup, Path(phi, (("flip", target),))) is None
+        path = Path(phi, (("flip", target, 1),))
+        assert not verify_path(setup, path)
         result = SearchResult(
-            path=Path(phi, (("flip", target),)),
+            path=path,
             terminal=SolveAnswer.solution(frozenset([1, 2])),
             quality=QualityData(),
             stats=SearchStats(0, 0, 0.0),
-            witnesses=(1,),
         )
         assert derive_answer(setup, phi, result) == (SolveAnswer.solution(frozenset([-1, 2])), [])
 
@@ -282,15 +281,14 @@ class TestDeriveAnswer:
         setup = make_setup("portfolio")
         grown = Formula([[2, 4], [2, 5], [2, 6], [3, 4], [3, 5], [3, 6]])
         assert grown not in [m for m, _ in ELIMINATION.moves(GROWING)]
-        forged = Path(GROWING, (("elimination", grown),))
-        assert verify_path(setup, forged) is None
+        forged = Path(GROWING, (("elimination", grown, 1),))
+        assert not verify_path(setup, forged)
         assert setup.easy(grown).kind == "solution"
         result = SearchResult(
             path=forged,
             terminal=SolveAnswer.no_solution(),
             quality=QualityData(),
             stats=SearchStats(0, 0, 0.0),
-            witnesses=(1,),
         )
         answer, diagnostics = derive_answer(setup, GROWING, result)
         assert answer.kind == "dont_know"
@@ -309,7 +307,7 @@ class TestDeriveAnswer:
         setup = Setup(easy=easy_trivial, reductions=(rule,))
         phi = Formula([[1], [-1, 2]])
         result = ams_search(phi, setup, _uniform_evaluator(), SearchConfig(horizon=2, budget=2))
-        assert result.path.steps == (("counted", TOP),) and result.witnesses == ((1, 2),)
+        assert result.path.steps == (("counted", TOP, (1, 2)),)
         answer, diagnostics = derive_answer(setup, phi, result)
         assert (answer, diagnostics) == (SolveAnswer.solution(frozenset([1, 2])), [])
         assert calls == [phi]
@@ -401,8 +399,10 @@ class TestSelfcheckEngine:
     @pytest.mark.parametrize("rid, x, non_move", NON_MOVES, ids=[c[0] for c in NON_MOVES])
     def test_non_moves_of_each_fast_rule_are_caught(self, rid, x, non_move):
         setup = Setup(easy=easy_trivial, reductions=(RESOLUTION, ELIMINATION, FLIP))
-        assert non_move not in setup.reduction(rid).moves(x)
-        assert verify_path(setup, Path(x, ((rid, non_move),))) is None
+        moves = setup.reduction(rid).moves(x)
+        assert non_move not in [m for m, _ in moves]
+        for witness in {True, *(w for _, w in moves)}:
+            assert not verify_path(setup, Path(x, ((rid, non_move, witness),)))
         bogus = QualityData(values={x: (1.0, 2)}, distributions={(x, rid): {non_move: 2}})
         assert f"counted non-move for {rid} at {x.digest}" in check_quality_data(bogus, setup)
 

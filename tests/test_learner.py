@@ -10,7 +10,7 @@ from typing import Iterable
 import pytest
 
 from reducto import learner
-from reducto.driver import SETUP_NAMES, random_formula, random_ksat, solve
+from reducto.driver import SETUP_NAMES, random_ksat, solve
 from reducto.learner import (
     DEFAULT_EPOCHS,
     DEFAULT_LEARNING_RATE,
@@ -47,6 +47,8 @@ from reducto.learner import (
 )
 from reducto.sat import BOTTOM, Formula, TOP
 from reducto.search import QualityData, SearchConfig
+
+from helpers import random_formula
 
 
 def random_store(rng, n_values=3, n_dists=2, dim=len(FEATURE_NAMES)):
@@ -437,6 +439,31 @@ class TestQualityLog:
         assert skipped == 22
         assert len(store.values) == 1
         assert not store.dists
+
+    def test_wrongly_typed_fields_are_skipped_and_counted(self, tmp_path):
+        # Runs write visits, counts and n_vars as JSON integers and a value as
+        # a JSON number; a string, a fraction or a boolean there is corrupt.
+        dim = len(FEATURE_NAMES)
+        value = {"kind": "value", "digest": "s", "n_vars": 1,
+                 "features": [0.5] * dim, "value": 0.5, "visits": 1}
+        dist = {"kind": "dist", "digest": "r", "reduction": "flip", "n_vars": 1,
+                "moves": [{"digest": "m", "features": [0.5] * dim, "count": 1}]}
+        move = dist["moves"][0]
+        bad = [{**value, "visits": v} for v in ("2", 1.5, True)]
+        bad += [{**value, "value": v} for v in ("0.5", True, None)]
+        bad += [{**rec, "n_vars": v} for rec in (value, dist) for v in ("1", 1.5, True)]
+        bad += [{**dist, "moves": [{**move, "count": v}]} for v in ("1", 0.7, True)]
+        path = str(tmp_path / "quality.jsonl")
+        with open(path, "w") as handle:
+            # An integer value is a JSON number and loads as a float.
+            for doc in [value, dist, {**value, "digest": "i", "value": 1}, *bad]:
+                handle.write(json.dumps(doc) + "\n")
+        store, skipped = load_quality_log(path)
+        assert skipped == len(bad) == 15
+        assert store.values["s"].visits == 1 and store.dists[("r", "flip")].moves["m"].count == 1
+        assert type(store.values["i"].value) is float
+        with open(path, "rb") as handle:
+            assert (store, skipped) == ref_read_records(handle)
 
     def test_lines_read_as_json_loads_reads_them(self, tmp_path):
         # _read_records decodes a line of UTF-8 text directly and hands any

@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from reducto.core import Path, Setup, enumerate_moves, lift_solution, verify_path
+from reducto.core import Path, enumerate_moves, lift_solution, verify_path
 from reducto.dimacs import emit_dimacs
-from reducto.driver import derive_answer, random_formula
+from reducto.driver import derive_answer
 from reducto.learner import LinearEvaluator, init_params
 from reducto.portfolio import ExternalMember, MemberFailure, portfolio_setup
 from reducto.sat import (
@@ -22,6 +22,8 @@ from reducto.sat import (
 )
 from reducto.search import SearchConfig, ams_search
 
+from helpers import random_formula, step_witness
+
 
 def brute_force(phi):
     vs = phi.variables
@@ -30,12 +32,6 @@ def brute_force(phi):
         if satisfies(alpha, phi):
             return alpha
     return None
-
-
-def step_witness(rule, x, x2):
-    """The witness a one-step ``verify_path`` finds for ``rule`` from ``x`` to ``x2``, or None."""
-    witnesses = verify_path(Setup(easy_combined, (rule,)), Path(x, ((rule.id, x2),)))
-    return None if witnesses is None else witnesses[0]
 
 
 class TestUnitPropagation:
@@ -182,12 +178,13 @@ class TestExternalMembers:
         assert builtin_moves and not any(easy_combined(m).is_easy for _, m, _ in builtin_moves)
         evaluator = LinearEvaluator(init_params())
         result = ams_search(phi, setup, evaluator, SearchConfig(horizon=4, budget=8))
-        assert result.path.steps == (("flaky", TOP),)
+        flaky = setup.reduction("flaky")
+        kept = step_witness(flaky, phi, TOP)
+        # The re-listed move carries the very lift object the path step carries.
+        assert result.path.steps == (("flaky", TOP, kept),) and verify_path(setup, result.path)
         answer, diagnostics = derive_answer(setup, phi, result)
         assert answer.kind == "solution" and diagnostics == []
         assert satisfies(answer.value, phi)
-        flaky = setup.reduction("flaky")
-        kept = step_witness(flaky, phi, TOP)
         assert flaky.lift(phi, kept, frozenset()) == frozenset([-1, -2, -3])
         assert runs.read_text() == "x"
         assert member.failures == []
@@ -199,10 +196,10 @@ class TestExternalMembers:
     def test_path_step_names_the_external_member(self):
         phi = Formula([[1, 2], [1, -2], [1, 3]])
         setup = portfolio_setup((external(FAKE_SAT, member_id="oracle"),))
-        path = Path(phi, (("oracle", TOP),))
-        witnesses = verify_path(setup, path)
-        assert witnesses is not None
-        lifted = lift_solution(setup, path, witnesses, frozenset())
+        step = next(move for move in enumerate_moves(setup, phi) if move[0] == "oracle")
+        path = Path(phi, (step,))
+        assert path.end == TOP and verify_path(setup, path)
+        lifted = lift_solution(setup, path, frozenset())
         assert satisfies(lifted, phi)
 
 
@@ -234,12 +231,11 @@ class TestPortfolioMoves:
             "unit-propagation", "elimination", "elimination", "elimination"
         ]
         for rid, target, carried in moves:
-            path = Path(phi, ((rid, target),))
-            witnesses = verify_path(setup, path)
-            assert witnesses == [carried]
+            path = Path(phi, ((rid, target, carried),))
+            assert verify_path(setup, path)
             witness = brute_force(target)
             assert witness is not None
-            assert satisfies(lift_solution(setup, path, witnesses, witness), phi), rid
+            assert satisfies(lift_solution(setup, path, witness), phi), rid
 
 
 class TestPortfolioContract:

@@ -32,20 +32,15 @@ from reducto.sat import (
     flip_moves,
     flip_variable,
     flippable_variables,
-    new_resolvents,
     oracle_solve,
     resolution_moves,
     satisfies,
     unit_propagate_fixpoint,
 )
-from reducto.core import Path, Setup, enumerate_moves, verify_path
-from reducto.driver import make_setup, random_formula
+from reducto.core import enumerate_moves
+from reducto.driver import make_setup
 
-
-def step_witness(rule, x, x2):
-    """The witness a one-step ``verify_path`` finds for ``rule`` from ``x`` to ``x2``, or None."""
-    witnesses = verify_path(Setup(easy_trivial, (rule,)), Path(x, ((rule.id, x2),)))
-    return None if witnesses is None else witnesses[0]
+from helpers import new_resolvents, random_formula, step_witness
 
 
 def lift_move(rule, phi, move, y):

@@ -43,3 +43,26 @@ def test_every_module_parses_as_the_oldest_supported_python():
     assert version == (3, 10)
     for path in SOURCES:
         ast.parse(path.read_text(), str(path), feature_version=version)
+
+
+def unused_imports(path):
+    """The names the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export.
+    unused = {
+        (path.name, name)
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for name in unused_imports(path)
+    }
+    assert not unused, sorted(unused)
