@@ -48,6 +48,7 @@ FEATURE_NAMES = (
     "clause_var_ratio",
 )
 _FEATURE_DIM = len(FEATURE_NAMES)
+_FEATURE_TYPES = (float,) * _FEATURE_DIM  # every feature a run writes is a float
 
 
 class ParamVersionError(ValueError):
@@ -129,6 +130,13 @@ def params_text(theta: ParamStore) -> str:
     return json.dumps(_params_payload(theta), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_numbers(values: list) -> list[float]:
+    """``values`` as floats; a JSON number is an int or a float, never a bool or a string."""
+    if not all(type(w) is float or type(w) is int for w in values):
+        raise ValueError(f"{values!r} holds a value that is not a JSON number")
+    return [float(w) for w in values]
+
+
 def parse_params(text: str) -> ParamStore:
     """Read a parameter document; a malformed one raises ParamVersionError."""
     try:
@@ -141,12 +149,14 @@ def parse_params(text: str) -> ParamStore:
         raise ParamVersionError(f"unsupported parameter version {doc.get('version')!r}")
     try:
         spec = tuple(doc["feature_spec"])
-        value_weights = [float(w) for w in doc["value_weights"]]
-        prior_weights = {rid: [float(w) for w in ws] for rid, ws in doc["prior_weights"].items()}
+        value_weights = _json_numbers(doc["value_weights"])
+        prior_weights = {rid: _json_numbers(ws) for rid, ws in doc["prior_weights"].items()}
         stats = doc.get("training_stats", {})
-        examples_seen = int(stats.get("examples_seen", 0))
+        examples_seen = stats.get("examples_seen", 0)
+        if type(examples_seen) is not int:
+            raise ValueError(f"examples_seen {examples_seen!r} is not a JSON integer")
         last_loss = stats.get("last_loss")
-        last_loss = None if last_loss is None else float(last_loss)
+        last_loss = None if last_loss is None else _json_numbers([last_loss])[0]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParamVersionError(f"malformed parameter document: {exc!r}") from exc
     if spec != FEATURE_NAMES:
@@ -422,17 +432,17 @@ def append_quality_log(path: str, records: Sequence[ValueRecord | DistRecord]) -
 
 
 def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
-    # A run writes digests as strings (they are sort keys in training) and
-    # counts as JSON integers: ``type(x) is int`` turns away floats, strings
-    # and booleans alike.
+    # A run writes digests as strings (they are sort keys in training),
+    # counts as JSON integers and features as floats: ``type(x) is int`` turns
+    # away floats, strings and booleans alike, and so does ``_FEATURE_TYPES``.
     kind, digest, n_vars = doc["kind"], doc["digest"], doc["n_vars"]
     if not isinstance(digest, str) or type(n_vars) is not int:
         raise ValueError("record digest is not a string or n_vars is not an integer")
     if kind == "value":
-        features = tuple(map(float, doc["features"]))
+        features = tuple(doc["features"])
         value, visits = doc["value"], doc["visits"]
         if (
-            len(features) != _FEATURE_DIM
+            tuple(map(type, features)) != _FEATURE_TYPES
             or not all(map(_isfinite, features))
             or not (type(value) is float or type(value) is int)
             or not 0.0 <= value <= 1.0
@@ -445,9 +455,9 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
         moves = {}
         for m in doc["moves"]:
             move = m["digest"]
-            features = tuple(map(float, m["features"]))
+            features = tuple(m["features"])
             count = m["count"]
-            if (len(features) != _FEATURE_DIM or not all(map(_isfinite, features))
+            if (tuple(map(type, features)) != _FEATURE_TYPES or not all(map(_isfinite, features))
                     or type(count) is not int or count < 0 or not isinstance(move, str)):
                 raise ValueError("non-finite or invalid move stat")
             moves[move] = MoveStat(move, features, count)

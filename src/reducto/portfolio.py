@@ -8,18 +8,19 @@ propagation and variable elimination; the latter is the rule object the
 processes speaking DIMACS on stdin and either a solver result or a
 transformed DIMACS formula on stdout; a member that crashes, times out, or
 talks garbage simply contributes no move.  Each external member is a
-``core.one_move`` rule: its move's witness is the lift kept with the
-member's output, and the path step that takes the move hands that witness
-to the rule's lift.  It keeps its output per formula, so its child process
-runs once per formula, and path verification, which lists the member's move
-again, finds the very (successor, witness) pair the search took.
+``core.one_move`` rule whose witness is plain data: the verified assignment
+of a SAT answer, and True for an UNSAT answer or a transformed formula, the
+convention of the ``resolution`` and ``extension`` rules.  So every member
+has one lift, which returns that assignment or passes the solution through,
+and witnesses compare by value.  A member keeps its output per formula only
+so that its child process runs once per formula.
 """
 
 from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Setup, one_move
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
@@ -37,8 +38,6 @@ from .sat import (
 
 DEFAULT_EXTERNAL_TIMEOUT = 10.0
 
-Lift = Callable[[Assignment], Assignment]
-
 
 class MemberFailure(Exception):
     """A portfolio member failed (crash, timeout, or unusable output)."""
@@ -51,26 +50,25 @@ class ExternalMember:
     Accepted outputs: ``s SATISFIABLE`` with ``v`` witness lines (verified
     against the input before being trusted), ``s UNSATISFIABLE``, or a
     complete DIMACS formula, which is taken as an identity-lift transform.
-    Anything else is a member failure, never a wrong answer.  ``step``
-    keeps its result per formula in ``_steps``, so move generation and path
-    verification see one run of the child process.  That cache is what makes
-    a re-listed move carry the same witness object, the kept lift, as the
-    step on the path: verification compares witnesses, and output that
-    changes between runs cannot fail a good path.  ``failures`` holds the
-    reason of each failed run, so callers can report them; it never
-    influences results.
+    Anything else is a member failure, never a wrong answer.  A step's
+    witness is the verified assignment for ``s SATISFIABLE`` and True
+    otherwise.  ``step`` keeps its result per formula in ``_steps``, so move
+    generation and path verification see one run of the child process, and
+    output that changes between runs cannot fail a good path.  ``failures``
+    holds the reason of each failed run, so callers can report them; it
+    never influences results.
     """
 
     id: str
     command: tuple[str, ...]
     timeout: float = DEFAULT_EXTERNAL_TIMEOUT
     failures: list[str] = field(default_factory=list, init=False, compare=False, repr=False)
-    _steps: dict[Formula, tuple[Formula, Lift | None]] = field(
+    _steps: dict[Formula, tuple[Formula, Assignment | bool | None]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
-    def step(self, phi: Formula) -> tuple[Formula, Lift | None]:
-        """The member's output and its lift; on a failure, which ``failures``
+    def step(self, phi: Formula) -> tuple[Formula, Assignment | bool | None]:
+        """The member's output and its witness; on a failure, which ``failures``
         records, ``phi`` itself, which is no move.  The child process runs at
         the first call for ``phi`` only."""
         out = self._steps.get(phi)
@@ -117,19 +115,20 @@ class ExternalMember:
                 raise MemberFailure(f"{self.id}: inconsistent witness") from exc
             if not satisfies(witness, phi):
                 raise MemberFailure(f"{self.id}: witness does not satisfy the instance")
-            return TOP, lambda y, w=witness: w
+            return TOP, witness
         if status == "UNSATISFIABLE":
-            return BOTTOM, lambda y: y
+            return BOTTOM, True
         try:
             transformed = parse_dimacs(stdout, strict=True)
         except DimacsError as exc:
             raise MemberFailure(f"{self.id}: unparseable output") from exc
-        return transformed, lambda y: y
+        return transformed, True
 
 
 def portfolio_setup(externals: Sequence[ExternalMember] = ()) -> Setup:
     """The builtin member rules, then ``externals``, under the combined easy solver."""
-    members = [one_move(m.id, m.step, lambda x, lift, y: lift(y)) for m in externals]
+    # A SAT step's witness is the member's solution; any other step passes y on.
+    members = [one_move(m.id, m.step, lambda x, w, y: y if w is True else w) for m in externals]
     return Setup(
         easy=easy_combined,
         reductions=(UNIT_PROPAGATION, ELIMINATION, *members),

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .core import DONT_KNOW, NO_SOLUTION, SelfReduction, SolveAnswer, identity_lift, one_move
 
-Literal = int
 Clause = tuple  # tuple[int, ...] in canonical order
 Assignment = frozenset  # frozenset[int] without complementary pairs
 
@@ -217,8 +216,8 @@ class _Table(NamedTuple):
     bits: dict[int, int]  # the bit of each literal
     masks: list[int]  # the mask of each clause of phi
     keys: list[list[int]]  # the positions (_positions) of each clause of phi
-    on: dict[int, tuple[int, int]]  # each variable's number of positive and of negative clauses
     new: dict[int, set[int]]  # each variable's resolvents that are not clauses of phi
+    growth: dict[int, int]  # how many clauses eliminating each variable adds to phi
     decoded: dict[int, tuple[list[int], Clause]]  # positions and clause of each mask read
 
 
@@ -237,14 +236,14 @@ def _resolvent_table(phi: Formula) -> _Table:
         for l in c:
             occ.setdefault(l, []).append(m ^ bits[l])
     known = set(masks)
-    on, new = {}, {}
+    new, growth = {}, {}
     for v in phi.variables:
         ps, ns = occ.get(v, ()), occ.get(-v, [])
-        on[v] = (len(ps), len(ns))
-        new[v] = _resolvents(ps, ns, even) - known
+        new[v] = r = _resolvents(ps, ns, even) - known
+        growth[v] = len(r) - len(ps) - len(ns)
     at = {l: i for i, l in enumerate(lits)}
     keys = [[at[l] for l in c] for c in phi.clauses]
-    return _Table(lits, bits, masks, keys, on, new, dict(zip(masks, zip(keys, phi.clauses))))
+    return _Table(lits, bits, masks, keys, new, growth, dict(zip(masks, zip(keys, phi.clauses))))
 
 
 def _decode(t: _Table, ms: Iterable[int]) -> list[tuple[list[int], Clause]]:
@@ -327,38 +326,27 @@ def resolution_moves(phi: Formula) -> list[tuple[Formula, bool]]:
     return [(_Pending(cls, ((i, rc),)), True) for (_, rc), i in keyed]
 
 
-def _eliminable(phi: Formula, t: _Table) -> list[int]:
-    """The variables whose elimination is a move from ``phi``; ``t`` is its table.
-
-    Those whose new resolvents are no more than the clauses on them, or else
-    the fallback: the variable whose elimination can grow ``phi`` the least,
-    the lowest on a tie.  Eliminating ``v`` removes its ``|pos|`` positive and
-    ``|neg|`` negative clauses and adds at most ``|pos|·|neg|`` resolvents, so
-    the growth is at most ``|pos|·|neg| − |pos| − |neg|``.
-    """
-    on, new = t.on, t.new
-    vs = [v for v in phi.variables if len(new[v]) <= sum(on[v])]
-    if vs or not phi.variables:
-        return vs
-    return [min(phi.variables, key=lambda v: ((p := on[v][0]) * (n := on[v][1]) - p - n, v))]
-
-
 def elimination_moves(phi: Formula) -> list[tuple[Formula, int]]:
     """Bounded variable elimination (Eén and Biere, SAT 2005).
 
     Eliminating ``v`` (Davis and Putnam, JACM 1960) drops every clause on
     ``v`` and adds all their non-tautological resolvents on ``v``; the result
-    is satisfiable exactly when ``phi`` is.  One move per variable of ``phi``
-    whose elimination leaves at most ``len(phi)`` distinct clauses, that is,
-    adds no more new resolvents (``_resolvent_table``) than it drops clauses.
-    When no variable qualifies, the one move eliminates the fallback variable
-    (``_eliminable``), so every formula with a variable has a move, and at
-    most ``n`` moves reach ⊤ or ⊥.  A move's witness is its variable.
+    is satisfiable exactly when ``phi`` is.  Its growth, the new resolvents
+    (``_resolvent_table``) less the clauses on ``v``, is exactly how many
+    clauses the result has more than ``phi``.  One move per variable whose
+    growth is at most 0; when there is none, the one move eliminates the
+    variable with the least growth, the lowest on a tie.  So every formula
+    with a variable has a move, and at most ``n`` moves reach ⊤ or ⊥.  A
+    move's witness is its variable.
     """
     t = _resolvent_table(phi)
+    growth = t.growth
+    vs = [v for v in phi.variables if growth[v] <= 0]
+    if not vs and phi.variables:
+        vs = [min(phi.variables, key=lambda v: (growth[v], v))]
     # Two variables can give one formula, {(1 2)} gives ⊤ for both: keep the lowest.
     out: dict[tuple[Clause, ...], int] = {}
-    for v in _eliminable(phi, t):
+    for v in vs:
         gone = t.bits[v] | t.bits[-v]
         ms = [m for m in t.masks if not m & gone]
         ms += t.new[v]

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -317,7 +318,7 @@ class TestPinnedAnswers:
     # sha256 of the answers that lifting each path's witnesses gives, through
     # the driver's own solve, on larger and denser instances than those of
     # TestPinnedOutput in test_search.py.
-    DIGEST = "ff2c9cc8d822dd763ab86dfc85af5c6b07ba436284d4f0eff7a60f7ceaf3a80d"
+    DIGEST = "083ebdb3ceffcfe201ffeab5dfb1f7911c2fae6b6612af3bbd50f147a0098777"
 
     def test_lifted_answers_are_unchanged(self):
         h = hashlib.sha256()
@@ -332,6 +333,21 @@ class TestPinnedAnswers:
                     lifted += run.path_length > 0
             assert lifted, name
         assert h.hexdigest() == self.DIGEST
+
+
+class TestEliminationFallback:
+    @pytest.mark.parametrize("name", ["resolution", "resolution-ext"])
+    def test_the_criterion_5_stream_instance_17_is_decided(self, name):
+        # Instance 17 of the stream (8 variables, 24 clauses) is decided once
+        # the elimination fallback picks the variable of least exact growth;
+        # ranking the fallback by |pos|·|neg| − |pos| − |neg| left it don't-know.
+        phi = next(islice(_check_instances(500, 8, 424242, 3.0), 17, None))
+        answer, _, _ = solve(phi, name, ParamStore(), CHECK_CONFIG, train_after=False)
+        verdict = oracle_solve(phi)
+        assert answer.is_easy
+        assert (answer.kind == "solution") == verdict.satisfiable
+        if answer.kind == "solution":
+            assert satisfies(answer.value, phi)
 
 
 def _uniform_evaluator():

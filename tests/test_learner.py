@@ -203,6 +203,17 @@ class TestInitAndSerialization:
             lambda doc: {**doc, "prior_weights": {"flip": [float("nan")] * 11}},
             lambda doc: {**doc, "training_stats": [1]},
             lambda doc: {**doc, "training_stats": {"last_loss": "low"}},
+            # float() and int() take these; the file comes from outside the
+            # program, so a weight or a loss is a JSON number, never a string
+            # or a boolean, and examples_seen a JSON integer.
+            lambda doc: {**doc, "value_weights": ["0.5"] + doc["value_weights"][1:]},
+            lambda doc: {**doc, "value_weights": [True] + doc["value_weights"][1:]},
+            lambda doc: {**doc, "prior_weights": {"flip": [False] * 11}},
+            lambda doc: {**doc, "training_stats": {"examples_seen": 2.7}},
+            lambda doc: {**doc, "training_stats": {"examples_seen": "2"}},
+            lambda doc: {**doc, "training_stats": {"examples_seen": True}},
+            lambda doc: {**doc, "training_stats": {"last_loss": "0.25"}},
+            lambda doc: {**doc, "training_stats": {"last_loss": True}},
             # A two-feature layout whose weight lengths match it.
             lambda doc: {
                 **doc,
@@ -223,6 +234,14 @@ class TestInitAndSerialization:
             "nan-weight",
             "stats-list",
             "non-numeric-loss",
+            "string-weight",
+            "bool-weight",
+            "bool-prior-weights",
+            "fractional-examples",
+            "string-examples",
+            "bool-examples",
+            "string-loss",
+            "bool-loss",
             "two-feature-spec",
             "reordered-spec",
         ],
@@ -231,6 +250,15 @@ class TestInitAndSerialization:
         doc = json.loads(params_text(random_params(random.Random(29))))
         with pytest.raises(ParamVersionError):
             parse_params(json.dumps(change(doc)))
+
+    def test_integer_weights_and_loss_are_json_numbers(self):
+        doc = json.loads(params_text(init_params()))
+        doc["value_weights"] = [1] + doc["value_weights"][1:]
+        doc["training_stats"] = {"examples_seen": 3, "last_loss": 0}
+        theta = parse_params(json.dumps(doc))
+        assert type(theta.value_weights[0]) is float and theta.value_weights[0] == 1.0
+        assert (theta.examples_seen, theta.last_loss) == (3, 0.0)
+        assert type(theta.last_loss) is float
 
     def test_interrupted_write_leaves_old_params_intact(self, tmp_path, monkeypatch):
         path = str(tmp_path / "params.json")
@@ -441,8 +469,9 @@ class TestQualityLog:
         assert not store.dists
 
     def test_wrongly_typed_fields_are_skipped_and_counted(self, tmp_path):
-        # Runs write visits, counts and n_vars as JSON integers and a value as
-        # a JSON number; a string, a fraction or a boolean there is corrupt.
+        # Runs write visits, counts and n_vars as JSON integers, a value as a
+        # JSON number and features as JSON floats; a string, a fraction or a
+        # boolean there is corrupt, and so is an integer or null feature.
         dim = len(FEATURE_NAMES)
         value = {"kind": "value", "digest": "s", "n_vars": 1,
                  "features": [0.5] * dim, "value": 0.5, "visits": 1}
@@ -453,13 +482,17 @@ class TestQualityLog:
         bad += [{**value, "value": v} for v in ("0.5", True, None)]
         bad += [{**rec, "n_vars": v} for rec in (value, dist) for v in ("1", 1.5, True)]
         bad += [{**dist, "moves": [{**move, "count": v}]} for v in ("1", 0.7, True)]
+        odd = [["0.5"] + [0.5] * (dim - 2) + [True], [True] * dim, [1] + [0.5] * (dim - 1),
+               [None] * dim, "0.5" * dim]
+        bad += [{**value, "features": f} for f in odd]
+        bad += [{**dist, "moves": [{**move, "features": f}]} for f in odd]
         path = str(tmp_path / "quality.jsonl")
         with open(path, "w") as handle:
             # An integer value is a JSON number and loads as a float.
             for doc in [value, dist, {**value, "digest": "i", "value": 1}, *bad]:
                 handle.write(json.dumps(doc) + "\n")
         store, skipped = load_quality_log(path)
-        assert skipped == len(bad) == 15
+        assert skipped == len(bad) == 25
         assert store.values["s"].visits == 1 and store.dists[("r", "flip")].moves["m"].count == 1
         assert type(store.values["i"].value) is float
         with open(path, "rb") as handle:

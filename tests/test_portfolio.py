@@ -88,9 +88,8 @@ def external(code, timeout=20.0, member_id="ext"):
 class TestExternalMembers:
     def test_sat_answer_becomes_move_to_top(self):
         phi = Formula([[1]])
-        transformed, lift = external(FAKE_SAT).transform(phi)
-        assert transformed == TOP
-        assert lift(frozenset()) == frozenset([1])
+        # The witness is the member's verified solution.
+        assert external(FAKE_SAT).transform(phi) == (TOP, frozenset([1]))
 
     def test_witness_is_verified_before_trusting(self):
         phi = Formula([[1]])
@@ -98,14 +97,14 @@ class TestExternalMembers:
             external(FAKE_LYING_SAT).transform(phi)
 
     def test_unsat_answer_becomes_move_to_bottom(self):
-        transformed, _ = external(FAKE_UNSAT).transform(Formula([[1], [-1]]))
-        assert transformed == BOTTOM
+        assert external(FAKE_UNSAT).transform(Formula([[1], [-1]])) == (BOTTOM, True)
 
     def test_dimacs_output_becomes_identity_lift_transform(self):
-        transformed, lift = external(FAKE_TRANSFORM).transform(Formula([[1]]))
-        assert transformed == Formula([[1, 2]])
+        phi = Formula([[1]])
+        member = external(FAKE_TRANSFORM)
+        assert member.transform(phi) == (Formula([[1, 2]]), True)
         alpha = frozenset([1])
-        assert lift(alpha) == alpha
+        assert portfolio_setup((member,)).reduction("ext").lift(phi, True, alpha) == alpha
 
     def test_garbage_output_is_a_failure(self):
         with pytest.raises(MemberFailure):
@@ -150,11 +149,11 @@ class TestExternalMembers:
     def test_lift_reruns_the_member_and_checks_its_output(self):
         phi = Formula([[1]])
         rule = portfolio_setup((external(FAKE_SAT),)).reduction("ext")
-        ((target, kept),) = rule.moves(phi)
-        # The move carries the member's kept lift, the witness the step verifies to.
-        assert target == TOP and step_witness(rule, phi, TOP) is kept
-        assert rule.lift(phi, kept, frozenset()) == frozenset([1])
-        # A lift takes the member's kept lift, so another target does not verify.
+        # The move carries the member's kept solution, the witness the step verifies to.
+        assert rule.moves(phi) == [(TOP, frozenset([1]))]
+        assert step_witness(rule, phi, TOP) == frozenset([1])
+        assert rule.lift(phi, frozenset([1]), frozenset()) == frozenset([1])
+        # Another target is not the member's output, so it does not verify.
         assert step_witness(rule, phi, BOTTOM) is None
 
     def test_member_output_is_kept_per_formula(self, tmp_path):
@@ -180,7 +179,8 @@ class TestExternalMembers:
         result = ams_search(phi, setup, evaluator, SearchConfig(horizon=4, budget=8))
         flaky = setup.reduction("flaky")
         kept = step_witness(flaky, phi, TOP)
-        # The re-listed move carries the very lift object the path step carries.
+        # The re-listed move carries the kept solution the path step carries.
+        assert kept == frozenset([-1, -2, -3])
         assert result.path.steps == (("flaky", TOP, kept),) and verify_path(setup, result.path)
         answer, diagnostics = derive_answer(setup, phi, result)
         assert answer.kind == "solution" and diagnostics == []

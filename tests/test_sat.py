@@ -268,17 +268,26 @@ class TestElimination:
             assert step_witness(ELIMINATION, phi, target) is None, target
 
     def test_without_a_qualifying_variable_the_one_move_is_the_fallback(self):
-        # Eliminating any variable of NO_BOUNDED grows it.  Variables 2, 4 and
-        # 5 tie at the smallest |pos|·|neg| − |pos| − |neg|, 3, and the lowest
-        # of them is the fallback.
-        assert all(len(ref_eliminate(NO_BOUNDED, v)) > 13 for v in NO_BOUNDED.variables)
-        assert ref_fallback(NO_BOUNDED) == 2
-        grown = ref_eliminate(NO_BOUNDED, 2)
-        assert elimination_moves(NO_BOUNDED) == [(grown, 2)]
-        assert step_witness(ELIMINATION, NO_BOUNDED, grown) == 2
+        # Eliminating any variable of NO_BOUNDED grows it, each to 14 clauses;
+        # on that tie the lowest variable is the fallback.
+        assert [len(ref_eliminate(NO_BOUNDED, v)) for v in NO_BOUNDED.variables] == [14] * 5
+        assert ref_fallback(NO_BOUNDED) == 1
+        grown = ref_eliminate(NO_BOUNDED, 1)
+        assert elimination_moves(NO_BOUNDED) == [(grown, 1)]
+        assert step_witness(ELIMINATION, NO_BOUNDED, grown) == 1
         # Growing eliminations of the other variables are no moves.
-        for v in (1, 3, 4, 5):
+        for v in (2, 3, 4, 5):
             assert step_witness(ELIMINATION, NO_BOUNDED, ref_eliminate(NO_BOUNDED, v)) is None, v
+
+    def test_the_fallback_is_the_least_growth_not_the_least_bound_on_it(self):
+        # Each variable's elimination leaves more than FALLBACK_BY_GROWTH's 16
+        # clauses.  Variable 2 has the least |pos|·|neg| − |pos| − |neg|, 3
+        # against variable 1's 5, but leaves 18 clauses; variable 1 leaves 17.
+        sizes = [len(ref_eliminate(FALLBACK_BY_GROWTH, v)) for v in FALLBACK_BY_GROWTH.variables]
+        assert sizes == [17, 18, 17, 19, 18, 19]
+        assert elimination_moves(FALLBACK_BY_GROWTH) == [
+            (ref_eliminate(FALLBACK_BY_GROWTH, 1), 1)
+        ]
 
     def test_a_growing_elimination_is_no_move_while_another_variable_qualifies(self):
         grown = ref_eliminate(GROWING, 1)
@@ -299,6 +308,11 @@ NO_BOUNDED = Formula(
     [[1, -2, 4], [1, -2, -4], [1, -2, -5], [1, 3, 5], [1, -3, -4], [1, 5], [-1, -2, 3],
      [-1, -4], [2, -3], [2, -5], [-2, -3], [3, 4, -5], [-3, 4, 5]]
 )
+FALLBACK_BY_GROWTH = Formula(
+    [[1, -2, 4], [1, 3, -6], [1, 4, 6], [1, -5, -6], [-1, -2, -5], [-1, -3, 4], [-1, -3, 6],
+     [2, 4, -5], [2, 5, 6], [2, -5, -6], [-2, 3, 4], [3, -4, 5], [3, -5, 6], [-3, 4, -6],
+     [-3, -4, 5], [-4, -5, 6]]
+)
 # Eliminating 1 from GROWING gives 2·3 = 6 resolvents for its 5 clauses.
 GROWING = Formula([[1, 2], [1, 3], [-1, 4], [-1, 5], [-1, 6]])
 
@@ -315,14 +329,8 @@ def ref_eliminate(phi, v):
 
 
 def ref_fallback(phi):
-    """The variable with the smallest |pos|·|neg| − |pos| − |neg|, the lowest on a tie."""
-
-    def growth(v):
-        p = sum(v in c for c in phi.clauses)
-        n = sum(-v in c for c in phi.clauses)
-        return p * n - p - n, v
-
-    return min(phi.variables, key=growth)
+    """The variable whose elimination leaves the fewest clauses, the lowest on a tie."""
+    return min(phi.variables, key=lambda v: (len(ref_eliminate(phi, v)), v))
 
 
 # Random formulas have a qualifying variable almost always; joined with

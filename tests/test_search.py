@@ -445,7 +445,7 @@ class TestPinnedOutput:
     COUNTS = {"resolution": 40, "resolution-ext": 40, "flip": 40, "portfolio": 40}
     # The same record for the setups that flip, at certify's instance size:
     # 8 variables give flip runs of many clauses.
-    DIGEST_8 = "fb211883b11f95f12d6bac9e15d1467ef4a42c39d2d184d9bac3ec8efccc699d"
+    DIGEST_8 = "ff88214c7f6bb80d2ad06af220af6b77bfb25efc560709b4e4a342a879b5cccd"
     COUNTS_8 = {"flip": 60, "portfolio": 60}
 
     @staticmethod

@@ -66,3 +66,43 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in unused_imports(path)
     }
     assert not unused, sorted(unused)
+
+
+def module_level_names(tree):
+    """The functions, classes and assigned names a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def names_read(tree):
+    """Every name the module reads: as a name, an attribute, or an imported (re-exported) name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_module_level_definition_is_read_somewhere():
+    # Foldings leave definitions behind that nothing reads any more; the
+    # package's modules and the tests are where a reader could be.
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + tests}
+    read = {name for tree in trees.values() for name in names_read(tree)}
+    orphans = {
+        (path.name, name)
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for name in module_level_names(trees[path])
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not orphans, sorted(orphans)
