@@ -44,26 +44,30 @@ class LiftIntegrityError(RuntimeError):
         self.reduction_id = reduction_id
 
 
-@dataclass(frozen=True)
 class SolveAnswer:
     """Verdict of a solver: a solution, no solution, or don't know.
 
     An easy-instance solver answers the same way, with ``dont_know`` meaning
-    the instance is not easy.
+    the instance is not easy.  Answers compare and hash by kind and value.
     """
 
-    kind: str
-    value: Any = None
-
+    __slots__ = ("kind", "value")
     _KINDS = ("solution", "no_solution", "dont_know")
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown answer kind {self.kind!r}")
-        if self.kind == "solution" and self.value is None:
+    def __init__(self, kind: str, value: Any = None):
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown answer kind {kind!r}")
+        if kind == "solution" and value is None:
             raise ValueError("solution answer requires a value")
-        if self.kind != "solution" and self.value is not None:
-            raise ValueError(f"{self.kind} answer carries no value")
+        if kind != "solution" and value is not None:
+            raise ValueError(f"{kind} answer carries no value")
+        self.kind, self.value = kind, value
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SolveAnswer and (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value))
 
     @classmethod
     def solution(cls, value: Solution) -> "SolveAnswer":
@@ -87,6 +91,7 @@ DONT_KNOW = SolveAnswer.dont_know()
 NO_SOLUTION = SolveAnswer.no_solution()
 
 
+# The one dataclass: perfbench's traced runs rebuild rules with dataclasses.replace.
 @dataclass(frozen=True)
 class SelfReduction:
     """A named pair of a move function and a solution (lift) function.
@@ -135,15 +140,16 @@ def one_move(
     return SelfReduction(reduction_id, moves, lift)
 
 
-@dataclass(frozen=True)
 class Setup:
     """Game rules for a search problem: an easy-instance solver plus reductions."""
 
-    easy: Callable[[Instance], SolveAnswer]
-    reductions: tuple[SelfReduction, ...]
+    __slots__ = ("easy", "reductions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reductions", tuple(self.reductions))
+    def __init__(
+        self, easy: Callable[[Instance], SolveAnswer], reductions: Sequence[SelfReduction]
+    ):
+        self.easy = easy
+        self.reductions = tuple(reductions)
         if not self.reductions:
             raise ValueError("a setup needs at least one self-reduction")
         ids = [r.id for r in self.reductions]
@@ -157,15 +163,14 @@ class Setup:
         raise UnknownReductionError(reduction_id)
 
 
-@dataclass(frozen=True)
 class Path:
     """A start instance followed by the moves taken: (reduction id, instance, witness) steps."""
 
-    start: Instance
-    steps: tuple[tuple[str, Instance, Any], ...] = ()
+    __slots__ = ("start", "steps")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple((rid, inst, w) for rid, inst, w in self.steps))
+    def __init__(self, start: Instance, steps: Sequence[tuple[str, Instance, Any]] = ()):
+        self.start = start
+        self.steps = tuple((rid, inst, w) for rid, inst, w in steps)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     LiftIntegrityError,
@@ -80,11 +79,10 @@ def make_setup(name: str) -> Setup:
     raise ValueError(f"unknown setup {name!r}; expected one of {', '.join(SETUP_NAMES)}")
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Everything observable about one solve run."""
 
-    search: SearchResult = field(repr=False)
+    search: SearchResult
     diagnostics: tuple[str, ...] = ()
     # The run's ``training_quality`` as log records; built only by a run that
     # trains.
@@ -266,15 +264,25 @@ def check_quality_data(quality: QualityData, setup: Setup) -> list[str]:
     return violations
 
 
-@dataclass
 class SelfcheckReport:
-    instances: int = 0
-    solutions: int = 0
-    no_solutions: int = 0
-    dont_know: int = 0
-    contradictions: list[str] = field(default_factory=list)
-    quality_violations: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    __slots__ = ("instances", "solutions", "no_solutions", "dont_know", "contradictions",
+                 "quality_violations", "wall_time_s")
+
+    def __init__(
+        self,
+        instances: int = 0,
+        solutions: int = 0,
+        no_solutions: int = 0,
+        dont_know: int = 0,
+        contradictions: list[str] | None = None,
+        quality_violations: list[str] | None = None,
+        wall_time_s: float = 0.0,
+    ):
+        self.instances, self.solutions = instances, solutions
+        self.no_solutions, self.dont_know = no_solutions, dont_know
+        self.contradictions = [] if contradictions is None else contradictions
+        self.quality_violations = [] if quality_violations is None else quality_violations
+        self.wall_time_s = wall_time_s
 
     @property
     def passed(self) -> bool:
@@ -329,8 +337,7 @@ def run_selfcheck(
     return report
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     setup: str
     instances: int
     solved: int

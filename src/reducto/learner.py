@@ -13,9 +13,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .sat import Formula
 from .search import QualityData
@@ -86,7 +85,6 @@ def featurize(phi: Formula) -> tuple[float, ...]:
     )
 
 
-@dataclass
 class ParamStore:
     """Persisted model parameters: one value head and one prior head per reduction.
 
@@ -94,10 +92,24 @@ class ParamStore:
     ``FEATURE_NAMES``, the only layout of ``PARAMS_VERSION``.
     """
 
-    value_weights: list[float] = field(default_factory=lambda: [0.0] * (_FEATURE_DIM + 1))
-    prior_weights: dict[str, list[float]] = field(default_factory=dict)
-    examples_seen: int = 0
-    last_loss: float | None = None
+    __slots__ = ("value_weights", "prior_weights", "examples_seen", "last_loss")
+
+    def __init__(
+        self,
+        value_weights: list[float] | None = None,
+        prior_weights: dict[str, list[float]] | None = None,
+        examples_seen: int = 0,
+        last_loss: float | None = None,
+    ):
+        self.value_weights = [0.0] * (_FEATURE_DIM + 1) if value_weights is None else value_weights
+        self.prior_weights = {} if prior_weights is None else prior_weights
+        self.examples_seen = examples_seen
+        self.last_loss = last_loss
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ParamStore and (
+            self.value_weights, self.prior_weights, self.examples_seen, self.last_loss
+        ) == (other.value_weights, other.prior_weights, other.examples_seen, other.last_loss)
 
     def copy(self) -> "ParamStore":
         return ParamStore(
@@ -265,8 +277,7 @@ class LinearEvaluator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ValueRecord:
+class ValueRecord(NamedTuple):
     digest: str
     n_vars: int
     features: tuple[float, ...]
@@ -274,27 +285,36 @@ class ValueRecord:
     visits: int
 
 
-@dataclass
-class MoveStat:
+class MoveStat(NamedTuple):
     digest: str
     features: tuple[float, ...]
     count: int
 
 
-@dataclass
-class DistRecord:
+class DistRecord(NamedTuple):
     digest: str
     reduction: str
     n_vars: int
     moves: dict[str, MoveStat]
 
 
-@dataclass
 class DeltaStore:
     """Accumulated quality data across runs, keyed by instance digest."""
 
-    values: dict[str, ValueRecord] = field(default_factory=dict)
-    dists: dict[tuple[str, str], DistRecord] = field(default_factory=dict)
+    __slots__ = ("values", "dists")
+
+    def __init__(
+        self,
+        values: dict[str, ValueRecord] | None = None,
+        dists: dict[tuple[str, str], DistRecord] | None = None,
+    ):
+        self.values = {} if values is None else values
+        self.dists = {} if dists is None else dists
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DeltaStore:
+            return NotImplemented
+        return (self.values, self.dists) == (other.values, other.dists)
 
     @property
     def is_empty(self) -> bool:

@@ -18,8 +18,6 @@ so that its child process runs once per formula.
 
 from __future__ import annotations
 
-import subprocess
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import Setup, one_move
@@ -43,7 +41,6 @@ class MemberFailure(Exception):
     """A portfolio member failed (crash, timeout, or unusable output)."""
 
 
-@dataclass(frozen=True)
 class ExternalMember:
     """A child-process member invoked with DIMACS on stdin.
 
@@ -59,13 +56,14 @@ class ExternalMember:
     never influences results.
     """
 
-    id: str
-    command: tuple[str, ...]
-    timeout: float = DEFAULT_EXTERNAL_TIMEOUT
-    failures: list[str] = field(default_factory=list, init=False, compare=False, repr=False)
-    _steps: dict[Formula, tuple[Formula, Assignment | bool | None]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    __slots__ = ("id", "command", "timeout", "failures", "_steps")
+
+    def __init__(
+        self, id: str, command: tuple[str, ...], timeout: float = DEFAULT_EXTERNAL_TIMEOUT
+    ):
+        self.id, self.command, self.timeout = id, command, timeout
+        self.failures: list[str] = []
+        self._steps: dict[Formula, tuple[Formula, Assignment | bool | None]] = {}
 
     def step(self, phi: Formula) -> tuple[Formula, Assignment | bool | None]:
         """The member's output and its witness; on a failure, which ``failures``
@@ -82,6 +80,8 @@ class ExternalMember:
         return out
 
     def transform(self, phi: Formula):
+        import subprocess  # only an external member's child process needs it
+
         try:
             proc = subprocess.run(
                 list(self.command),

@@ -148,7 +148,7 @@ BOTTOM = Formula(((),))
 def satisfies(alpha: Iterable[int], phi: Formula) -> bool:
     """True iff every clause of ``phi`` intersects ``alpha``."""
     a = alpha if isinstance(alpha, frozenset) else frozenset(alpha)
-    return all(any(l in a for l in c) for c in phi.clauses)
+    return not any(map(a.isdisjoint, phi.clauses))
 
 
 # ---------------------------------------------------------------------------

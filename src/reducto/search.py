@@ -29,8 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .core import DEFAULT_MOVE_CAP, Path, Setup, SolveAnswer, enumerate_moves
 
@@ -47,7 +46,6 @@ class Evaluator(Protocol):
         ...
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Knobs for a search run.
 
@@ -59,26 +57,30 @@ class SearchConfig:
     move_cap    per-reduction cap passed to move enumeration
     """
 
-    horizon: int = 12
-    budget: int = 64
-    exploration: float = 1.4
-    discount: float = 0.95
-    move_cap: int = DEFAULT_MOVE_CAP
+    __slots__ = ("horizon", "budget", "exploration", "discount", "move_cap")
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
+    def __init__(
+        self,
+        horizon: int = 12,
+        budget: int = 64,
+        exploration: float = 1.4,
+        discount: float = 0.95,
+        move_cap: int = DEFAULT_MOVE_CAP,
+    ):
+        if horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.budget < 1:
+        if budget < 1:
             raise ValueError("budget must be at least 1")
-        if not (0.0 < self.discount <= 1.0):
+        if not (0.0 < discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
-        if not (0.0 <= self.exploration < math.inf):
+        if not (0.0 <= exploration < math.inf):
             raise ValueError("exploration must be finite and non-negative")
-        if self.move_cap < 1:
+        if move_cap < 1:
             raise ValueError("move_cap must be at least 1")
+        self.horizon, self.budget, self.exploration = horizon, budget, exploration
+        self.discount, self.move_cap = discount, move_cap
 
 
-@dataclass
 class QualityData:
     """Per-run search statistics used as training targets.
 
@@ -86,12 +88,18 @@ class QualityData:
     distributions maps (instance, reduction id) to visit counts over moves.
     """
 
-    values: dict[Any, tuple[float, int]] = field(default_factory=dict)
-    distributions: dict[tuple[Any, str], dict[Any, int]] = field(default_factory=dict)
+    __slots__ = ("values", "distributions")
+
+    def __init__(
+        self,
+        values: dict[Any, tuple[float, int]] | None = None,
+        distributions: dict[tuple[Any, str], dict[Any, int]] | None = None,
+    ):
+        self.values = {} if values is None else values
+        self.distributions = {} if distributions is None else distributions
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """What one search did; a solve's ``RunReport.stats``."""
 
     nodes_expanded: int

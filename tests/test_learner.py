@@ -994,7 +994,7 @@ class TestLossPasses:
         rng = random.Random(83)
         store = random_store(rng, n_values=4, n_dists=0)
         rec = store.values["v0"]
-        rec.features = (feature,) + rec.features[1:]
+        store.values["v0"] = rec._replace(features=(feature,) + rec.features[1:])
         calls = self.count(monkeypatch)
         learner.fit(random_params(rng), store, epochs=5, learning_rate=learning_rate)
         assert calls["epochs"] >= 5
@@ -1196,9 +1196,11 @@ class TestReferenceEquivalence:
             store = varied_store(rng)
             if i % 3 == 2:
                 rec = rng.choice([*store.values.values(), *store.dists.values()])
+                table = store.values
                 if isinstance(rec, DistRecord):
+                    table = rec.moves
                     rec = rng.choice(list(rec.moves.values()))
-                rec.features = (1e6,) + rec.features[1:]
+                table[rec.digest] = rec._replace(features=(1e6,) + rec.features[1:])
                 kinds["large feature"] += 1
             theta = random_params(rng)
             for epochs in (1, 2, 20):

@@ -155,6 +155,15 @@ class TestSatisfies:
         assert satisfies(frozenset([1]), Formula([[1, -2]]))
         assert not satisfies(frozenset([2]), Formula([[1, -2]]))
 
+    def test_agrees_with_clause_by_clause_membership(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            phi = random_formula(rng, 6, 14)
+            alpha = [v if rng.random() < 0.5 else -v for v in range(1, 7) if rng.random() < 0.8]
+            expected = all(any(l in alpha for l in c) for c in phi.clauses)
+            assert satisfies(alpha, phi) is expected
+            assert satisfies(frozenset(alpha), phi) is expected
+
 
 class TestResolvent:
     def test_plain_resolvent(self):

@@ -151,7 +151,7 @@ class TestDeterminism:
             a.path,
             a.terminal,
             a.quality,
-            dataclasses.replace(a.stats, wall_time_s=123.25),
+            a.stats._replace(wall_time_s=123.25),
         )
         assert slow.canonical_text() == a.canonical_text()
         assert "wall_time" not in a.canonical_text()

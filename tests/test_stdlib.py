@@ -1,8 +1,10 @@
 """reducto uses only the standard library and parses as its oldest supported Python."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import reducto
@@ -106,3 +108,46 @@ def test_every_module_level_definition_is_read_somewhere():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     }
     assert not orphans, sorted(orphans)
+
+
+def test_import_and_every_setup_leave_subprocess_unloaded():
+    # Every solve is a fresh process, so what import reducto loads is paid
+    # per solve; only an external portfolio member's child process needs it.
+    src = os.path.dirname(os.path.dirname(reducto.__file__))
+    code = (
+        "import sys, reducto\n"
+        "from reducto.driver import SETUP_NAMES, make_setup\n"
+        "for name in SETUP_NAMES: make_setup(name)\n"
+        "print('subprocess' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def dataclass_decorated(tree):
+    """The names of the classes in ``tree`` that ``@dataclass`` decorates, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name == "dataclass":
+                    yield node.name
+
+
+def test_self_reduction_is_the_only_dataclass():
+    # @dataclass writes each class's methods as source and execs it at every
+    # import; records are NamedTuples or slotted classes instead.
+    found = {
+        (path.name, name)
+        for path in SOURCES
+        for name in dataclass_decorated(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == {("core.py", "SelfReduction")}, (
+        "only SelfReduction may be a dataclass: the benchmark's traced runs "
+        "rebuild each rule with dataclasses.replace",
+        sorted(found),
+    )
