@@ -254,7 +254,7 @@ def _cmd_bench(args) -> int:
 
 # Built once per process: parse_args leaves the parser as it was, and a
 # trained solve is one main call.
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reducto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -104,7 +104,9 @@ class SelfReduction:
     A witness is anything but None.  ``moves`` is the rule's only definition
     of its moves: a path step is one of its pairs, tagged with the rule's
     id, and ``verify_path`` and the quality-data check test membership in
-    the list.  Both must be pure functions of their arguments.
+    the list.  Both must be pure functions of their arguments; the SAT
+    domain relies on this to memoise the listings of its elimination and
+    unit-propagation rules, so a path check reads the list the search made.
     """
 
     id: str

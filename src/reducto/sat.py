@@ -30,6 +30,10 @@ Assignment = frozenset  # frozenset[int] without complementary pairs
 
 ORACLE_VAR_LIMIT = 24
 PAIR_CAP = 16
+# Formulas whose elimination and unit-propagation listings are kept (see
+# ELIMINATION below).  At most 8 distinct formulas are listed between a
+# refutation's root and its check on the benchmark's inputs.
+LISTING_MEMO = 16
 
 
 class OracleLimitError(RuntimeError):
@@ -505,11 +509,21 @@ def _flip_lift(x: Formula, v: int, y: Assignment) -> Assignment:
     return assignment(-l if abs(l) == v else l for l in y)
 
 
+# Elimination and unit propagation list their moves through a memo of the
+# last LISTING_MEMO formulas, so checking a refutation's path (verify_path)
+# reads the lists the search made instead of working them out again.  Moves
+# are pure, so a listing from the memo is the one a re-run would return.
+# Resolution and extension are not memoised: their pending successors would
+# be shared across searches, and one search's reads would build another's.
 RESOLUTION = SelfReduction("resolution", resolution_moves, identity_lift)
-ELIMINATION = SelfReduction("elimination", elimination_moves, _elimination_lift)
+ELIMINATION = SelfReduction(
+    "elimination", lru_cache(maxsize=LISTING_MEMO)(elimination_moves), _elimination_lift
+)
 FLIP = SelfReduction("flip", flip_moves, _flip_lift)
 EXTENSION = SelfReduction("extension", extension_moves, identity_lift)
-UNIT_PROPAGATION = one_move("unit-propagation", unit_propagate_fixpoint, _add_literals)
+UNIT_PROPAGATION = one_move(
+    "unit-propagation", lru_cache(maxsize=LISTING_MEMO)(unit_propagate_fixpoint), _add_literals
+)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,10 @@ class SearchConfig:
         discount: float = 0.95,
         move_cap: int = DEFAULT_MOVE_CAP,
     ):
+        # Counts are ints, not bools: a float would reach a slice in enumerate_moves.
+        for name, n in (("horizon", horizon), ("budget", budget), ("move_cap", move_cap)):
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"{name} must be an int, got {n!r}")
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         if budget < 1:

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from reducto import driver
 from reducto.core import Path, SelfReduction, Setup, one_move, verify_path
 from reducto.driver import (
     BENCH_HEADER,
@@ -312,6 +313,29 @@ class TestDeriveAnswer:
         answer, diagnostics = derive_answer(setup, phi, result)
         assert (answer, diagnostics) == (SolveAnswer.solution(frozenset([1, 2])), [])
         assert calls == [phi]
+
+    def test_a_portfolio_refutation_is_checked_from_the_listings_its_search_made(
+        self, monkeypatch
+    ):
+        # Instance 8 of the criterion-5 stream is refuted through five
+        # eliminations and a unit propagation.  Checking the path lists each
+        # step's source again, and each list is still in the rule's memo.
+        phi = next(islice(_check_instances(500, 8, 424242, 3.0), 8, None))
+        setup = make_setup("portfolio")
+        result = ams_search(phi, setup, _uniform_evaluator(), CHECK_CONFIG)
+        assert [rid for rid, _, _ in result.path.steps] == ["elimination"] * 5 + ["unit-propagation"]
+        checked = []
+
+        def counted(setup, path):
+            checked.append(path)
+            return verify_path(setup, path)
+
+        monkeypatch.setattr(driver, "verify_path", counted)
+        before = ELIMINATION.moves.cache_info()
+        assert derive_answer(setup, phi, result) == (SolveAnswer.no_solution(), [])
+        after = ELIMINATION.moves.cache_info()
+        assert checked == [result.path]
+        assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
 
 
 class TestPinnedAnswers:

@@ -16,6 +16,7 @@ from reducto.sat import (
     EXTENSION,
     FLIP,
     Formula,
+    LISTING_MEMO,
     OracleLimitError,
     PAIR_CAP,
     RESOLUTION,
@@ -431,6 +432,56 @@ class TestResolventTable:
         sat._resolvent_table.cache_clear()
         resolution_moves(phi)
         same(Formula(phi.clauses))
+
+
+class TestListingMemo:
+    """Elimination and unit propagation list through a memo of the last ``LISTING_MEMO`` formulas."""
+
+    # Twice as many distinct formulas as the memo holds, each with a unit clause.
+    CROWD = [Formula([[v], [-v, v + 1]]) for v in range(1, 2 * LISTING_MEMO + 1)]
+
+    @staticmethod
+    def plain(x):
+        """Both rules' listings, worked out by the plain functions."""
+        fixpoint, forced = unit_propagate_fixpoint(x)
+        return elimination_moves(x), [] if fixpoint == x else [(fixpoint, forced)]
+
+    @staticmethod
+    def listed(x):
+        return ELIMINATION.moves(x), UNIT_PROPAGATION.moves(x)
+
+    def test_the_memo_is_bounded(self):
+        assert ELIMINATION.moves.cache_info().maxsize == LISTING_MEMO
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ELIMINATION_INPUTS,
+        st.lists(ELIMINATION_INPUTS, max_size=4),
+        st.integers(0, 2 * LISTING_MEMO),
+    )
+    def test_listings_do_not_depend_on_what_was_listed_before(self, phi, others, crowd):
+        expected = self.plain(phi)
+        assert self.listed(phi) == expected
+        # From crowd = LISTING_MEMO on, phi's entries have been evicted.
+        for x in others + self.CROWD[:crowd]:
+            assert self.listed(x) == self.plain(x)
+        assert self.listed(phi) == expected
+        assert self.listed(Formula(phi.clauses)) == expected
+
+    def test_an_evicted_listing_is_worked_out_again(self):
+        phi = Formula([[1, 2], [-1, 3], [-2, -3]])
+        expected = self.plain(phi)
+        self.listed(phi)
+        before = ELIMINATION.moves.cache_info()
+        assert self.listed(phi) == expected
+        hit = ELIMINATION.moves.cache_info()
+        assert (hit.hits, hit.misses) == (before.hits + 1, before.misses)
+        for x in self.CROWD[:LISTING_MEMO]:
+            self.listed(x)
+        before = ELIMINATION.moves.cache_info()
+        assert self.listed(phi) == expected
+        missed = ELIMINATION.moves.cache_info()
+        assert (missed.hits, missed.misses) == (before.hits, before.misses + 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -80,6 +80,11 @@ class TestConfig:
             SearchConfig(exploration=float("nan"))
         with pytest.raises(ValueError):
             SearchConfig(exploration=float("inf"))
+        # Counts must be ints: a float move cap used to reach a slice.
+        for bad in (2.5, 2.0, True, "3", None):
+            for name in ("horizon", "budget", "move_cap"):
+                with pytest.raises(ValueError, match=f"{name} must be an int"):
+                    SearchConfig(**{name: bad})
 
 
 class TestTerminals:

@@ -151,3 +151,79 @@ def test_self_reduction_is_the_only_dataclass():
         "rebuild each rule with dataclasses.replace",
         sorted(found),
     )
+
+
+def _is_named(node, name):
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def unbounded_memos(source):
+    """The line of every memo in ``source`` that has no literal, finite bound.
+
+    An ``lru_cache`` must be called with a ``maxsize`` that is an int literal
+    or a module-level name assigned one; ``functools.cache`` has no bound.
+    """
+    tree = ast.parse(source)
+    ints = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def finite(size):
+        value = size.value if isinstance(size, ast.Constant) else None
+        if isinstance(size, ast.Name):
+            value = ints.get(size.id)
+        return type(value) is int and value >= 0
+
+    called = set()
+    # ast.walk visits a call before its func, so ``called`` is filled in time.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_named(node.func, "lru_cache"):
+            called.add(node.func)
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if not sizes or not finite(sizes[0]):
+                yield node.lineno
+        elif _is_named(node, "lru_cache") and node not in called:
+            yield node.lineno  # a bare @lru_cache: 128 entries, set by nothing here
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and _is_named(node.value, "functools"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+
+
+def test_unbounded_memos_are_found():
+    flagged = [
+        "from functools import lru_cache\n@lru_cache\ndef f(x): return x\n",
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): return x\n",
+        "from functools import lru_cache\n@lru_cache(None)\ndef f(x): return x\n",
+        "from functools import lru_cache\nN = 2 * 8\n@lru_cache(maxsize=N)\ndef f(x): return x\n",
+        "import functools\n@functools.lru_cache()\ndef f(x): return x\n",
+        "import functools\n@functools.cache\ndef f(x): return x\n",
+        "from functools import cache\n@cache\ndef f(x): return x\n",
+        "from functools import lru_cache\ng = lru_cache(maxsize=True)(len)\n",
+    ]
+    for source in flagged:
+        assert list(unbounded_memos(source)), source
+    bounded = [
+        "from functools import lru_cache\n@lru_cache(maxsize=1)\ndef f(x): return x\n",
+        "from functools import lru_cache\nN = 16\ng = lru_cache(maxsize=N)(len)\n",
+        "import functools\n@functools.lru_cache(4)\ndef f(x): return x\n",
+    ]
+    for source in bounded:
+        assert not list(unbounded_memos(source)), source
+
+
+def test_every_memo_is_bounded():
+    # Memos live as long as the process, and bench and selfcheck solve
+    # thousands of formulas in one; an unbounded one would keep every one.
+    assert sum(path.read_text().count("lru_cache(") for path in SOURCES) >= 4
+    unbounded = {
+        (path.name, line) for path in SOURCES for line in unbounded_memos(path.read_text())
+    }
+    assert not unbounded, sorted(unbounded)
