@@ -405,8 +405,20 @@ def merge_window(history: DeltaStore, records: Sequence[ValueRecord | DistRecord
 _TAIL_BLOCK = 1 << 16
 # Bound once: the log reader checks every feature of every record.
 _isfinite = math.isfinite
-# json.loads's decoder, minus its per-call encoding detection and whitespace scans.
-_raw_decode = json.JSONDecoder().raw_decode
+
+
+class _FloatMemo(dict):
+    """Number text to ``float(text)``, converted on first sight; one per log read.
+
+    A log repeats few distinct number texts many times, so a read converts
+    each once.  Keyed by the exact text, so ``-0.0`` and ``0.0`` stay apart.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
 
 
 def _record_to_json(rec: ValueRecord | DistRecord) -> dict:
@@ -456,8 +468,8 @@ def _record_from_json(doc: dict) -> ValueRecord | DistRecord:
     # counts as JSON integers and features as floats: ``type(x) is int`` turns
     # away floats, strings and booleans alike, and so does ``_FEATURE_TYPES``.
     kind, digest, n_vars = doc["kind"], doc["digest"], doc["n_vars"]
-    if not isinstance(digest, str) or type(n_vars) is not int:
-        raise ValueError("record digest is not a string or n_vars is not an integer")
+    if not isinstance(digest, str) or type(n_vars) is not int or n_vars < 0:
+        raise ValueError("record digest is not a string or n_vars is not a count")
     if kind == "value":
         features = tuple(doc["features"])
         value, visits = doc["value"], doc["visits"]
@@ -513,11 +525,11 @@ def _tail_lines(path: str, n: int) -> list[bytes]:
     return data.split(b"\n")[-n:]
 
 
-def _parse_line(line: bytes):
-    """``json.loads(line)``; a stripped line of one UTF-8 JSON document is decoded directly."""
+def _parse_line(line: bytes, raw_decode: Callable[[str], tuple]):
+    """``json.loads(line)``; a stripped line of one UTF-8 JSON document goes to ``raw_decode``."""
     try:
         text = line.decode()
-        doc, end = _raw_decode(text)
+        doc, end = raw_decode(text)
         if end == len(text):
             return doc
     except ValueError:  # a BOM, another encoding, bad UTF-8, bad JSON: json.loads decides
@@ -526,6 +538,9 @@ def _parse_line(line: bytes):
 
 
 def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
+    # json.loads's decoder, minus its per-call encoding detection and
+    # whitespace scans, with each distinct number text converted once.
+    raw_decode = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).raw_decode
     store = DeltaStore()
     skipped = 0
     for line in lines:
@@ -533,7 +548,7 @@ def _read_records(lines: Iterable[bytes]) -> tuple[DeltaStore, int]:
         if not line:
             continue
         try:
-            rec = _record_from_json(_parse_line(line))
+            rec = _record_from_json(_parse_line(line, raw_decode))
         except (ValueError, KeyError, TypeError, OverflowError):
             skipped += 1
             continue
@@ -546,11 +561,12 @@ def load_quality_log(path: str, last_lines: int | None = None) -> tuple[DeltaSto
 
     A record no run writes is corrupt: among others, one with a value
     outside [0, 1] or not a JSON number, a visit, move or variable count
-    that is not a JSON integer, a non-finite feature, a digest that is not a
-    string, or a ``dist`` without moves or reduction id.  With
-    ``last_lines`` only that many lines at the end of the log are read, and
-    the rest of the file is not.  Each line parses exactly as ``json.loads`` would parse it
-    (``_parse_line``).
+    that is not a JSON integer, visits below 1, a negative count, a
+    non-finite feature, a digest that is not a string, or a ``dist`` without
+    moves or reduction id.  With ``last_lines`` only that many lines at the
+    end of the log are read, and the rest of the file is not.  Each line
+    parses exactly as ``json.loads`` would parse it (``_parse_line``); one
+    read converts each distinct number text to a float once (``_FloatMemo``).
     """
     if last_lines is not None:
         return _read_records(_tail_lines(path, last_lines))
@@ -574,7 +590,7 @@ def _example_key(rec: ValueRecord | DistRecord, curriculum: bool) -> tuple:
 def _row(rec: ValueRecord | DistRecord) -> tuple:
     if isinstance(rec, ValueRecord):
         return None, ((rec.features, rec.value),)
-    stats = sorted(rec.moves.values(), key=lambda m: m.digest)
+    stats = sorted(rec.moves.values())  # digests are the distinct keys, so they decide
     total = sum(m.count for m in stats)
     n = len(stats)
     return rec.reduction, tuple((m.features, m.count / total if total else 1.0 / n) for m in stats)

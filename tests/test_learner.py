@@ -337,6 +337,49 @@ class TestMerge:
         assert store == before
 
 
+def assert_moves_keyed_by_digest(records) -> None:
+    for rec in records:
+        if isinstance(rec, DistRecord):
+            assert rec.moves and all(d == m.digest for d, m in rec.moves.items())
+
+
+class TestMoveDigests:
+    """``_row`` sorts a distribution's ``MoveStat`` tuples themselves, which is
+    the digest order only because each digest is its key in ``moves``."""
+
+    def test_every_record_path_keys_moves_by_digest(self, tmp_path):
+        rng = random.Random(35)
+        pool = [random_formula(rng, 5, 6) for _ in range(8)]
+        path = str(tmp_path / "quality.jsonl")
+        history = DeltaStore()
+        for _ in range(10):
+            records = quality_records(random_delta(rng, pool), featurize)
+            assert_moves_keyed_by_digest(records)
+            merge_window(history, records)  # _merge_record combines shared moves
+            append_quality_log(path, records)
+        assert_moves_keyed_by_digest(history.dists.values())
+        with open(path) as handle:
+            assert_moves_keyed_by_digest(learner._record_from_json(json.loads(line))
+                                         for line in handle)
+        store, skipped = load_quality_log(path)
+        assert skipped == 0 and store == history
+        assert_moves_keyed_by_digest(store.dists.values())
+
+    def test_rows_list_moves_in_digest_order(self):
+        rng = random.Random(35)
+        for _ in range(40):
+            store = varied_store(rng)
+            for key, rec in store.dists.items():
+                moves = list(rec.moves.values())
+                rng.shuffle(moves)
+                moves = [m._replace(digest=f"{rng.random():.6f}") for m in moves]
+                store.dists[key] = rec._replace(moves={m.digest: m for m in moves})
+            for rec in store.dists.values():
+                head, pairs = learner._row(rec)
+                assert head == rec.reduction
+                assert pairs == tuple((m.features, t) for m, t in ref_dist_targets(rec))
+
+
 class TestQualityLog:
     def test_append_and_load_round_trip(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
@@ -543,6 +586,92 @@ class TestQualityLog:
         assert load_quality_log(str(path)) == expected
         assert load_quality_log(str(path), last_lines=2 * len(lines)) == expected
 
+    def test_number_texts_read_bit_for_bit(self, tmp_path):
+        # A read converts each distinct number text once and reuses the
+        # float.  -0.0 and 0.0 are equal floats, and 0.1, 0.10 and 1e-1 are
+        # one float spelled three ways: each text must read as json.loads
+        # reads it.  DeltaStore == equates -0.0 and 0.0, so reprs are compared.
+        dim = len(FEATURE_NAMES)
+        finite = ["-0.0", "0.0", "0.1", "0.10", "1e-1"]
+
+        def spelled(i):
+            return ((finite[i:] + finite[:i]) * dim)[:dim]
+
+        def value_line(digest, features, value):
+            return ('{"digest": "%s", "features": [%s], "kind": "value", "n_vars": 2, '
+                    '"value": %s, "visits": 1}' % (digest, ", ".join(features), value)).encode()
+
+        moves = ", ".join('{"count": %d, "digest": "m%d", "features": [%s]}'
+                          % (i, i, ", ".join(spelled(i))) for i in range(len(finite)))
+        lines = [value_line(f"v{i}", spelled(i), finite[i]) for i in range(len(finite))]
+        lines += [
+            ('{"digest": "r", "kind": "dist", "moves": [%s], "n_vars": 2, "reduction": "flip"}'
+             % moves).encode(),
+            value_line("inf", (["1e999"] + finite * dim)[:dim], "0.5"),  # non-finite: skipped
+            b"\xef\xbb\xbf" + value_line("bom", spelled(1), "-0.0"),  # the json.loads path
+        ]
+        path = tmp_path / "quality.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        expected, skipped = ref_read_records(lines)
+        assert skipped == 1 and set(expected.values) == {"v0", "v1", "v2", "v3", "v4", "bom"}
+        assert repr(expected.values["v0"].features[0]) == "-0.0"
+        assert repr(expected.values["v1"].features[0]) == "0.0"
+        for store, n in (_read_records(lines), load_quality_log(str(path)),
+                         load_quality_log(str(path), last_lines=len(lines))):
+            assert n == skipped
+            assert float_reprs(store) == float_reprs(expected)
+
+    def test_each_number_text_is_converted_once_per_read(self, tmp_path, monkeypatch):
+        memos = []
+
+        class CountingMemo(learner._FloatMemo):
+            def __init__(self):
+                super().__init__()
+                self.misses = []
+                memos.append(self)
+
+            def __missing__(self, text):
+                self.misses.append(text)
+                return super().__missing__(text)
+
+        monkeypatch.setattr(learner, "_FloatMemo", CountingMemo)
+        path = str(tmp_path / "quality.jsonl")
+        texts = []
+
+        def collect(text):
+            texts.append(text)
+            return float(text)
+
+        for line in write_log(path, random.Random(35)).splitlines():
+            json.loads(line, parse_float=collect)
+        first = load_quality_log(path)
+        second = load_quality_log(path)
+        assert len(memos) == 2 and memos[0] is not memos[1]
+        # Each distinct text is converted once, and the second read starts empty.
+        for memo in memos:
+            assert sorted(memo.misses) == sorted(set(texts))
+        assert len(texts) > 2 * len(set(texts))
+        with open(path, "rb") as handle:
+            assert first == second == ref_read_records(handle)
+
+    def test_negative_variable_counts_are_skipped_and_counted(self, tmp_path):
+        # n_vars is a variable count: a run writes 0 for an empty formula and
+        # never less, and a negative count would jump to the front of a
+        # curriculum epoch.
+        dim = len(FEATURE_NAMES)
+        value = {"kind": "value", "digest": "s", "n_vars": 0,
+                 "features": [0.5] * dim, "value": 0.5, "visits": 1}
+        dist = {"kind": "dist", "digest": "r", "reduction": "flip", "n_vars": 0,
+                "moves": [{"digest": "m", "features": [0.5] * dim, "count": 1}]}
+        path = str(tmp_path / "quality.jsonl")
+        with open(path, "w") as handle:
+            for doc in [value, dist, {**value, "digest": "t", "n_vars": -1},
+                        {**dist, "digest": "q", "n_vars": -3}]:
+                handle.write(json.dumps(doc) + "\n")
+        store, skipped = load_quality_log(path)
+        assert skipped == 2
+        assert set(store.values) == {"s"} and set(store.dists) == {("r", "flip")}
+
     def test_append_after_a_truncated_last_line_keeps_every_record(self, tmp_path):
         path = str(tmp_path / "quality.jsonl")
         phi, psi = Formula([[1]]), Formula([[1, -2], [2]])
@@ -554,6 +683,16 @@ class TestQualityLog:
         assert skipped == 1
         assert store == merge(DeltaStore(), delta)
         assert load_quality_log(path, last_lines=2)[0] == store
+
+
+def float_reprs(store: DeltaStore) -> tuple[list, list]:
+    """Every field of ``store`` in store order, each float as its repr."""
+    values = [(r.digest, r.n_vars, [*map(repr, r.features)], repr(r.value), r.visits)
+              for r in store.values.values()]
+    dists = [(key, r.n_vars, [(d, m.digest, [*map(repr, m.features)], m.count)
+                              for d, m in r.moves.items()])
+             for key, r in store.dists.items()]
+    return values, dists
 
 
 def write_log(path, rng, n_deltas=12):
